@@ -5,6 +5,15 @@ scanning) is pure and runs in worker processes over ordered batches; all
 order-sensitive state (individual-mode symbol numbering, dictionaries,
 output writing) stays in the single reduce loop that consumes the batches
 in input order. Results are therefore byte-identical for any worker count.
+
+Real logs repeat: most lines carry a message already seen. Each run keeps
+an exact memo from sanitized message to its rule matches, so a repeated
+message is not scanned again. The memo lives only as long as one
+``scanned_stream`` call (one per worker process with ``workers > 1``) and
+admits the first ``MEMO_ENTRIES`` distinct messages; later misses are
+scanned but not stored, which bounds its memory on corpora of mostly
+distinct messages. Matches depend only on the message and the ruleset,
+so the memo never changes a result.
 """
 
 from __future__ import annotations
@@ -18,6 +27,16 @@ from .model import MalformedLine, parse_line
 from .rules import RuleMatch, RuleSet, sanitize_message, scan_message
 
 BATCH_LINES = 4096
+# Distinct messages one run memoizes; later ones are computed, not stored.
+MEMO_ENTRIES = 4096
+
+
+class RunMemo(dict):
+    """An exact memo for one run that admits only its first MEMO_ENTRIES keys."""
+
+    def admit(self, key, value) -> None:
+        if len(self) < MEMO_ENTRIES:
+            self[key] = value
 
 
 class ScannedLine(NamedTuple):
@@ -54,7 +73,9 @@ def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[tuple[int, byt
                     yield lineno, raw.rstrip(b"\r\n") if raw.endswith(b"\n") else raw
 
 
-def _scan_one(lineno: int, raw: bytes, ruleset: RuleSet) -> Union[ScannedLine, LineIssue]:
+def _scan_one(
+    lineno: int, raw: bytes, ruleset: RuleSet, memo: Optional[RunMemo]
+) -> Union[ScannedLine, LineIssue]:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -64,21 +85,32 @@ def _scan_one(lineno: int, raw: bytes, ruleset: RuleSet) -> Union[ScannedLine, L
     except MalformedLine as exc:
         return LineIssue(lineno, str(exc))
     sanitized = sanitize_message(entry.message)
-    matches = tuple(scan_message(sanitized, ruleset))
+    matches = memo.get(sanitized) if memo is not None else None
+    if matches is None:
+        matches = tuple(scan_message(sanitized, ruleset))
+        if memo is not None:
+            memo.admit(sanitized, matches)
     return ScannedLine(lineno, entry.timestamp, entry.source, entry.message, sanitized, matches)
 
 
+def _new_memo(ruleset: RuleSet) -> Optional[RunMemo]:
+    """A fresh scan memo, or None when there are no rules to save work on."""
+    return RunMemo() if ruleset.rules else None
+
+
 _worker_ruleset: Optional[RuleSet] = None
+_worker_memo: Optional[RunMemo] = None
 
 
 def _init_worker(ruleset: RuleSet) -> None:
-    global _worker_ruleset
+    global _worker_ruleset, _worker_memo
     _worker_ruleset = ruleset
+    _worker_memo = _new_memo(ruleset)
 
 
 def _scan_batch(batch: list[tuple[int, bytes]]) -> list[Union[ScannedLine, LineIssue]]:
     assert _worker_ruleset is not None
-    return [_scan_one(lineno, raw, _worker_ruleset) for lineno, raw in batch]
+    return [_scan_one(lineno, raw, _worker_ruleset, _worker_memo) for lineno, raw in batch]
 
 
 def _batches(lines: Iterable[tuple[int, bytes]]) -> Iterator[list[tuple[int, bytes]]]:
@@ -103,8 +135,9 @@ def scanned_stream(
     merge keeps the stream identical to the sequential one.
     """
     if workers <= 1:
+        memo = _new_memo(ruleset)
         for lineno, raw in lines:
-            yield _scan_one(lineno, raw, ruleset)
+            yield _scan_one(lineno, raw, ruleset, memo)
         return
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker, initargs=(ruleset,)) as pool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ._stream import LineIssue, iter_raw_lines, scanned_stream
+from ._stream import LineIssue, RunMemo, iter_raw_lines, scanned_stream
 from .encoder import (
     CollisionDetected,
     EncoderConfig,
@@ -31,7 +31,7 @@ from .grids import (
     emit_grid,
     similarity_grid,
 )
-from .model import DeidentifiedEntry, render_entry
+from .model import DeidentifiedEntry, EncodedEntry, render_entry
 from .rules import (
     ConfigError,
     GroupMapIncomplete,
@@ -107,7 +107,7 @@ def _build_config(args: argparse.Namespace, *, for_pipeline: bool = True) -> Run
     return RunConfig(
         inputs=list(args.inputs),
         ruleset=ruleset,
-        encoder=EncoderConfig(digest_length_bytes=digest, emit_meanings=emit_meanings),
+        encoder=EncoderConfig(digest_length_bytes=digest),
         out_dir=out_dir,
         strict=getattr(args, "strict", False),
         workers=workers,
@@ -124,26 +124,38 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     dicts = EncodingDictionaries()
     tally = StorageTally()
     symbol_rows: dict[tuple[str, str], None] = {}
+    # Sanitized message -> (hash_key, category_key, deid_message, pattern).
+    # Exact: a repeated message gets the same rewrite in every mode, since
+    # individual-mode indices are fixed at a value's first occurrence.
+    # Hits still register both keys, so counts and collision checks hold.
+    memo = RunMemo()
     encoded_path = cfg.out_dir / "encoded.log"
-    lines_in = 0
     skipped = 0
     with open(encoded_path, "w", encoding="utf-8", newline="\n") as out:
         for item in scanned_stream(iter_raw_lines(cfg.inputs), cfg.ruleset, cfg.workers):
-            lines_in += 1
             if isinstance(item, LineIssue):
                 if cfg.strict:
                     raise StrictParseFailure(item.lineno, item.reason)
                 skipped += 1
                 continue
-            deid_message, significant, pattern = rewrite_matches(
-                item.sanitized, item.matches, cfg.ruleset, registry
-            )
-            deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
-            encoded = encode_entry(deid, pattern, dicts, cfg.encoder)
+            known = memo.get(item.sanitized)
+            if known is None:
+                deid_message, significant, pattern = rewrite_matches(
+                    item.sanitized, item.matches, cfg.ruleset, registry
+                )
+                deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
+                encoded = encode_entry(deid, pattern, dicts, cfg.encoder)
+                memo.admit(
+                    item.sanitized, (encoded.hash_key, encoded.category_key, deid_message, pattern)
+                )
+                for sig in significant:
+                    symbol_rows.setdefault((sig.symbol, sig.original_value))
+            else:
+                hash_key, category_key, deid_message, pattern = known
+                dicts.register(hash_key, deid_message, category_key, pattern)
+                encoded = EncodedEntry(item.timestamp, item.source, hash_key, category_key)
             out.write(render_entry(encoded) + "\n")
             tally.add(item.message, encoded)
-            for sig in significant:
-                symbol_rows.setdefault((sig.symbol, sig.original_value))
     if cfg.emit_dictionary:
         dict_path = cfg.out_dir / "dictionary.tsv"
         with open(dict_path, "w", encoding="utf-8", newline="\n") as f:

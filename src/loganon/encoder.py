@@ -24,7 +24,7 @@ class CollisionDetected(RuntimeError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Digest width and output options.
+    """Digest width.
 
     The operational minimum width is 4 bytes (8 hex chars); 1-3 bytes are
     accepted here so collision handling can be exercised deliberately, and
@@ -32,7 +32,6 @@ class EncoderConfig:
     """
 
     digest_length_bytes: int = 4
-    emit_meanings: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.digest_length_bytes <= 32:
@@ -106,6 +105,11 @@ class EncodingDictionaries:
     messages: PatternDictionary = field(default_factory=PatternDictionary)
     patterns: PatternDictionary = field(default_factory=PatternDictionary)
 
+    def register(self, hash_key: str, message: str, category_key: str, pattern: str) -> None:
+        """Count one entry under both keys; raises CollisionDetected on a clash."""
+        self.messages.register(hash_key, message)
+        self.patterns.register(category_key, pattern)
+
 
 def encode_entry(
     deid: DeidentifiedEntry,
@@ -120,8 +124,7 @@ def encode_entry(
     """
     hash_key = hash_text(deid.deid_message, cfg)
     category_key = hash_text(pattern, cfg)
-    dicts.messages.register(hash_key, deid.deid_message)
-    dicts.patterns.register(category_key, pattern)
+    dicts.register(hash_key, deid.deid_message, category_key, pattern)
     return EncodedEntry(deid.timestamp, deid.source, hash_key, category_key)
 
 

@@ -33,6 +33,9 @@ from .model import (
 )
 
 _NAME_RE = re.compile(r"[A-Z][A-Za-z0-9]{0,7}")
+# Group labels are restricted to the symbol tail alphabet below, so every
+# emitted #NAME<label># stays a well-formed symbol that sanitizing keeps.
+_LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
 # Shape of every symbol this module can emit: #NAME#, #NAME_#, #NAMEk#, #NAME<label>#.
 _SYMBOL_RE = re.compile(r"#[A-Z][A-Za-z0-9]{0,7}[A-Za-z0-9_]*#")
 
@@ -84,13 +87,14 @@ class TermRule:
             object.__setattr__(self, "pattern", pat)
         if pat.search("") is not None:
             raise ConfigError(f"rule {self.name}: pattern must not match the empty string")
-        if self.group_map is not None:
-            labels = list(self.group_map.values())
-            if self.group_default is not None:
-                labels.append(self.group_default)
-            for label in labels:
-                if "#" in label or not label:
-                    raise ConfigError(f"rule {self.name}: bad group label {label!r}")
+        labels = list(self.group_map.values()) if self.group_map is not None else []
+        if self.group_default is not None:
+            labels.append(self.group_default)
+        for label in labels:
+            if not _LABEL_RE.fullmatch(label):
+                raise ConfigError(
+                    f"rule {self.name}: group label {label!r} must be ASCII letters, digits or _"
+                )
 
     def group_label(self, value: str) -> str:
         if self.group_map is not None and value in self.group_map:

@@ -330,7 +330,7 @@ def _slot_names(pattern: str, n_slots: int) -> list[str]:
 
 
 def render_decimal(value: Rational, places: int = 4) -> str:
-    """Round an exact rational to fixed decimal places, half away from even ties handled exactly."""
+    """Round an exact rational to fixed places; ties round half to even (banker's rounding)."""
     frac = _as_fraction(value)
     scale = 10**places
     scaled = frac * scale

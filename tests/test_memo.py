@@ -1,0 +1,161 @@
+"""The per-run message memos of `anonymize` and the shared scan stage.
+
+Both memos must be invisible in the outputs: every file equals a
+memo-free reference loop, whatever the cap, the worker count or what an
+earlier run in the same process left behind.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from loganon import (
+    EncoderConfig,
+    EncodingDictionaries,
+    Mode,
+    SymbolRegistry,
+    encode_entry,
+    load_rules,
+    parse_line,
+    process_entry,
+    render_entry,
+)
+from loganon import _stream, cli
+from loganon.cli import main
+from loganon.rules import default_ruleset, dumps_rules
+
+from test_cli import COLLIDING_MESSAGES
+
+CORPUS_LINES = 600
+SMALL_CAP = 16
+OUTPUTS = ("encoded.log", "dictionary.tsv", "meanings.tsv")
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> Path:
+    """A cmd corpus with repeats and far more distinct messages than SMALL_CAP."""
+    path = tmp_path_factory.mktemp("memo") / "corpus.log"
+    assert main([
+        "gen", "--entries", str(CORPUS_LINES), "--patterns", "40", "--users", "12",
+        "--style", "cmd", "--seed", "5", "--out", str(path),
+    ]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def group_rules(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("rules") / "group.rules"
+    table = "[groups USER]\nuser001 = p\nuser002 = p\n* = n\n"
+    path.write_text(dumps_rules(default_ruleset(Mode.GROUP)) + "\n" + table, encoding="utf-8")
+    return path
+
+
+def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[str, bytes]:
+    """encoded.log, dictionary.tsv and meanings.tsv from process_entry + encode_entry, no memo."""
+    ruleset = load_rules(rules_path) if rules_path else default_ruleset()
+    ruleset = ruleset.with_mode(Mode(mode))
+    registry = SymbolRegistry()
+    dicts = EncodingDictionaries()
+    encoded: list[str] = []
+    symbol_rows: dict[tuple[str, str], None] = {}
+    for line in corpus.read_text(encoding="utf-8").splitlines():
+        deid, pattern = process_entry(parse_line(line), ruleset, registry)
+        encoded.append(render_entry(encode_entry(deid, pattern, dicts, EncoderConfig())))
+        for sig in deid.significant_values:
+            symbol_rows.setdefault((sig.symbol, sig.original_value))
+    rows = {
+        "encoded.log": encoded,
+        "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],
+        "meanings.tsv": [f"{key}\t{text}" for key, text, _ in dicts.messages.items()],
+    }
+    return {name: "".join(row + "\n" for row in lines).encode() for name, lines in rows.items()}
+
+
+def anonymize_argv(corpus: Path, rules_path: Path | None, mode: str, workers: int, out: Path):
+    argv = ["anonymize", str(corpus), "--mode", mode, "--workers", str(workers),
+            "--emit-dictionary", "--emit-meanings", "--out", str(out)]
+    return argv + (["--rules", str(rules_path)] if rules_path else [])
+
+
+def read_outputs(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in OUTPUTS}
+
+
+@pytest.mark.parametrize("cap", [SMALL_CAP, _stream.MEMO_ENTRIES])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["global", "group", "individual"])
+def test_anonymize_equals_memo_free_reference(
+    corpus, group_rules, tmp_path, capsys, monkeypatch, mode, workers, cap
+):
+    monkeypatch.setattr(_stream, "MEMO_ENTRIES", cap)
+    rules_path = group_rules if mode == "group" else None
+    assert main(anonymize_argv(corpus, rules_path, mode, workers, tmp_path)) == 0
+    capsys.readouterr()
+    assert read_outputs(tmp_path) == reference_outputs(corpus, rules_path, mode)
+
+
+def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys, monkeypatch):
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    messages = [line.split(" ", 2)[2] for line in lines]
+    assert SMALL_CAP < len(set(messages)) < len(messages)
+    calls = {"scan": 0, "rewrite": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_stream, "scan_message", counting("scan", _stream.scan_message))
+    monkeypatch.setattr(cli, "rewrite_matches", counting("rewrite", cli.rewrite_matches))
+    monkeypatch.setattr(_stream, "MEMO_ENTRIES", SMALL_CAP)
+    assert main(["anonymize", str(corpus), "--mode", "individual", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # The first SMALL_CAP distinct messages are computed once; every other line is computed.
+    admitted = set(list(dict.fromkeys(messages))[:SMALL_CAP])
+    expected = len(admitted) + sum(1 for m in messages if m not in admitted)
+    assert calls == {"scan": expected, "rewrite": expected}
+
+
+def test_runs_in_one_process_equal_fresh_runs(corpus, tmp_path, capsys):
+    other_rules = tmp_path / "other.rules"
+    other_rules.write_text(
+        "[ruleset]\nmode = individual\n\n[rule SVC]\npattern = svc\\d+\nsignificant = yes\n",
+        encoding="utf-8",
+    )
+    runs = [(None, "individual"), (other_rules, "individual"), (None, "global")]
+    for i, (rules_path, mode) in enumerate(runs):
+        out = tmp_path / f"in-process{i}"
+        assert main(anonymize_argv(corpus, rules_path, mode, 1, out)) == 0
+    in_process = capsys.readouterr().out
+    for i, (rules_path, mode) in enumerate(runs):
+        fresh = tmp_path / f"fresh{i}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "loganon", *anonymize_argv(corpus, rules_path, mode, 1, fresh)],
+            capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_outputs(tmp_path / f"in-process{i}") == read_outputs(fresh)
+        assert proc.stdout.replace(str(fresh), str(tmp_path / f"in-process{i}")) in in_process
+
+
+@pytest.mark.parametrize("first_early", [True, False])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collision_after_memo_is_full_exits_3(tmp_path, capsys, monkeypatch, workers, first_early):
+    first, second = COLLIDING_MESSAGES
+    filler = [f"filler message {i}" for i in range(3 * SMALL_CAP)]
+    messages = [first, *filler, first, second] if first_early else [*filler, first, first, second]
+    corpus = tmp_path / "bad.log"
+    corpus.write_text("".join(f"{i} n {m}\n" for i, m in enumerate(messages)))
+    # A rule that rewrites the filler only, so the scan memo is in use too.
+    rules = tmp_path / "filler.rules"
+    rules.write_text("[ruleset]\nmode = global\n\n[rule F]\npattern = filler\n")
+    monkeypatch.setattr(_stream, "MEMO_ENTRIES", SMALL_CAP)
+    code = main(["anonymize", str(corpus), "--rules", str(rules),
+                 "--workers", str(workers), "--out", str(tmp_path)])
+    assert code == 3
+    assert "digest" in capsys.readouterr().err

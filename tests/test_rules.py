@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SHELL_CMD_A, SHELL_CMD_B, shell_cmd_rulesets
@@ -22,6 +22,7 @@ from loganon import (
     sanitize_message,
     tokenize,
 )
+from loganon.rules import RuleMatch, scan_message
 
 
 def entry(message: str, ts: int = 1, source: str = "T-1") -> RawLogEntry:
@@ -165,13 +166,93 @@ def test_insignificant_terms_ignore_mode():
     assert d.significant_values == ()
 
 
-def test_idempotent_on_own_output():
-    rules = shell_cmd_rulesets()["type2"]
+def _assert_idempotent(rules: RuleSet, message: str) -> None:
     registry = SymbolRegistry()
-    d1 = deidentify(entry(SHELL_CMD_A), rules, registry)
+    d1 = deidentify(entry(message), rules, registry)
     d2 = deidentify(entry(d1.deid_message), rules, registry)
     assert d2.deid_message == d1.deid_message
     assert d2.significant_values == ()
+
+
+GROUP_LABELS = st.from_regex(r"[A-Za-z0-9_]{1,6}", fullmatch=True)
+
+
+@given(root_label=GROUP_LABELS, default_label=GROUP_LABELS, from_file=st.booleans())
+def test_idempotent_on_own_output(root_label, default_label, from_file):
+    _assert_idempotent(shell_cmd_rulesets()["type2"], SHELL_CMD_A)
+    if from_file:
+        rules = loads_rules(
+            "[ruleset]\nmode = group\n\n"
+            "[rule USR]\npattern = (?<=\\()[a-z]+(?=\\) cmd \\()\nsignificant = yes\n\n"
+            "[rule PATH]\npattern = /[^\\s()]+\nsignificant = yes\n\n"
+            f"[groups USR]\nsiavash = {root_label}\n* = {default_label}\n"
+        )
+    else:
+        user = TermRule(
+            "USR",
+            r"(?<=\()[a-z]+(?=\) cmd \()",
+            significant=True,
+            group_map={"siavash": root_label},
+            group_default=default_label,
+        )
+        rules = RuleSet((user, TermRule("PATH", r"/[^\s()]+", significant=True)), Mode.GROUP)
+    for message in (SHELL_CMD_A, SHELL_CMD_B):
+        _assert_idempotent(rules, message)
+
+
+@pytest.mark.parametrize("label", ["a-b", "a b", "a#b", "é", "a.b", ""])
+def test_group_label_outside_symbol_alphabet_rejected(label):
+    with pytest.raises(ConfigError, match="group label"):
+        TermRule("USER", r"\b[a-z]+\b", significant=True, group_map={"root": label})
+    with pytest.raises(ConfigError, match="group label"):
+        TermRule("USER", r"\b[a-z]+\b", significant=True, group_default=label)
+    for table in (f"root = {label}", f"* = {label}"):
+        with pytest.raises(ConfigError, match="group label"):
+            loads_rules(
+                "[rule USER]\npattern = \\b[a-z]+\\b\nsignificant = yes\n\n"
+                f"[groups USER]\n{table}\n"
+            )
+
+
+# --- scan semantics ---------------------------------------------------------
+
+# Rule patterns over a tiny alphabet, chosen so that random rulesets overlap,
+# tie on length, look around the cursor, and offer empty matches mid-message.
+SCAN_PATTERNS = (
+    r"a", r"a+", r"ab", r"ba", r"b+a?", r"[ab]{2}", r"a|ab", r"ab|a", r"a+b+",
+    r"(?<=a)b+", r"(?<=b)a", r"a(?=b)", r"\ba+", r"\bb", r"a\b", r"a*b",
+    r"#", r"x+", r"\w+", r"[^ab]+",
+)
+
+
+def oracle_scan(message: str, ruleset: RuleSet) -> list[RuleMatch]:
+    """Brute force: every start, every rule; leftmost-longest, ties to the lower index."""
+    found: list[RuleMatch] = []
+    start = 0
+    while start < len(message):
+        best = None
+        for index, rule in enumerate(ruleset.rules):
+            m = rule.pattern.match(message, start)
+            if m is None or m.end() == start:
+                continue
+            if best is None or m.end() > best.end:
+                best = RuleMatch(start, m.end(), index)
+        if best is None:
+            start += 1
+        else:
+            found.append(best)
+            start = best.end
+    return found
+
+
+@settings(max_examples=1000)
+@given(
+    patterns=st.lists(st.sampled_from(SCAN_PATTERNS), min_size=1, max_size=5),
+    message=st.text(alphabet="ab x#", max_size=24),
+)
+def test_scan_matches_brute_force_oracle(patterns, message):
+    ruleset = RuleSet(tuple(TermRule(f"R{i}", p) for i, p in enumerate(patterns)))
+    assert scan_message(message, ruleset) == oracle_scan(message, ruleset)
 
 
 # --- event patterns ---------------------------------------------------------
