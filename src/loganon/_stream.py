@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import multiprocessing
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -61,16 +62,10 @@ def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[tuple[int, byt
     """
     lineno = 0
     for path in paths:
-        if str(path) == "-":
-            stream = sys.stdin.buffer
+        with nullcontext(sys.stdin.buffer) if str(path) == "-" else open(path, "rb") as stream:
             for raw in stream:
                 lineno += 1
                 yield lineno, raw.rstrip(b"\r\n") if raw.endswith(b"\n") else raw
-        else:
-            with open(path, "rb") as stream:
-                for raw in stream:
-                    lineno += 1
-                    yield lineno, raw.rstrip(b"\r\n") if raw.endswith(b"\n") else raw
 
 
 def _scan_one(

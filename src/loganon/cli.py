@@ -9,13 +9,15 @@ mode.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from ._stream import LineIssue, RunMemo, iter_raw_lines, scanned_stream
+from ._stream import LineIssue, RunMemo, ScannedLine, iter_raw_lines, scanned_stream
 from .encoder import (
     CollisionDetected,
     EncoderConfig,
@@ -27,6 +29,7 @@ from .encoder import (
 from .grids import (
     DEFAULT_MINUTE_WINDOW,
     build_grid,
+    day_index,
     difference_grid,
     emit_grid,
     similarity_grid,
@@ -43,83 +46,119 @@ from .rules import (
     rewrite_matches,
 )
 from .synth import CorpusSpec, generate_lines
-from .usefulness import PatternStats, UsefulnessAccumulator, top_k_coverage
+from .usefulness import CoverageTable, PatternStats, UsefulnessAccumulator, top_k_coverage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COLLISION = 3
 EXIT_PARSE = 4
 
-SECONDS_PER_DAY = 86400
-
 
 class StrictParseFailure(Exception):
-    def __init__(self, lineno: int, reason: str) -> None:
-        super().__init__(f"line {lineno}: {reason}")
-        self.lineno = lineno
+    """A malformed input line under --strict."""
+
+
+# Exceptions a command may end with, and the exit code each one maps to.
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    GroupMapIncomplete: EXIT_CONFIG,
+    CollisionDetected: EXIT_COLLISION,
+    StrictParseFailure: EXIT_PARSE,
+    OSError: EXIT_CONFIG,
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated common options for the pipeline commands."""
+    """Checked options shared by the pipeline commands, and the run's skipped-line count."""
 
     inputs: list[str]
     ruleset: RuleSet
     encoder: EncoderConfig
     out_dir: Path
-    strict: bool = False
-    workers: int = 1
-    emit_dictionary: bool = False
-    emit_meanings: bool = False
-    per_day: bool = False
-    epoch_day0: int = 0
+    strict: bool
+    workers: int
+    skipped: int = 0
+
+    def entries(self) -> Iterator[ScannedLine]:
+        """The parsed entries of the inputs in order.
+
+        A malformed line raises StrictParseFailure under --strict and is
+        counted in ``skipped`` otherwise.
+        """
+        for item in scanned_stream(iter_raw_lines(self.inputs), self.ruleset, self.workers):
+            if isinstance(item, LineIssue):
+                if self.strict:
+                    raise StrictParseFailure(f"line {item.lineno}: {item.reason}")
+                self.skipped += 1
+                continue
+            yield item
 
 
-def _build_config(args: argparse.Namespace, *, for_pipeline: bool = True) -> RunConfig:
+Options = Callable[[argparse.Namespace], tuple[RuleSet, EncoderConfig]]
+
+
+def _rule_options(args: argparse.Namespace) -> tuple[RuleSet, EncoderConfig]:
+    """--rules, --mode and --digest-bytes, which the rewriting commands share."""
+    ruleset = load_rules(args.rules) if args.rules else default_ruleset()
+    if args.mode:
+        ruleset = RuleSet(ruleset.rules, Mode(args.mode))
+    if not 4 <= args.digest_bytes <= 32:
+        raise ConfigError(f"--digest-bytes must be in [4, 32], got {args.digest_bytes}")
+    return ruleset, EncoderConfig(digest_length_bytes=args.digest_bytes)
+
+
+def _anonymize_options(args: argparse.Namespace) -> tuple[RuleSet, EncoderConfig]:
+    options = _rule_options(args)
+    if args.emit_meanings and not args.emit_dictionary:
+        raise ConfigError("--emit-meanings requires --emit-dictionary")
+    return options
+
+
+def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None) -> RunConfig:
+    """Check the inputs, the command's own options, --workers, then create --out.
+
+    Without ``read_options`` the run scans with no rules.
+    """
     for path in args.inputs:
         if path != "-" and not Path(path).exists():
             raise ConfigError(f"input not found: {path}")
-    if for_pipeline:
-        if getattr(args, "rules", None):
-            ruleset = load_rules(args.rules)
-        else:
-            ruleset = default_ruleset()
-        mode = getattr(args, "mode", None)
-        if mode:
-            ruleset = ruleset.with_mode(Mode(mode))
-    else:
-        ruleset = RuleSet(())
-    digest = getattr(args, "digest_bytes", 4)
-    if not 4 <= digest <= 32:
-        raise ConfigError(f"--digest-bytes must be in [4, 32], got {digest}")
-    emit_dictionary = getattr(args, "emit_dictionary", False)
-    emit_meanings = getattr(args, "emit_meanings", False)
-    if emit_meanings and not emit_dictionary:
-        raise ConfigError("--emit-meanings requires --emit-dictionary")
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
+    ruleset, encoder = read_options(args) if read_options else (RuleSet(()), EncoderConfig())
+    if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
-    out_dir = Path(getattr(args, "out", "."))
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return RunConfig(
-        inputs=list(args.inputs),
-        ruleset=ruleset,
-        encoder=EncoderConfig(digest_length_bytes=digest),
-        out_dir=out_dir,
-        strict=getattr(args, "strict", False),
-        workers=workers,
-        emit_dictionary=emit_dictionary,
-        emit_meanings=emit_meanings,
-        per_day=getattr(args, "per_day", False),
-        epoch_day0=getattr(args, "epoch_day0", 0),
-    )
+    return RunConfig(list(args.inputs), ruleset, encoder, out_dir, args.strict, args.workers)
+
+
+@contextmanager
+def _staged_outputs(out_dir: Path) -> Iterator[Callable[[str], TextIO]]:
+    """Yield ``create(name)``, which opens ``<name>.tmp`` in out_dir for writing.
+
+    Each file is moved onto its name when the block succeeds and removed on
+    any exception, so a failed run leaves no output that looks complete.
+    """
+    names: list[str] = []
+
+    def create(name: str) -> TextIO:
+        names.append(name)
+        return open(out_dir / f"{name}.tmp", "w", encoding="utf-8", newline="\n")
+
+    try:
+        yield create
+    except BaseException:
+        for name in names:
+            (out_dir / f"{name}.tmp").unlink(missing_ok=True)
+        raise
+    for name in names:
+        os.replace(out_dir / f"{name}.tmp", out_dir / name)
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _run_config(args, _anonymize_options)
     registry = SymbolRegistry()
     dicts = EncodingDictionaries()
     tally = StorageTally()
@@ -129,83 +168,60 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     # individual-mode indices are fixed at a value's first occurrence.
     # Hits still register both keys, so counts and collision checks hold.
     memo = RunMemo()
-    encoded_path = cfg.out_dir / "encoded.log"
-    skipped = 0
-    with open(encoded_path, "w", encoding="utf-8", newline="\n") as out:
-        for item in scanned_stream(iter_raw_lines(cfg.inputs), cfg.ruleset, cfg.workers):
-            if isinstance(item, LineIssue):
-                if cfg.strict:
-                    raise StrictParseFailure(item.lineno, item.reason)
-                skipped += 1
-                continue
-            known = memo.get(item.sanitized)
-            if known is None:
-                deid_message, significant, pattern = rewrite_matches(
-                    item.sanitized, item.matches, cfg.ruleset, registry
-                )
-                deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
-                encoded = encode_entry(deid, pattern, dicts, cfg.encoder)
-                memo.admit(
-                    item.sanitized, (encoded.hash_key, encoded.category_key, deid_message, pattern)
-                )
-                for sig in significant:
-                    symbol_rows.setdefault((sig.symbol, sig.original_value))
-            else:
-                hash_key, category_key, deid_message, pattern = known
-                dicts.register(hash_key, deid_message, category_key, pattern)
-                encoded = EncodedEntry(item.timestamp, item.source, hash_key, category_key)
-            out.write(render_entry(encoded) + "\n")
-            tally.add(item.message, encoded)
-    if cfg.emit_dictionary:
-        dict_path = cfg.out_dir / "dictionary.tsv"
-        with open(dict_path, "w", encoding="utf-8", newline="\n") as f:
-            for symbol, value in symbol_rows:
-                f.write(f"{symbol}\t{value}\n")
-    if cfg.emit_meanings:
-        meanings_path = cfg.out_dir / "meanings.tsv"
-        with open(meanings_path, "w", encoding="utf-8", newline="\n") as f:
-            for key, text, _ in dicts.messages.items():
-                f.write(f"{key}\t{text}\n")
-    report = tally.report(dicts)
-    for line in report.lines():
+    with _staged_outputs(cfg.out_dir) as create:
+        with create("encoded.log") as out:
+            for item in cfg.entries():
+                known = memo.get(item.sanitized)
+                if known is None:
+                    deid_message, significant, pattern = rewrite_matches(
+                        item.sanitized, item.matches, cfg.ruleset, registry
+                    )
+                    deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
+                    encoded = encode_entry(deid, pattern, dicts, cfg.encoder)
+                    memo.admit(
+                        item.sanitized, (encoded.hash_key, encoded.category_key, deid_message, pattern)
+                    )
+                    for sig in significant:
+                        symbol_rows.setdefault((sig.symbol, sig.original_value))
+                else:
+                    hash_key, category_key, deid_message, pattern = known
+                    dicts.register(hash_key, deid_message, category_key, pattern)
+                    encoded = EncodedEntry(item.timestamp, item.source, hash_key, category_key)
+                out.write(render_entry(encoded) + "\n")
+                tally.add(item.message, encoded)
+        if args.emit_dictionary:
+            with create("dictionary.tsv") as f:
+                for symbol, value in symbol_rows:
+                    f.write(f"{symbol}\t{value}\n")
+        if args.emit_meanings:
+            with create("meanings.tsv") as f:
+                for key, text, _ in dicts.messages.items():
+                    f.write(f"{key}\t{text}\n")
+    for line in tally.report(dicts).lines():
         print(line)
-    print(f"skipped lines: {skipped}")
+    print(f"skipped lines: {cfg.skipped}")
     print(f"event patterns: {len(dicts.patterns)}")
-    print(f"encoded file: {encoded_path}")
+    print(f"encoded file: {cfg.out_dir / 'encoded.log'}")
     return EXIT_OK
 
 
-def _day_of(timestamp: int, epoch_day0: int) -> int:
-    return (timestamp - epoch_day0) // SECONDS_PER_DAY
-
-
 def cmd_usefulness(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _run_config(args, _rule_options)
     registry = SymbolRegistry()
-    accumulators: dict[Optional[int], UsefulnessAccumulator] = {}
-    skipped = 0
-    for item in scanned_stream(iter_raw_lines(cfg.inputs), cfg.ruleset, cfg.workers):
-        if isinstance(item, LineIssue):
-            if cfg.strict:
-                raise StrictParseFailure(item.lineno, item.reason)
-            skipped += 1
-            continue
+    accumulators: dict[Optional[int], UsefulnessAccumulator] = defaultdict(UsefulnessAccumulator)
+    for item in cfg.entries():
         deid_message, significant, pattern = rewrite_matches(
             item.sanitized, item.matches, cfg.ruleset, registry
         )
         deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
-        key = _day_of(item.timestamp, cfg.epoch_day0) if cfg.per_day else None
-        acc = accumulators.get(key)
-        if acc is None:
-            acc = accumulators[key] = UsefulnessAccumulator()
-        acc.add(deid, pattern)
+        key = day_index(item.timestamp, args.epoch_day0) if args.per_day else None
+        accumulators[key].add(deid, pattern)
     if not accumulators:
         print("no entries", file=sys.stderr)
         return EXIT_OK
     mode_label = cfg.ruleset.mode.value
     for key in sorted(accumulators, key=lambda k: (k is not None, k)):
-        acc = accumulators[key]
-        report = acc.report(mode_label, cfg.encoder)
+        report = accumulators[key].report(mode_label, cfg.encoder)
         suffix = "" if key is None else f"_d{key}"
         csv_path = cfg.out_dir / f"usefulness{suffix}.csv"
         csv_path.write_text("\n".join(report.csv_lines()) + "\n", encoding="utf-8")
@@ -213,44 +229,39 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
             print(f"--- day {key} ---")
         for line in report.table_lines():
             print(line)
-    if skipped:
-        print(f"skipped lines: {skipped}")
+    if cfg.skipped:
+        print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK
 
 
 def cmd_patterns(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _run_config(args, _rule_options)
     try:
         ks = [int(k) for k in args.top.split(",") if k.strip()]
     except ValueError:
         raise ConfigError(f"bad --top list: {args.top!r}") from None
     if not ks:
         raise ConfigError("--top must name at least one K")
+    if min(ks) < 1:
+        raise ConfigError(f"--top values must be >= 1: {args.top!r}")
     counts: Counter[str] = Counter()
-    skipped = 0
-    for item in scanned_stream(iter_raw_lines(cfg.inputs), cfg.ruleset, cfg.workers):
-        if isinstance(item, LineIssue):
-            if cfg.strict:
-                raise StrictParseFailure(item.lineno, item.reason)
-            skipped += 1
-            continue
+    for item in cfg.entries():
         _, _, pattern = rewrite_matches(item.sanitized, item.matches, cfg.ruleset, None)
         counts[pattern] += 1
     stats = [
         PatternStats(hash_text(pattern, cfg.encoder), pattern, f_p)
         for pattern, f_p in counts.items()
     ]
-    table = top_k_coverage(stats, ks) if stats else None
+    table = top_k_coverage(stats, ks) if stats else CoverageTable(0, 0, ())
     csv_path = cfg.out_dir / "coverage.csv"
-    if table is None:
-        csv_path.write_text("#Raw log entries,0\n#Event patterns,0\nK,coverage_percent\n")
+    csv_path.write_text("\n".join(table.csv_lines()) + "\n", encoding="utf-8")
+    if not stats:
         print("no entries")
         return EXIT_OK
-    csv_path.write_text("\n".join(table.csv_lines()) + "\n", encoding="utf-8")
     for line in table.csv_lines():
         print(line)
-    if skipped:
-        print(f"skipped lines: {skipped}")
+    if cfg.skipped:
+        print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK
 
 
@@ -263,28 +274,21 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, for_pipeline=False)
+    cfg = _run_config(args)
     window = _parse_span(args.window, "--window")
     if not 0 <= window[0] < window[1] <= 1440:
         raise ConfigError(f"--window must lie within [0, 1440): {args.window}")
     node_a, node_b = args.node_a, args.node_b
-    entries = []
-    skipped = 0
-    for item in scanned_stream(iter_raw_lines(cfg.inputs), cfg.ruleset, cfg.workers):
-        if isinstance(item, LineIssue):
-            if cfg.strict:
-                raise StrictParseFailure(item.lineno, item.reason)
-            skipped += 1
-            continue
-        if item.source in (node_a, node_b):
-            entries.append(item)
+    entries = [item for item in cfg.entries() if item.source in (node_a, node_b)]
     if args.days:
         day_range = _parse_span(args.days, "--days")
+        if day_range[0] > day_range[1]:
+            raise ConfigError(f"--days must have FIRST <= LAST: {args.days}")
     else:
-        days = [_day_of(e.timestamp, cfg.epoch_day0) for e in entries]
+        days = [day_index(e.timestamp, args.epoch_day0) for e in entries]
         day_range = (min(days), max(days)) if days else (0, 0)
-    grid_a = build_grid(entries, node_a, day_range, window, cfg.epoch_day0)
-    grid_b = build_grid(entries, node_b, day_range, window, cfg.epoch_day0)
+    grid_a = build_grid(entries, node_a, day_range, window, args.epoch_day0)
+    grid_b = build_grid(entries, node_b, day_range, window, args.epoch_day0)
     for grid, name in ((grid_a, node_a), (grid_b, node_b)):
         if not grid.occupied.any():
             print(f"warning: node {name} has no entries in the selected frame", file=sys.stderr)
@@ -297,8 +301,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for grid, stem in outputs:
         path = emit_grid(grid, args.format, cfg.out_dir / f"{stem}.{args.format}")
         print(f"wrote {path}")
-    if skipped:
-        print(f"skipped lines: {skipped}")
+    if cfg.skipped:
+        print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK
 
 
@@ -325,15 +329,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_flags(sub: argparse.ArgumentParser, *, with_mode: bool = True) -> None:
+def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("inputs", nargs="+", help="input log files, or - for stdin")
     sub.add_argument("--rules", help="rule file (INI); omit for the built-in ruleset")
-    if with_mode:
-        sub.add_argument(
-            "--mode",
-            choices=[m.value for m in Mode],
-            help="granularity for significant terms (default: rule-file setting or global)",
-        )
+    sub.add_argument(
+        "--mode",
+        choices=[m.value for m in Mode],
+        help="granularity for significant terms (default: rule-file setting or global)",
+    )
     sub.add_argument("--digest-bytes", type=int, default=4, help="hash key width in bytes (4-32)")
     sub.add_argument("--strict", action="store_true", help="abort on the first malformed line")
     sub.add_argument("--workers", type=int, default=1, help="parallel scan workers")
@@ -405,21 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GroupMapIncomplete as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CollisionDetected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
-    except StrictParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ import hashlib
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
-from .model import DeidentifiedEntry, EncodedEntry, RawLogEntry
+from .model import DeidentifiedEntry, EncodedEntry
 
 
 class CollisionDetected(RuntimeError):
@@ -75,27 +75,13 @@ class PatternDictionary:
             self._entries[key] = (known_text, count + 1)
             return count + 1
 
-    def lookup(self, key: str) -> Optional[str]:
-        entry = self._entries.get(key)
-        return entry[0] if entry else None
-
-    def count(self, key: str) -> int:
-        entry = self._entries.get(key)
-        return entry[1] if entry else 0
-
     def items(self) -> Iterator[tuple[str, str, int]]:
         """(key, text, count) triples in first-registration order."""
         for key, (text, count) in self._entries.items():
             yield key, text, count
 
-    def total_count(self) -> int:
-        return sum(count for _, count in self._entries.values())
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
 
 
 @dataclass
@@ -178,7 +164,7 @@ class StorageReport:
 
 
 class StorageTally:
-    """Streaming accumulator behind storage_stats; add entries as they pass."""
+    """Streaming byte accounting for one run; add each entry as it is encoded."""
 
     def __init__(self) -> None:
         self.entries = 0
@@ -191,26 +177,10 @@ class StorageTally:
         # The two key columns plus the single space separating them.
         self.encoded_message_bytes += len(encoded.hash_key) + 1 + len(encoded.category_key)
 
-    def report(self, dicts: Optional[EncodingDictionaries] = None) -> StorageReport:
+    def report(self, dicts: EncodingDictionaries) -> StorageReport:
         return StorageReport(
             entries=self.entries,
             raw_message_bytes=self.raw_message_bytes,
             encoded_message_bytes=self.encoded_message_bytes,
-            dictionary_bytes=dictionary_bytes(dicts) if dicts is not None else 0,
+            dictionary_bytes=dictionary_bytes(dicts),
         )
-
-
-def storage_stats(
-    raw_entries: Iterable[RawLogEntry],
-    encoded_entries: Iterable[EncodedEntry],
-    dicts: Optional[EncodingDictionaries] = None,
-) -> StorageReport:
-    """Byte accounting for a finished run (raw and encoded corpora must align)."""
-    tally = StorageTally()
-    raw_list = list(raw_entries)
-    encoded_list = list(encoded_entries)
-    if len(raw_list) != len(encoded_list):
-        raise ValueError("raw and encoded corpora differ in length")
-    for raw, encoded in zip(raw_list, encoded_list):
-        tally.add(raw.message, encoded)
-    return tally.report(dicts)

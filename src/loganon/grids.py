@@ -7,20 +7,25 @@ structure in the difference map is the visual cue analysts look for. Grids
 can be emitted as CSV cell lists or as plain PGM rasters (black dot =
 occupied, white = empty).
 
-Day indices are floor((timestamp - epoch_day0) / 86400) for an explicit
-epoch_day0, so no timezone interpretation ever happens here.
+Day indices come from ``day_index`` for an explicit epoch_day0, so no
+timezone interpretation ever happens here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Protocol, Union
+from typing import Iterable, Protocol, Union
 
 import numpy as np
 
 SECONDS_PER_DAY = 86400
 DEFAULT_MINUTE_WINDOW = (0, 240)
+
+
+def day_index(timestamp: int, epoch_day0: int = 0) -> int:
+    """floor((timestamp - epoch_day0) / 86400): the day a timestamp falls on."""
+    return (timestamp - epoch_day0) // SECONDS_PER_DAY
 
 
 class DimensionMismatch(ValueError):
@@ -38,15 +43,13 @@ class OccurrenceGrid:
 
     ``day_range`` is inclusive on both ends; ``minute_window`` is
     [start, end). ``cells[d][m]`` counts entries on day ``day_range[0] + d``
-    at minute ``minute_window[0] + m``. ``categories`` optionally collects
-    the set of category keys seen per occupied cell.
+    at minute ``minute_window[0] + m``.
     """
 
     node: str
     day_range: tuple[int, int]
     minute_window: tuple[int, int]
     cells: np.ndarray
-    categories: Optional[dict[tuple[int, int], set[str]]] = None
 
     def __post_init__(self) -> None:
         days = self.day_range[1] - self.day_range[0] + 1
@@ -60,8 +63,12 @@ class OccurrenceGrid:
     def occupied(self) -> np.ndarray:
         return self.cells > 0
 
-    def same_frame(self, other: "OccurrenceGrid") -> bool:
-        return self.day_range == other.day_range and self.minute_window == other.minute_window
+    def check_same_frame(self, other: "OccurrenceGrid") -> None:
+        if self.day_range != other.day_range or self.minute_window != other.minute_window:
+            raise DimensionMismatch(
+                f"frames differ: {self.day_range}/{self.minute_window} "
+                f"vs {other.day_range}/{other.minute_window}"
+            )
 
 
 def build_grid(
@@ -70,63 +77,40 @@ def build_grid(
     day_range: tuple[int, int],
     minute_window: tuple[int, int] = DEFAULT_MINUTE_WINDOW,
     epoch_day0: int = 0,
-    track_categories: bool = False,
 ) -> OccurrenceGrid:
     """Count, per (day, minute) cell, the entries of ``node`` in the window.
 
     Entries outside the node, day range, or minute window are ignored. Works
-    on raw and encoded entries alike since only timestamp and source matter;
-    with ``track_categories`` the category key of encoded entries is
-    collected per cell.
+    on raw and encoded entries alike since only timestamp and source matter.
     """
     if not 0 <= minute_window[0] < minute_window[1] <= 1440:
         raise ValueError(f"minute window must lie within [0, 1440): {minute_window}")
     days = day_range[1] - day_range[0] + 1
     minutes = minute_window[1] - minute_window[0]
     cells = np.zeros((days, minutes), dtype=np.int64)
-    categories: Optional[dict[tuple[int, int], set[str]]] = {} if track_categories else None
     for entry in entries:
         if entry.source != node:
             continue
-        rel = entry.timestamp - epoch_day0
-        day = rel // SECONDS_PER_DAY
+        day = day_index(entry.timestamp, epoch_day0)
         if not day_range[0] <= day <= day_range[1]:
             continue
-        minute = (rel % SECONDS_PER_DAY) // 60
+        minute = (entry.timestamp - epoch_day0) % SECONDS_PER_DAY // 60
         if not minute_window[0] <= minute < minute_window[1]:
             continue
-        cell = (int(day - day_range[0]), int(minute - minute_window[0]))
-        cells[cell] += 1
-        if categories is not None:
-            key = getattr(entry, "category_key", None)
-            if key is not None:
-                categories.setdefault(cell, set()).add(key)
-    return OccurrenceGrid(node, tuple(day_range), tuple(minute_window), cells, categories)
-
-
-def merge_grids(a: OccurrenceGrid, b: OccurrenceGrid) -> OccurrenceGrid:
-    """Cell-wise sum of two per-shard grids for the same node and frame."""
-    if not a.same_frame(b) or a.node != b.node:
-        raise DimensionMismatch("grids cover different nodes or frames")
-    return OccurrenceGrid(a.node, a.day_range, a.minute_window, a.cells + b.cells)
+        cells[int(day - day_range[0]), int(minute - minute_window[0])] += 1
+    return OccurrenceGrid(node, tuple(day_range), tuple(minute_window), cells)
 
 
 def similarity_grid(a: OccurrenceGrid, b: OccurrenceGrid) -> OccurrenceGrid:
     """Cells active in both grids (logical AND on occupancy)."""
-    if not a.same_frame(b):
-        raise DimensionMismatch(
-            f"frames differ: {a.day_range}/{a.minute_window} vs {b.day_range}/{b.minute_window}"
-        )
+    a.check_same_frame(b)
     cells = (a.occupied & b.occupied).astype(np.int64)
     return OccurrenceGrid(f"{a.node}&{b.node}", a.day_range, a.minute_window, cells)
 
 
 def difference_grid(a: OccurrenceGrid, b: OccurrenceGrid) -> OccurrenceGrid:
     """Cells active in exactly one of the grids (logical XOR on occupancy)."""
-    if not a.same_frame(b):
-        raise DimensionMismatch(
-            f"frames differ: {a.day_range}/{a.minute_window} vs {b.day_range}/{b.minute_window}"
-        )
+    a.check_same_frame(b)
     cells = (a.occupied ^ b.occupied).astype(np.int64)
     return OccurrenceGrid(f"{a.node}^{b.node}", a.day_range, a.minute_window, cells)
 

@@ -137,9 +137,9 @@ class SymbolRegistry:
 
     Indices are dense, 1-based, and assigned in first-occurrence order, so a
     sequential pass over the same entry order always reproduces the same
-    symbols. Assignment is atomic; merging per-shard registries must preserve
-    first-occurrence order, which the streaming pipeline guarantees by
-    assigning indices in the single ordered reduce step.
+    symbols. Assignment is atomic; the streaming pipeline keeps
+    first-occurrence order by assigning indices in its single ordered
+    reduce step.
     """
 
     def __init__(self) -> None:
@@ -334,24 +334,6 @@ def process_entry(
     deid_message, significant, pattern = rewrite_matches(sanitized, matches, ruleset, registry)
     deid = DeidentifiedEntry(entry.timestamp, entry.source, deid_message, significant)
     return deid, pattern
-
-
-def deidentify(
-    entry: RawLogEntry,
-    ruleset: RuleSet,
-    registry: Optional[SymbolRegistry] = None,
-) -> DeidentifiedEntry:
-    """Rewrite the message part of an entry under the configured granularity.
-
-    Individual mode needs a shared SymbolRegistry to keep indices
-    corpus-scoped; without one, indices are scoped to this single call.
-    """
-    return process_entry(entry, ruleset, registry)[0]
-
-
-def event_pattern(entry: RawLogEntry, ruleset: RuleSet) -> str:
-    """The fully generalized message: every variable term gets its global symbol."""
-    return process_entry(entry, ruleset, None)[1]
 
 
 # --- rule files -------------------------------------------------------------

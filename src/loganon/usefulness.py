@@ -252,8 +252,7 @@ class UsefulnessAccumulator:
     """Streaming collection of pattern statistics from de-identified entries.
 
     Tracks, per pattern, the frequency and per significant-slot sets of
-    observed values and emitted symbols. Merging per-shard accumulators is a
-    commutative union/sum, so the final report does not depend on sharding.
+    observed values and emitted symbols.
     """
 
     def __init__(self) -> None:
@@ -275,21 +274,6 @@ class UsefulnessAccumulator:
             values, symbols = slots[i]
             values.add(sig.original_value)
             symbols.add(sig.symbol)
-
-    def merge(self, other: "UsefulnessAccumulator") -> None:
-        self.n_entries += other.n_entries
-        for pattern, (f_p, slots) in other._patterns.items():
-            state = self._patterns.get(pattern)
-            if state is None:
-                self._patterns[pattern] = [f_p, [(set(v), set(s)) for v, s in slots]]
-                continue
-            state[0] += f_p
-            mine = state[1]
-            for i, (values, symbols) in enumerate(slots):
-                if i == len(mine):
-                    mine.append((set(), set()))
-                mine[i][0].update(values)
-                mine[i][1].update(symbols)
 
     def stats(self, cfg: EncoderConfig = EncoderConfig()) -> list[PatternStats]:
         out = []

@@ -40,7 +40,6 @@ from loganon import (
     SymbolRegistry,
     TermCardinality,
     UsefulnessAccumulator,
-    deidentify,
     difference_grid,
     encode_entry,
     generate_lines,
@@ -150,8 +149,8 @@ def test_criterion_4_deidentification_equality_structure():
         }
         for name, ruleset in shell_cmd_rulesets().items():
             registry = SymbolRegistry()
-            d1 = deidentify(RawLogEntry(1, "T-1", SHELL_CMD_A), ruleset, registry)
-            d2 = deidentify(RawLogEntry(2, "T-2", SHELL_CMD_B), ruleset, registry)
+            d1 = process_entry(RawLogEntry(1, "T-1", SHELL_CMD_A), ruleset, registry)[0]
+            d2 = process_entry(RawLogEntry(2, "T-2", SHELL_CMD_B), ruleset, registry)[0]
             k1, k2 = hash_text(d1.deid_message), hash_text(d2.deid_message)
             assert (k1 == k2) is expected_identical[name], name
 
@@ -232,9 +231,8 @@ def test_criterion_5b_granularity_monotonicity():
     def distinct(messages, mode):
         ruleset = RuleSet(_granularity_rules(), mode)
         registry = SymbolRegistry()
-        return len(
-            {deidentify(RawLogEntry(1, "n", m), ruleset, registry).deid_message for m in messages}
-        )
+        deids = [process_entry(RawLogEntry(1, "n", m), ruleset, registry)[0] for m in messages]
+        return len({d.deid_message for d in deids})
 
     @BIG
     @given(_corpus())

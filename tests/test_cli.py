@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from loganon import parse_line
+from loganon import cli, parse_line
 from loganon.cli import main
 
 CRON_LOG = str(FIXTURES / "cron_sample.log")
@@ -23,6 +23,11 @@ def run(args: list[str], capsys) -> tuple[int, str, str]:
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_no_encoded_output(out_dir: Path) -> None:
+    assert not (out_dir / "encoded.log").exists()
+    assert not list(out_dir.glob("*.tmp"))
 
 
 def test_anonymize_cron_fixture(tmp_path, capsys):
@@ -102,6 +107,27 @@ def test_anonymize_collision_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "digest" in err
+    assert_no_encoded_output(tmp_path)
+
+
+def test_anonymize_interrupt_leaves_no_output(tmp_path, monkeypatch):
+    corpus = tmp_path / "in.log"
+    corpus.write_text("10 n first line\n20 n second line\n")
+    calls = []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    real = cli.rewrite_matches
+    monkeypatch.setattr(cli, "rewrite_matches", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["anonymize", str(corpus), "--emit-dictionary", "--emit-meanings", "--out", str(out)])
+    assert_no_encoded_output(out)
+    assert list(out.iterdir()) == []
 
 
 def test_anonymize_empty_input(tmp_path, capsys):
@@ -128,6 +154,34 @@ def test_anonymize_strict_aborts(tmp_path, capsys):
     corpus = tmp_path / "in.log"
     corpus.write_text("10 n ok line\nnot a log line\n")
     code, _, err = run(["anonymize", str(corpus), "--strict", "--out", str(tmp_path)], capsys)
+    assert code == 4
+    assert "line 2" in err
+    assert_no_encoded_output(tmp_path)
+
+
+ANALYSIS_ARGV = {
+    "usefulness": [],
+    "patterns": [],
+    "compare": ["n", "m"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ANALYSIS_ARGV))
+def test_lenient_skips_and_counts(tmp_path, capsys, command):
+    corpus = tmp_path / "in.log"
+    corpus.write_text("10 n ok line\nnot a log line\n20 n another\n")
+    argv = [command, str(corpus), *ANALYSIS_ARGV[command], "--out", str(tmp_path / "out")]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "skipped lines: 1" in out
+
+
+@pytest.mark.parametrize("command", sorted(ANALYSIS_ARGV))
+def test_strict_aborts(tmp_path, capsys, command):
+    corpus = tmp_path / "in.log"
+    corpus.write_text("10 n ok line\nnot a log line\n")
+    argv = [command, str(corpus), *ANALYSIS_ARGV[command], "--strict", "--out", str(tmp_path)]
+    code, _, err = run(argv, capsys)
     assert code == 4
     assert "line 2" in err
 
@@ -188,8 +242,11 @@ def test_patterns_command(tmp_path, capsys):
 
 
 def test_patterns_bad_top_list(tmp_path, capsys):
-    code, _, _ = run(["patterns", CRON_LOG, "--top", "a,b", "--out", str(tmp_path)], capsys)
-    assert code == 2
+    for top in ("a,b", "0", "5,-1"):
+        code, out, err = run(["patterns", CRON_LOG, "--top", top, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
 
 
 def test_compare_command(tmp_path, capsys):
@@ -230,6 +287,15 @@ def test_compare_pgm_and_missing_node_warning(tmp_path, capsys):
     assert "T-9999" in err
     header = (tmp_path / "T-1020_occurrence.pgm").read_text().splitlines()[:2]
     assert header == ["P2", "240 2"]
+
+
+def test_compare_rejects_reversed_days(tmp_path, capsys):
+    code, out, err = run(
+        ["compare", CRON_LOG, "T-1020", "T-1022", "--days", "3:1", "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err == "error: --days must have FIRST <= LAST: 3:1\n"
+    assert out == ""
 
 
 def test_gen_command_roundtrip(tmp_path, capsys):

@@ -15,11 +15,11 @@ from loganon import (
     Mode,
     PatternDictionary,
     RawLogEntry,
+    StorageTally,
     SymbolRegistry,
     encode_entry,
     hash_text,
     process_entry,
-    storage_stats,
 )
 from sponge_oracle import shake128_hex
 
@@ -85,11 +85,9 @@ def test_pattern_dictionary_counts_and_lookup():
     assert d.register("aa", "x") == 1
     assert d.register("aa", "x") == 2
     assert d.register("bb", "y") == 1
-    assert d.lookup("aa") == "x"
-    assert d.count("aa") == 2
-    assert d.total_count() == 3
     assert len(d) == 2
     assert list(d.items()) == [("aa", "x", 2), ("bb", "y", 1)]
+    assert sum(count for _, _, count in d.items()) == 3  # counts sum to registrations
 
 
 def test_pattern_dictionary_collision():
@@ -121,7 +119,7 @@ def test_encode_same_partial_rewrite_same_keys():
     a = _encode(SHELL_CMD_A, rules, dicts, registry)
     b = _encode(SHELL_CMD_A, rules, dicts, registry)
     assert (a.hash_key, a.category_key) == (b.hash_key, b.category_key)
-    assert dicts.messages.count(a.hash_key) == 2
+    assert [(key, count) for key, _, count in dicts.messages.items()] == [(a.hash_key, 2)]
 
 
 def test_encode_category_groups_different_users():
@@ -143,8 +141,8 @@ def test_hash_equality_implies_category_equality_on_fixture(cron_entries, cron_r
         enc = encode_entry(deid, pattern, dicts)
         by_hash.setdefault(enc.hash_key, set()).add(enc.category_key)
     assert all(len(cats) == 1 for cats in by_hash.values())
-    assert dicts.messages.total_count() == len(cron_entries)
-    assert dicts.patterns.total_count() == len(cron_entries)
+    for d in (dicts.messages, dicts.patterns):
+        assert sum(count for _, _, count in d.items()) == len(cron_entries)
 
 
 def test_same_user_different_commands_share_keys(cron_entries, cron_ruleset):
@@ -178,8 +176,15 @@ def test_timestamp_and_source_pass_through():
 
 # --- storage accounting ------------------------------------------------------
 
+def _storage_report(raw_messages, encoded, dicts):
+    tally = StorageTally()
+    for message, enc in zip(raw_messages, encoded, strict=True):
+        tally.add(message, enc)
+    return tally.report(dicts)
+
+
 def test_storage_empty_corpus():
-    report = storage_stats([], [])
+    report = StorageTally().report(EncodingDictionaries())
     assert report.raw_message_bytes == 0
     assert report.encoded_message_bytes == 0
     assert report.saving_excluding_dictionary == 0
@@ -193,7 +198,7 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
     for e in cron_entries:
         deid, pattern = process_entry(e, cron_ruleset, registry)
         encoded.append(encode_entry(deid, pattern, dicts))
-    report = storage_stats(cron_entries, encoded, dicts)
+    report = _storage_report([e.message for e in cron_entries], encoded, dicts)
     # independent byte count straight off the fixture contents
     raw_bytes = sum(len(e.message.encode("utf-8")) for e in cron_entries)
     assert report.entries == 20
@@ -215,10 +220,5 @@ def test_storage_long_messages_high_saving():
         encode_entry(DeidentifiedEntry(e.timestamp, e.source, e.message), e.message, dicts)
         for e in raw
     ]
-    report = storage_stats(raw, encoded, dicts)
+    report = _storage_report([e.message for e in raw], encoded, dicts)
     assert report.saving_excluding_dictionary > Fraction(80, 100)
-
-
-def test_storage_mismatched_corpora_rejected():
-    with pytest.raises(ValueError):
-        storage_stats([RawLogEntry(1, "n", "x")], [])

@@ -14,9 +14,9 @@ from loganon import (
     build_grid,
     difference_grid,
     emit_grid,
-    merge_grids,
     similarity_grid,
 )
+from loganon.grids import day_index
 
 EPOCH = 1_000_000
 
@@ -89,10 +89,9 @@ def test_raw_and_encoded_corpora_give_same_grid():
     assert np.array_equal(g_raw.cells, g_enc.cells)
 
 
-def test_category_tracking():
-    encoded = [EncodedEntry(EPOCH + 60, "nodeA", "aaaaaaaa", "cccccccc")]
-    g = build_grid(encoded, "nodeA", (0, 0), (0, 5), EPOCH, track_categories=True)
-    assert g.categories == {(0, 1): {"cccccccc"}}
+def test_day_index_floors_around_epoch():
+    seconds = (-86401, -1, 0, 86399, 86400)
+    assert [day_index(EPOCH + s, EPOCH) for s in seconds] == [-2, -1, 0, 0, 1]
 
 
 # --- similarity / difference --------------------------------------------------
@@ -141,14 +140,6 @@ def test_similarity_commutative_and_partition(pair):
     union = a.occupied | b.occupied
     assert np.array_equal(sim.occupied | diff.occupied, union)
     assert not (sim.occupied & diff.occupied).any()
-
-
-def test_merge_grids_cellwise_sum():
-    a = _grid_from([[1, 0], [0, 2]])
-    b = _grid_from([[0, 3], [0, 1]])
-    assert np.array_equal(merge_grids(a, b).cells, [[1, 3], [0, 3]])
-    with pytest.raises(DimensionMismatch):
-        merge_grids(a, _grid_from([[1, 0], [0, 2]], node="other"))
 
 
 # --- emission -----------------------------------------------------------------

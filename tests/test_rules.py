@@ -15,10 +15,9 @@ from loganon import (
     TermClass,
     TermRule,
     default_ruleset,
-    deidentify,
     dumps_rules,
-    event_pattern,
     loads_rules,
+    process_entry,
     sanitize_message,
     tokenize,
 )
@@ -89,14 +88,14 @@ def test_tie_at_same_span_goes_to_earlier_rule():
             TermRule("BBB", r"\bcat\b", significant=True),
         )
     )
-    d = deidentify(entry("a cat sat"), rules.with_mode(Mode.GLOBAL))
+    d = process_entry(entry("a cat sat"), rules.with_mode(Mode.GLOBAL))[0]
     assert d.deid_message == "a #AAA_# sat"
 
 
-# --- deidentify -------------------------------------------------------------
+# --- de-identification ----------------------------------------------------
 
 def test_deidentify_global_shell_cmd():
-    d = deidentify(entry(SHELL_CMD_A), shell_cmd_rulesets()["global"])
+    d = process_entry(entry(SHELL_CMD_A), shell_cmd_rulesets()["global"])[0]
     assert d.deid_message == "(#USR_#) cmd (#PATH# > #PATH#)"
     assert [(s.original_value, s.symbol) for s in d.significant_values] == [
         ("siavash", "#USR_#")
@@ -104,19 +103,19 @@ def test_deidentify_global_shell_cmd():
 
 
 def test_deidentify_individual_user_only():
-    d = deidentify(entry(SHELL_CMD_A), shell_cmd_rulesets()["type3"])
+    d = process_entry(entry(SHELL_CMD_A), shell_cmd_rulesets()["type3"])[0]
     assert d.deid_message == "(#USR1#) cmd (#PATH# > #PATH#)"
 
 
 def test_deidentify_fixed_point_without_variables():
     msg = "nothing variable here"
-    d = deidentify(entry(msg), shell_cmd_rulesets()["global"])
+    d = process_entry(entry(msg), shell_cmd_rulesets()["global"])[0]
     assert d.deid_message == msg
     assert d.significant_values == ()
 
 
 def test_deidentify_keeps_timestamp_and_source():
-    d = deidentify(entry(SHELL_CMD_A, ts=99, source="T-77"), shell_cmd_rulesets()["global"])
+    d = process_entry(entry(SHELL_CMD_A, ts=99, source="T-77"), shell_cmd_rulesets()["global"])[0]
     assert (d.timestamp, d.source) == (99, "T-77")
 
 
@@ -124,7 +123,7 @@ def test_individual_indices_first_occurrence_across_corpus():
     rules = RuleSet((TermRule("USER", r"\b[a-z]+\b", significant=True),), Mode.INDIVIDUAL)
     registry = SymbolRegistry()
     messages = ["alice", "bob", "alice", "carol bob"]
-    out = [deidentify(entry(m), rules, registry).deid_message for m in messages]
+    out = [process_entry(entry(m), rules, registry)[0].deid_message for m in messages]
     assert out == ["#USER1#", "#USER2#", "#USER1#", "#USER3# #USER2#"]
 
 
@@ -141,13 +140,13 @@ def test_group_mode_labels_and_default():
         ),
         Mode.GROUP,
     )
-    assert deidentify(entry("root"), rules).deid_message == "#USERp#"
-    assert deidentify(entry("guest"), rules).deid_message == "#USERn#"
+    assert process_entry(entry("root"), rules)[0].deid_message == "#USERp#"
+    assert process_entry(entry("guest"), rules)[0].deid_message == "#USERn#"
 
 
 def test_group_mode_without_map_falls_back_to_global():
     rules = RuleSet((TermRule("DAEM", r"\bcrond\b", significant=True),), Mode.GROUP)
-    assert deidentify(entry("crond started"), rules).deid_message == "#DAEM_# started"
+    assert process_entry(entry("crond started"), rules)[0].deid_message == "#DAEM_# started"
 
 
 def test_group_mode_incomplete_map_raises():
@@ -156,20 +155,20 @@ def test_group_mode_incomplete_map_raises():
         Mode.GROUP,
     )
     with pytest.raises(GroupMapIncomplete):
-        deidentify(entry("guest"), rules)
+        process_entry(entry("guest"), rules)[0]
 
 
 def test_insignificant_terms_ignore_mode():
     rules = RuleSet((TermRule("PATH", r"/[^\s()]+"),), Mode.INDIVIDUAL)
-    d = deidentify(entry("run /bin/a then /bin/b"), rules)
+    d = process_entry(entry("run /bin/a then /bin/b"), rules)[0]
     assert d.deid_message == "run #PATH# then #PATH#"
     assert d.significant_values == ()
 
 
 def _assert_idempotent(rules: RuleSet, message: str) -> None:
     registry = SymbolRegistry()
-    d1 = deidentify(entry(message), rules, registry)
-    d2 = deidentify(entry(d1.deid_message), rules, registry)
+    d1 = process_entry(entry(message), rules, registry)[0]
+    d2 = process_entry(entry(d1.deid_message), rules, registry)[0]
     assert d2.deid_message == d1.deid_message
     assert d2.significant_values == ()
 
@@ -265,31 +264,32 @@ def test_event_pattern_global_form():
             TermRule("PATH", r"(?<=CMD \()[^()]+(?=\))"),
         )
     )
-    assert event_pattern(e, rules) == "(#USER_#) CMD (#PATH#)"
+    assert process_entry(e, rules)[1] == "(#USER_#) CMD (#PATH#)"
 
 
 def test_event_pattern_equal_for_same_shape_messages():
     rules = shell_cmd_rulesets()["global"]
-    assert event_pattern(entry(SHELL_CMD_A), rules) == event_pattern(entry(SHELL_CMD_B), rules)
+    pattern_a = process_entry(entry(SHELL_CMD_A), rules)[1]
+    assert pattern_a == process_entry(entry(SHELL_CMD_B), rules)[1]
 
 
 def test_event_pattern_mode_invariant():
     rules = shell_cmd_rulesets()["type2"]  # individual everywhere
     expected = "(#USR_#) cmd (#PATH_# > #PATH_#)"
     for mode in Mode:
-        assert event_pattern(entry(SHELL_CMD_A), rules.with_mode(mode)) == expected
+        assert process_entry(entry(SHELL_CMD_A), rules.with_mode(mode))[1] == expected
 
 
 def test_event_pattern_constant_only_message():
     msg = "disabling lock debugging due to kernel taint"
-    assert event_pattern(entry(msg), default_ruleset()) == msg
+    assert process_entry(entry(msg), default_ruleset())[1] == msg
 
 
 def test_equal_messages_equal_rewrites():
     rules = default_ruleset(Mode.INDIVIDUAL)
     registry = SymbolRegistry()
-    a = deidentify(entry("(u) CMD (/x) 5", ts=1), rules, registry)
-    b = deidentify(entry("(u) CMD (/x) 5", ts=2), rules, registry)
+    a = process_entry(entry("(u) CMD (/x) 5", ts=1), rules, registry)[0]
+    b = process_entry(entry("(u) CMD (/x) 5", ts=2), rules, registry)[0]
     assert a.deid_message == b.deid_message
 
 
@@ -309,7 +309,7 @@ def test_sanitize_mixed():
 
 def test_deidentify_sanitizes_values():
     rules = RuleSet((TermRule("TAG", r"\bid=\S+", significant=True),), Mode.INDIVIDUAL)
-    d = deidentify(entry("seen id=a#b here"), rules)
+    d = process_entry(entry("seen id=a#b here"), rules)[0]
     assert d.significant_values[0].original_value == "id=a?b"
 
 
@@ -350,7 +350,7 @@ GRANULARITY_RULES = (
 def distinct_rewrites(messages: list[str], mode: Mode) -> int:
     rules = RuleSet(GRANULARITY_RULES, mode)
     registry = SymbolRegistry()
-    return len({deidentify(entry(m), rules, registry).deid_message for m in messages})
+    return len({process_entry(entry(m), rules, registry)[0].deid_message for m in messages})
 
 
 @given(small_corpus())

@@ -5,7 +5,7 @@ import pytest
 
 from loganon import CorpusSpec, generate_lines, parse_line, zipf_weights
 from loganon.synth import cmd_message, cmd_pattern_text, plain_message
-from loganon import default_ruleset, event_pattern
+from loganon import default_ruleset, process_entry
 
 
 def test_zipf_weights_normalized_and_decreasing():
@@ -45,7 +45,7 @@ def test_plain_message_injective_prefix():
 def test_cmd_style_pattern_under_default_rules():
     msg = cmd_message(17, 5)
     e = parse_line(f"100 n000 {msg}")
-    assert event_pattern(e, default_ruleset()) == cmd_pattern_text(17)
+    assert process_entry(e, default_ruleset())[1] == cmd_pattern_text(17)
 
 
 def test_cmd_style_users_vary():

@@ -199,24 +199,6 @@ def test_streaming_matches_brute_force_on_fixture(cron_entries, cron_ruleset, mo
     assert acc.report(mode.value).value == brute_force_usefulness(cron_entries, ruleset)
 
 
-def test_sharded_merge_equals_single_pass(cron_entries, cron_ruleset):
-    ruleset = cron_ruleset.with_mode(Mode.GROUP)
-    registry = SymbolRegistry()
-    processed = [process_entry(e, ruleset, registry) for e in cron_entries]
-    whole = UsefulnessAccumulator()
-    for deid, pattern in processed:
-        whole.add(deid, pattern)
-    for cut in (0, 1, 7, 13, 20):
-        left, right = UsefulnessAccumulator(), UsefulnessAccumulator()
-        for deid, pattern in processed[:cut]:
-            left.add(deid, pattern)
-        for deid, pattern in processed[cut:]:
-            right.add(deid, pattern)
-        left.merge(right)
-        assert left.n_entries == whole.n_entries
-        assert left.report("x").value == whole.report("x").value
-
-
 # --- bounds and monotonicity --------------------------------------------------
 
 @st.composite
