@@ -220,15 +220,16 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
         print("no entries", file=sys.stderr)
         return EXIT_OK
     mode_label = cfg.ruleset.mode.value
-    for key in sorted(accumulators, key=lambda k: (k is not None, k)):
-        report = accumulators[key].report(mode_label, cfg.encoder)
-        suffix = "" if key is None else f"_d{key}"
-        csv_path = cfg.out_dir / f"usefulness{suffix}.csv"
-        csv_path.write_text("\n".join(report.csv_lines()) + "\n", encoding="utf-8")
-        if key is not None:
-            print(f"--- day {key} ---")
-        for line in report.table_lines():
-            print(line)
+    with _staged_outputs(cfg.out_dir) as create:
+        for key in sorted(accumulators, key=lambda k: (k is not None, k)):
+            report = accumulators[key].report(mode_label, cfg.encoder)
+            suffix = "" if key is None else f"_d{key}"
+            with create(f"usefulness{suffix}.csv") as f:
+                f.write("\n".join(report.csv_lines()) + "\n")
+            if key is not None:
+                print(f"--- day {key} ---")
+            for line in report.table_lines():
+                print(line)
     if cfg.skipped:
         print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK
@@ -278,13 +279,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     window = _parse_span(args.window, "--window")
     if not 0 <= window[0] < window[1] <= 1440:
         raise ConfigError(f"--window must lie within [0, 1440): {args.window}")
-    node_a, node_b = args.node_a, args.node_b
-    entries = [item for item in cfg.entries() if item.source in (node_a, node_b)]
     if args.days:
         day_range = _parse_span(args.days, "--days")
         if day_range[0] > day_range[1]:
             raise ConfigError(f"--days must have FIRST <= LAST: {args.days}")
-    else:
+    node_a, node_b = args.node_a, args.node_b
+    entries = [item for item in cfg.entries() if item.source in (node_a, node_b)]
+    if not args.days:
         days = [day_index(e.timestamp, args.epoch_day0) for e in entries]
         day_range = (min(days), max(days)) if days else (0, 0)
     grid_a = build_grid(entries, node_a, day_range, window, args.epoch_day0)

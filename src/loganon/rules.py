@@ -266,6 +266,7 @@ def global_symbol(rule: TermRule) -> str:
 def _mode_symbol(
     rule: TermRule, value: str, mode: Mode, registry: Optional[SymbolRegistry]
 ) -> str:
+    # ``registry`` is needed, and given, only for a significant rule in individual mode.
     if not rule.significant:
         return f"#{rule.name}#"
     if mode is Mode.GROUP and rule.group_map is None and rule.group_default is None:
@@ -274,8 +275,7 @@ def _mode_symbol(
         return f"#{rule.name}_#"
     if mode is Mode.GROUP:
         return f"#{rule.name}{rule.group_label(value)}#"
-    reg = registry if registry is not None else SymbolRegistry()
-    return f"#{rule.name}{reg.index(rule.name, value)}#"
+    return f"#{rule.name}{registry.index(rule.name, value)}#"
 
 
 def rewrite_matches(
@@ -290,6 +290,11 @@ def rewrite_matches(
     computed on. The event pattern is derived from the same matches with
     every rule forced to its global symbol, so it never depends on the
     configured mode or per-rule overrides.
+
+    Individual-mode indices come from ``registry``. Without one, a registry
+    scoped to this call is created at the first individual-mode significant
+    match, so the message's own distinct values get distinct symbols
+    numbered from 1.
     """
     deid_parts: list[str] = []
     pattern_parts: list[str] = []
@@ -304,7 +309,10 @@ def rewrite_matches(
             term_position += 1
         rule = ruleset.rules[m.rule_index]
         value = sanitized[m.start : m.end]
-        symbol = _mode_symbol(rule, value, ruleset.effective_mode(rule), registry)
+        mode = ruleset.effective_mode(rule)
+        if registry is None and rule.significant and mode is Mode.INDIVIDUAL:
+            registry = SymbolRegistry()
+        symbol = _mode_symbol(rule, value, mode, registry)
         deid_parts.append(symbol)
         pattern_parts.append(global_symbol(rule))
         if rule.significant:
@@ -327,7 +335,9 @@ def process_entry(
 
     Scans the message once and derives both rewrites from the same matches,
     which guarantees the pattern is exactly the fully-global rewrite of the
-    entry the de-identification was computed from.
+    entry the de-identification was computed from. Without ``registry``,
+    individual-mode indices are scoped to this one call (see
+    rewrite_matches); pass one registry to number values across a corpus.
     """
     sanitized = sanitize_message(entry.message)
     matches = scan_message(sanitized, ruleset)

@@ -16,9 +16,9 @@ arithmetic is exact rational; rendering rounds to 4 decimal places.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .encoder import EncoderConfig, hash_text
 from .model import DeidentifiedEntry
@@ -35,6 +35,8 @@ class CoverageError(ValueError):
 
 
 def _as_fraction(x: Rational) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     # Floats go through their shortest decimal repr, so 0.43 means 43/100.
     if isinstance(x, float):
         return Fraction(str(x))
@@ -70,10 +72,6 @@ class PatternStats:
         if self.f_p < 1:
             raise DomainError(f"pattern {self.category_key}: frequency must be >= 1")
 
-    @property
-    def ratio(self) -> Fraction:
-        return pattern_ratio((t.n_symbols, t.n_values) for t in self.per_term)
-
 
 def dominance(f_p: int, n_entries: int) -> Fraction:
     """Share of the analysis window held by one pattern, exact."""
@@ -90,6 +88,11 @@ def pattern_ratio(per_term: Iterable[tuple[int, int]]) -> Fraction:
     ``per_term`` yields (n_symbols, n_values) pairs; no significant terms
     means no generalization loss, so the empty product is 1.
     """
+    return Fraction(*_ratio_terms(per_term))
+
+
+def _ratio_terms(per_term: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(prod N_s, prod N_val), unreduced, after checking each pair."""
     num = 1
     den = 1
     for n_symbols, n_values in per_term:
@@ -97,30 +100,49 @@ def pattern_ratio(per_term: Iterable[tuple[int, int]]) -> Fraction:
             raise DomainError(f"need 1 <= N_s <= N_val, got {n_symbols}/{n_values}")
         num *= n_symbols
         den *= n_values
-    return Fraction(num, den)
+    return num, den
 
 
 @dataclass(frozen=True)
 class PatternRow:
+    """One pattern's line of a report; contribution = dominance * ratio."""
+
     category_key: str
     pattern_text: str
     f_p: int
     dominance: Fraction
     ratio: Fraction
-
-    @property
-    def contribution(self) -> Fraction:
-        return self.dominance * self.ratio
+    contribution: Fraction
 
 
 @dataclass(frozen=True)
 class UsefulnessReport:
-    """Per-pattern breakdown plus the aggregate usefulness U."""
+    """Per-pattern breakdown plus the aggregate usefulness U, as built by usefulness()."""
 
     n_entries: int
     mode_label: str
     rows: tuple[PatternRow, ...]
     value: Fraction
+    # (f_p, ratio numerator, ratio denominator) -> rendered (D_p, ratio,
+    # contribution). Filled by the first csv_lines() or table_lines(), so each
+    # distinct row value is rendered once per report; rows repeat few values.
+    _decimals: dict[tuple[int, int, int], tuple[str, str, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _rendered_rows(self) -> Iterator[tuple[PatternRow, tuple[str, str, str]]]:
+        memo = self._decimals
+        n_entries = self.n_entries
+        for row in self.rows:
+            f_p, num, den = row.f_p, row.ratio.numerator, row.ratio.denominator
+            texts = memo.get((f_p, num, den))
+            if texts is None:
+                texts = memo[f_p, num, den] = (
+                    _decimal_text(f_p, n_entries),
+                    _decimal_text(num, den),
+                    _decimal_text(f_p * num, n_entries * den),
+                )
+            yield row, texts
 
     def csv_lines(self) -> list[str]:
         import csv
@@ -129,27 +151,19 @@ class UsefulnessReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["category", "pattern", "f_p", "D_p", "ratio", "contribution"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.category_key,
-                    row.pattern_text,
-                    row.f_p,
-                    render_decimal(row.dominance),
-                    render_decimal(row.ratio),
-                    render_decimal(row.contribution),
-                ]
-            )
-        writer.writerow(["TOTAL", "", self.n_entries, render_decimal(Fraction(1)), "", render_decimal(self.value)])
+        writer.writerows(
+            (row.category_key, row.pattern_text, row.f_p, *texts)
+            for row, texts in self._rendered_rows()
+        )
+        writer.writerow(["TOTAL", "", self.n_entries, _decimal_text(1, 1), "", render_decimal(self.value)])
         return buf.getvalue().splitlines()
 
     def table_lines(self) -> list[str]:
         lines = [f"{'category':<12} {'f_p':>8} {'D_p':>8} {'ratio':>8} {'contrib':>8}  pattern"]
-        for row in self.rows:
-            lines.append(
-                f"{row.category_key:<12} {row.f_p:>8} {render_decimal(row.dominance):>8} "
-                f"{render_decimal(row.ratio):>8} {render_decimal(row.contribution):>8}  {row.pattern_text}"
-            )
+        lines.extend(
+            f"{row.category_key:<12} {row.f_p:>8} {share:>8} {ratio:>8} {contribution:>8}  {row.pattern_text}"
+            for row, (share, ratio, contribution) in self._rendered_rows()
+        )
         lines.append(
             f"usefulness ({self.mode_label}): {render_decimal(self.value)} "
             f"(exact {self.value.numerator}/{self.value.denominator}) over {self.n_entries} entries"
@@ -166,18 +180,25 @@ def usefulness(
         raise CoverageError(f"pattern frequencies cover {total} of {n_entries} entries")
     if n_entries == 0:
         raise DomainError("empty analysis window")
-    rows = tuple(
-        PatternRow(
-            category_key=s.category_key,
-            pattern_text=s.pattern_text,
-            f_p=s.f_p,
-            dominance=dominance(s.f_p, n_entries),
-            ratio=s.ratio,
-        )
-        for s in sorted(stats, key=lambda s: (-s.f_p, s.category_key))
-    )
-    value = sum((row.contribution for row in rows), Fraction(0))
-    return UsefulnessReport(n_entries=n_entries, mode_label=mode_label, rows=rows, value=value)
+    # Rows with equal f_p and ratio terms share their (dominance, ratio,
+    # contribution), so each distinct value is computed once.
+    exact: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
+    # Ratio terms -> sum of f_p over the patterns with that ratio.
+    mass: dict[tuple[int, int], int] = {}
+    rows = []
+    for s in sorted(stats, key=lambda s: (-s.f_p, s.category_key)):
+        f_p = s.f_p
+        num, den = _ratio_terms((t.n_symbols, t.n_values) for t in s.per_term)
+        values = exact.get((f_p, num, den))
+        if values is None:
+            share = dominance(f_p, n_entries)
+            ratio = Fraction(num, den)
+            values = exact[f_p, num, den] = (share, ratio, share * ratio)
+        rows.append(PatternRow(s.category_key, s.pattern_text, f_p, *values))
+        mass[num, den] = mass.get((num, den), 0) + f_p
+    # U = sum over distinct ratios r of r * (sum of f_p) / N_e.
+    value = sum((Fraction(num * f, den) for (num, den), f in mass.items()), Fraction(0)) / n_entries
+    return UsefulnessReport(n_entries=n_entries, mode_label=mode_label, rows=tuple(rows), value=value)
 
 
 def usefulness_from_summary(
@@ -316,10 +337,15 @@ def _slot_names(pattern: str, n_slots: int) -> list[str]:
 def render_decimal(value: Rational, places: int = 4) -> str:
     """Round an exact rational to fixed places; ties round half to even (banker's rounding)."""
     frac = _as_fraction(value)
+    return _decimal_text(frac.numerator, frac.denominator, places)
+
+
+def _decimal_text(num: int, den: int, places: int = 4) -> str:
+    """num/den (den > 0) rounded half to even to ``places`` decimals, in integers."""
     scale = 10**places
-    scaled = frac * scale
-    rounded = round(scaled)  # exact rational rounding, banker's at .5 ties
+    rounded, rest = divmod(num * scale, den)
+    if 2 * rest > den or (2 * rest == den and rounded & 1):
+        rounded += 1
     sign = "-" if rounded < 0 else ""
-    rounded = abs(rounded)
-    whole, fracpart = divmod(rounded, scale)
+    whole, fracpart = divmod(abs(rounded), scale)
     return f"{sign}{whole}.{fracpart:0{places}d}"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from loganon import cli, parse_line
+from loganon import UsefulnessAccumulator, cli, parse_line
 from loganon.cli import main
 
 CRON_LOG = str(FIXTURES / "cron_sample.log")
@@ -227,6 +227,25 @@ def test_usefulness_per_day(tmp_path, capsys):
     assert "--- day 0 ---" in out and "--- day 1 ---" in out
 
 
+def test_usefulness_interrupt_leaves_no_output(tmp_path, monkeypatch):
+    calls = []
+
+    def interrupted(self, *args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(self, *args)
+
+    real = UsefulnessAccumulator.report
+    monkeypatch.setattr(UsefulnessAccumulator, "report", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["usefulness", CRON_LOG, "--rules", CRON_RULES, "--per-day",
+              "--epoch-day0", "1517270400", "--out", str(out)])
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_patterns_command(tmp_path, capsys):
     code, out, _ = run(
         ["patterns", CRON_LOG, "--rules", CRON_RULES, "--top", "1,6", "--out", str(tmp_path)],
@@ -295,6 +314,28 @@ def test_compare_rejects_reversed_days(tmp_path, capsys):
     )
     assert code == 2
     assert err == "error: --days must have FIRST <= LAST: 3:1\n"
+    assert out == ""
+
+
+def test_compare_checks_days_before_reading_input(tmp_path, capsys):
+    corpus = tmp_path / "in.log"
+    corpus.write_text("not a log line\n")
+    code, out, err = run(
+        ["compare", str(corpus), "n", "m", "--strict", "--days", "x", "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: bad --days value")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["anonymize", *sorted(ANALYSIS_ARGV)])
+def test_out_naming_a_file_rejected(tmp_path, capsys, command):
+    not_a_dir = tmp_path / "taken"
+    not_a_dir.write_text("")
+    argv = [command, CRON_LOG, *ANALYSIS_ARGV.get(command, []), "--out", str(not_a_dir)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: cannot create output directory")
     assert out == ""
 
 

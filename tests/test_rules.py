@@ -127,6 +127,13 @@ def test_individual_indices_first_occurrence_across_corpus():
     assert out == ["#USER1#", "#USER2#", "#USER1#", "#USER3# #USER2#"]
 
 
+def test_individual_indices_without_registry_are_per_call():
+    rules = RuleSet((TermRule("USER", r"\b[a-z]+\b", significant=True),), Mode.INDIVIDUAL)
+    d = process_entry(entry("alice bob alice"), rules)[0]
+    assert d.deid_message == "#USER1# #USER2# #USER1#"
+    assert process_entry(entry("bob"), rules)[0].deid_message == "#USER1#"
+
+
 def test_group_mode_labels_and_default():
     rules = RuleSet(
         (

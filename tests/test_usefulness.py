@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -272,3 +274,87 @@ def test_report_csv_totals(cron_entries, cron_ruleset):
     assert lines[0] == "category,pattern,f_p,D_p,ratio,contribution"
     assert lines[-1].startswith("TOTAL,,20,1.0000,")
     assert lines[-1].endswith("0.6167")
+
+
+def _reference_decimal(x: Fraction) -> str:
+    rounded = round(x * 10**4)  # Fraction.__round__: exact, ties to even
+    sign = "-" if rounded < 0 else ""
+    whole, frac = divmod(abs(rounded), 10**4)
+    return f"{sign}{whole}.{frac:04d}"
+
+
+# Odd multiples of 1/20000 lie exactly halfway between two 4-place decimals.
+exact_ties = st.integers(min_value=-(10**9), max_value=10**9).map(lambda n: Fraction(2 * n + 1, 20000))
+
+
+@given(st.one_of(st.fractions(), exact_ties))
+def test_render_decimal_equals_fraction_round(x):
+    assert render_decimal(x) == _reference_decimal(x)
+    assert render_decimal(str(x)) == _reference_decimal(x)
+
+
+@given(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)))
+def test_render_decimal_int_and_float_inputs(x):
+    assert render_decimal(x) == _reference_decimal(Fraction(repr(x)))
+
+
+@st.composite
+def repeating_stats(draw):
+    """Pattern statistics whose f_p and ratios repeat, with texts that need CSV quoting."""
+    n_patterns = draw(st.integers(min_value=1, max_value=30))
+    texts = st.text(alphabet="ab ,\"#_XY", min_size=1, max_size=12)
+    stats = []
+    for i in range(n_patterns):
+        terms = []
+        for j in range(draw(st.integers(min_value=0, max_value=2))):
+            n_values = draw(st.integers(min_value=1, max_value=4))
+            n_symbols = draw(st.integers(min_value=1, max_value=n_values))
+            terms.append(TermCardinality(f"T{j}", n_values, n_symbols))
+        f_p = draw(st.integers(min_value=1, max_value=4))
+        stats.append(PatternStats(f"{i:08x}", draw(texts), f_p, tuple(terms)))
+    return stats
+
+
+def _reference_report(stats, mode_label):
+    """Rows, CSV lines, table lines and U in plain Fraction arithmetic, one row at a time."""
+    n_entries = sum(s.f_p for s in stats)
+    rows = []
+    value = Fraction(0)
+    for s in sorted(stats, key=lambda s: (-s.f_p, s.category_key)):
+        share = Fraction(s.f_p, n_entries)
+        ratio = Fraction(1)
+        for t in s.per_term:
+            ratio *= Fraction(t.n_symbols, t.n_values)
+        rows.append((s, share, ratio, share * ratio))
+        value += share * ratio
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["category", "pattern", "f_p", "D_p", "ratio", "contribution"])
+    table = [f"{'category':<12} {'f_p':>8} {'D_p':>8} {'ratio':>8} {'contrib':>8}  pattern"]
+    for s, share, ratio, contribution in rows:
+        shown = [_reference_decimal(v) for v in (share, ratio, contribution)]
+        writer.writerow([s.category_key, s.pattern_text, s.f_p, *shown])
+        table.append(
+            f"{s.category_key:<12} {s.f_p:>8} {shown[0]:>8} {shown[1]:>8} {shown[2]:>8}  {s.pattern_text}"
+        )
+    writer.writerow(["TOTAL", "", n_entries, "1.0000", "", _reference_decimal(value)])
+    table.append(
+        f"usefulness ({mode_label}): {_reference_decimal(value)} "
+        f"(exact {value.numerator}/{value.denominator}) over {n_entries} entries"
+    )
+    return rows, buf.getvalue().splitlines(), table, value
+
+
+@given(repeating_stats(), st.sampled_from(["global", "group", "individual"]))
+def test_report_equals_fraction_reference(stats, mode_label):
+    report = usefulness(stats, sum(s.f_p for s in stats), mode_label)
+    rows, csv_lines, table_lines, value = _reference_report(stats, mode_label)
+    assert report.value == value
+    assert [(r.f_p, r.dominance, r.ratio, r.contribution) for r in report.rows] == [
+        (s.f_p, share, ratio, contribution) for s, share, ratio, contribution in rows
+    ]
+    assert report.csv_lines() == csv_lines
+    assert report.table_lines() == table_lines
+    # A second call renders from the report's memo and must not differ.
+    assert report.csv_lines() == csv_lines
+    assert report.table_lines() == table_lines
