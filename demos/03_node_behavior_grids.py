@@ -46,8 +46,9 @@ for grid, stem in (
 ):
     occupied = int(grid.occupied.sum())
     print(f"{stem:24s} {occupied:5d} occupied cells")
-    emit_grid(grid, "csv", OUT / f"{stem}.csv")
-    emit_grid(grid, "pgm", OUT / f"{stem}.pgm")
+    for fmt in ("csv", "pgm"):
+        with open(OUT / f"{stem}.{fmt}", "w", encoding="ascii") as f:
+            emit_grid(grid, fmt, f)
 
 # The partition law in action: similarity and difference tile the union.
 union = grid_a.occupied | grid_b.occupied

@@ -26,7 +26,6 @@ from .rules import (
     SymbolRegistry,
     TermRule,
     default_ruleset,
-    dumps_rules,
     load_rules,
     loads_rules,
     process_entry,
@@ -52,7 +51,6 @@ from .usefulness import (
     UsefulnessAccumulator,
     UsefulnessReport,
     dominance,
-    pattern_ratio,
     render_decimal,
     top_k_coverage,
     usefulness,
@@ -66,7 +64,7 @@ from .grids import (
     emit_grid,
     similarity_grid,
 )
-from .synth import CorpusSpec, generate_lines, zipf_weights
+from .synth import CorpusSpec, generate_lines
 
 __version__ = "0.1.0"
 
@@ -104,7 +102,6 @@ __all__ = [
     "default_ruleset",
     "difference_grid",
     "dominance",
-    "dumps_rules",
     "emit_grid",
     "encode_entry",
     "generate_lines",
@@ -112,7 +109,6 @@ __all__ = [
     "load_rules",
     "loads_rules",
     "parse_line",
-    "pattern_ratio",
     "process_entry",
     "render_decimal",
     "render_entry",
@@ -122,5 +118,4 @@ __all__ = [
     "top_k_coverage",
     "usefulness",
     "usefulness_from_summary",
-    "zipf_weights",
 ]

@@ -19,8 +19,11 @@ so the memo never changes a result.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import sys
+import threading
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -99,6 +102,8 @@ _worker_memo: Optional[RunMemo] = None
 
 def _init_worker(ruleset: RuleSet) -> None:
     global _worker_ruleset, _worker_memo
+    # Ctrl-C signals the whole process group; only the parent acts on it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_ruleset = ruleset
     _worker_memo = _new_memo(ruleset)
 
@@ -108,14 +113,12 @@ def _scan_batch(batch: list[tuple[int, bytes]]) -> list[Union[ScannedLine, LineI
     return [_scan_one(lineno, raw, _worker_ruleset, _worker_memo) for lineno, raw in batch]
 
 
-def _batches(lines: Iterable[tuple[int, bytes]]) -> Iterator[list[tuple[int, bytes]]]:
-    batch: list[tuple[int, bytes]] = []
-    for item in lines:
-        batch.append(item)
-        if len(batch) >= BATCH_LINES:
-            yield batch
-            batch = []
-    if batch:
+def _batches(
+    lines: Iterable[tuple[int, bytes]], stop: threading.Event
+) -> Iterator[list[tuple[int, bytes]]]:
+    """Batches of BATCH_LINES lines until the input ends or ``stop`` is set."""
+    lines = iter(lines)
+    while not stop.is_set() and (batch := list(islice(lines, BATCH_LINES))):
         yield batch
 
 
@@ -127,7 +130,10 @@ def scanned_stream(
     """Scan lines against the ruleset, preserving input order.
 
     ``workers > 1`` fans batches out to a process pool; the ordered imap
-    merge keeps the stream identical to the sequential one.
+    merge keeps the stream identical to the sequential one. When the stream
+    ends or is closed early (an error, Ctrl-C), the pool takes no more input
+    and the workers finish the batches already queued; terminating them
+    could leave the pool's feeder thread blocked on a half-written batch.
     """
     if workers <= 1:
         memo = _new_memo(ruleset)
@@ -135,6 +141,12 @@ def scanned_stream(
             yield _scan_one(lineno, raw, ruleset, memo)
         return
     ctx = multiprocessing.get_context("fork")
+    stop = threading.Event()
     with ctx.Pool(workers, initializer=_init_worker, initargs=(ruleset,)) as pool:
-        for batch_result in pool.imap(_scan_batch, _batches(lines)):
-            yield from batch_result
+        try:
+            for batch_result in pool.imap(_scan_batch, _batches(lines, stop)):
+                yield from batch_result
+        finally:
+            stop.set()
+            pool.close()
+            pool.join()

@@ -9,6 +9,7 @@ mode.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections import Counter, defaultdict
@@ -138,8 +139,10 @@ def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None
 def _staged_outputs(out_dir: Path) -> Iterator[Callable[[str], TextIO]]:
     """Yield ``create(name)``, which opens ``<name>.tmp`` in out_dir for writing.
 
-    Each file is moved onto its name when the block succeeds and removed on
-    any exception, so a failed run leaves no output that looks complete.
+    Every file loganon writes is opened here, as UTF-8 text with LF line
+    ends. Each file is moved onto its name when the block succeeds and
+    removed on any exception, so a failed run leaves no output that looks
+    complete.
     """
     names: list[str] = []
 
@@ -149,12 +152,12 @@ def _staged_outputs(out_dir: Path) -> Iterator[Callable[[str], TextIO]]:
 
     try:
         yield create
+        for name in names:
+            os.replace(out_dir / f"{name}.tmp", out_dir / name)
     except BaseException:
         for name in names:
             (out_dir / f"{name}.tmp").unlink(missing_ok=True)
         raise
-    for name in names:
-        os.replace(out_dir / f"{name}.tmp", out_dir / name)
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
@@ -254,12 +257,13 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         for pattern, f_p in counts.items()
     ]
     table = top_k_coverage(stats, ks) if stats else CoverageTable(0, 0, ())
-    csv_path = cfg.out_dir / "coverage.csv"
-    csv_path.write_text("\n".join(table.csv_lines()) + "\n", encoding="utf-8")
+    lines = table.csv_lines()
+    with _staged_outputs(cfg.out_dir) as create, create("coverage.csv") as f:
+        f.write("\n".join(lines) + "\n")
     if not stats:
         print("no entries")
         return EXIT_OK
-    for line in table.csv_lines():
+    for line in lines:
         print(line)
     if cfg.skipped:
         print(f"skipped lines: {cfg.skipped}")
@@ -293,15 +297,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for grid, name in ((grid_a, node_a), (grid_b, node_b)):
         if not grid.occupied.any():
             print(f"warning: node {name} has no entries in the selected frame", file=sys.stderr)
+    fmt = args.format
     outputs = [
-        (grid_a, f"{node_a}_occurrence"),
-        (grid_b, f"{node_b}_occurrence"),
-        (similarity_grid(grid_a, grid_b), f"{node_a}-{node_b}_similarity"),
-        (difference_grid(grid_a, grid_b), f"{node_a}-{node_b}_difference"),
+        (grid_a, f"{node_a}_occurrence.{fmt}"),
+        (grid_b, f"{node_b}_occurrence.{fmt}"),
+        (similarity_grid(grid_a, grid_b), f"{node_a}-{node_b}_similarity.{fmt}"),
+        (difference_grid(grid_a, grid_b), f"{node_a}-{node_b}_difference.{fmt}"),
     ]
-    for grid, stem in outputs:
-        path = emit_grid(grid, args.format, cfg.out_dir / f"{stem}.{args.format}")
-        print(f"wrote {path}")
+    with _staged_outputs(cfg.out_dir) as create:
+        for grid, name in outputs:
+            with create(name) as f:
+                emit_grid(grid, fmt, f)
+    for _, name in outputs:
+        print(f"wrote {cfg.out_dir / name}")
     if cfg.skipped:
         print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK
@@ -322,11 +330,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.out == "-":
         for line in generate_lines(spec):
             sys.stdout.write(line + "\n")
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            for line in generate_lines(spec):
-                f.write(line + "\n")
-        print(f"wrote {args.out}")
+        return EXIT_OK
+    out = Path(args.out)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    with _staged_outputs(out.parent) as create, create(out.name) as f:
+        for line in generate_lines(spec):
+            f.write(line + "\n")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 

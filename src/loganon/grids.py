@@ -14,8 +14,7 @@ timezone interpretation ever happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Protocol, Union
+from typing import Iterable, Protocol, TextIO
 
 import numpy as np
 
@@ -134,8 +133,8 @@ def _csv_lines(grid: OccurrenceGrid) -> list[str]:
     return lines
 
 
-def emit_grid(grid: OccurrenceGrid, fmt: str, path: Union[str, Path]) -> Path:
-    """Write a grid as 'csv' (day,minute rows of occupied cells) or 'pgm' (P2 raster)."""
+def emit_grid(grid: OccurrenceGrid, fmt: str, out: TextIO) -> None:
+    """Write a grid to ``out`` as 'csv' (day,minute rows of occupied cells) or 'pgm' (P2 raster)."""
     fmt = fmt.lower()
     if fmt == "pgm":
         lines = _pgm_lines(grid)
@@ -143,6 +142,4 @@ def emit_grid(grid: OccurrenceGrid, fmt: str, path: Union[str, Path]) -> Path:
         lines = _csv_lines(grid)
     else:
         raise ValueError(f"unknown grid format {fmt!r} (expected csv or pgm)")
-    out = Path(path)
-    out.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return out
+    out.write("\n".join(lines) + "\n")

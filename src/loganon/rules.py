@@ -426,26 +426,6 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
     return loads_rules(Path(path).read_text(encoding="utf-8"))
 
 
-def dumps_rules(ruleset: RuleSet) -> str:
-    """Serialize a RuleSet back to the INI rule-file syntax."""
-    lines = ["[ruleset]", f"mode = {ruleset.mode.value}", ""]
-    for rule in ruleset.rules:
-        lines.append(f"[rule {rule.name}]")
-        lines.append(f"pattern = {rule.pattern.pattern}")
-        lines.append(f"significant = {'yes' if rule.significant else 'no'}")
-        if rule.mode is not None:
-            lines.append(f"mode = {rule.mode.value}")
-        lines.append("")
-        if rule.group_map or rule.group_default is not None:
-            lines.append(f"[groups {rule.name}]")
-            for value, label in (rule.group_map or {}).items():
-                lines.append(f"{value} = {label}")
-            if rule.group_default is not None:
-                lines.append(f"{GROUP_DEFAULT_KEY} = {rule.group_default}")
-            lines.append("")
-    return "\n".join(lines)
-
-
 # 14 daemon names; site-specific configuration, override per corpus as needed.
 DAEMON_NAMES: tuple[str, ...] = (
     "anacron",

@@ -15,6 +15,8 @@ arithmetic is exact rational; rendering rounds to 4 decimal places.
 
 from __future__ import annotations
 
+import csv
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,27 +84,6 @@ def dominance(f_p: int, n_entries: int) -> Fraction:
     return Fraction(f_p, n_entries)
 
 
-def pattern_ratio(per_term: Iterable[tuple[int, int]]) -> Fraction:
-    """Symbol-to-value cardinality ratio of one pattern: prod N_s / prod N_val.
-
-    ``per_term`` yields (n_symbols, n_values) pairs; no significant terms
-    means no generalization loss, so the empty product is 1.
-    """
-    return Fraction(*_ratio_terms(per_term))
-
-
-def _ratio_terms(per_term: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """(prod N_s, prod N_val), unreduced, after checking each pair."""
-    num = 1
-    den = 1
-    for n_symbols, n_values in per_term:
-        if not 1 <= n_symbols <= n_values:
-            raise DomainError(f"need 1 <= N_s <= N_val, got {n_symbols}/{n_values}")
-        num *= n_symbols
-        den *= n_values
-    return num, den
-
-
 @dataclass(frozen=True)
 class PatternRow:
     """One pattern's line of a report; contribution = dominance * ratio."""
@@ -145,23 +126,23 @@ class UsefulnessReport:
             yield row, texts
 
     def csv_lines(self) -> list[str]:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        """CSV records; joined and ended by LF they are exactly csv.writer's output."""
+        records = _Records()
+        writer = csv.writer(records, lineterminator="\n")
         writer.writerow(["category", "pattern", "f_p", "D_p", "ratio", "contribution"])
         writer.writerows(
             (row.category_key, row.pattern_text, row.f_p, *texts)
             for row, texts in self._rendered_rows()
         )
         writer.writerow(["TOTAL", "", self.n_entries, _decimal_text(1, 1), "", render_decimal(self.value)])
-        return buf.getvalue().splitlines()
+        return records
 
     def table_lines(self) -> list[str]:
+        """The table for a terminal; pattern text is escaped where not printable."""
         lines = [f"{'category':<12} {'f_p':>8} {'D_p':>8} {'ratio':>8} {'contrib':>8}  pattern"]
         lines.extend(
-            f"{row.category_key:<12} {row.f_p:>8} {share:>8} {ratio:>8} {contribution:>8}  {row.pattern_text}"
+            f"{row.category_key:<12} {row.f_p:>8} {share:>8} {ratio:>8} {contribution:>8}  "
+            f"{_printable(row.pattern_text)}"
             for row, (share, ratio, contribution) in self._rendered_rows()
         )
         lines.append(
@@ -169,6 +150,24 @@ class UsefulnessReport:
             f"(exact {self.value.numerator}/{self.value.denominator}) over {self.n_entries} entries"
         )
         return lines
+
+
+class _Records(list):
+    """A csv.writer target that keeps each record without its LF terminator.
+
+    Splitting the writer's output into lines instead would also break a
+    record at form feed, U+2028 and other characters csv leaves unquoted.
+    """
+
+    def write(self, record: str) -> None:
+        self.append(record[:-1])
+
+
+def _printable(text: str) -> str:
+    """text with each character str.isprintable() rejects written as its repr escape."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def usefulness(
@@ -188,7 +187,9 @@ def usefulness(
     rows = []
     for s in sorted(stats, key=lambda s: (-s.f_p, s.category_key)):
         f_p = s.f_p
-        num, den = _ratio_terms((t.n_symbols, t.n_values) for t in s.per_term)
+        # prod N_s / prod N_val, unreduced; TermCardinality checked each pair.
+        num = math.prod(t.n_symbols for t in s.per_term)
+        den = math.prod(t.n_values for t in s.per_term)
         values = exact.get((f_p, num, den))
         if values is None:
             share = dominance(f_p, n_entries)

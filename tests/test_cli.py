@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import csv
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import loganon
 from conftest import FIXTURES
 from loganon import UsefulnessAccumulator, cli, parse_line
 from loganon.cli import main
@@ -246,6 +251,32 @@ def test_usefulness_interrupt_leaves_no_output(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_usefulness_csv_keeps_line_separators_inside_fields(tmp_path, capsys):
+    messages = ["hello\x0cworld", "a\u2028b"]
+    corpus = tmp_path / "in.log"
+    corpus.write_text("".join(f"{i} n {m}\n" for i, m in enumerate(messages)), encoding="utf-8")
+    code, _, _ = run(["usefulness", str(corpus), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    with open(tmp_path / "usefulness.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [6, 6, 6, 6]
+    assert rows[0][1] == "pattern" and rows[-1][0] == "TOTAL"
+    assert sorted(row[1] for row in rows[1:-1]) == sorted(messages)
+
+
+def test_usefulness_table_escapes_unprintable_text(tmp_path, capsys):
+    corpus = tmp_path / "in.log"
+    corpus.write_text("1 n \x1b[31mred\tx\u2028y\n2 n café ünï 日本 \U0001F600\n", encoding="utf-8")
+    code, out, _ = run(["usefulness", str(corpus), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "\x1b" not in out and "\t" not in out and "\u2028" not in out
+    assert "  \\x1b[31mred\\tx\\u2028y\n" in out
+    assert "  café ünï 日本 \U0001F600\n" in out
+    with open(tmp_path / "usefulness.csv", encoding="utf-8", newline="") as f:
+        patterns = {row[1] for row in csv.reader(f)}
+    assert {"\x1b[31mred\tx\u2028y", "café ünï 日本 \U0001F600"} <= patterns
+
+
 def test_patterns_command(tmp_path, capsys):
     code, out, _ = run(
         ["patterns", CRON_LOG, "--rules", CRON_RULES, "--top", "1,6", "--out", str(tmp_path)],
@@ -258,6 +289,37 @@ def test_patterns_command(tmp_path, capsys):
     assert lines[3] == "1,50.00"
     assert lines[4] == "6,100.00"
     assert "1,50.00" in out
+
+
+def test_patterns_interrupt_leaves_no_output(tmp_path, monkeypatch):
+    real_open = open
+    writes = []
+
+    class InterruptedFile:
+        """A file whose first write reaches the disk and then raises KeyboardInterrupt."""
+
+        def __init__(self, *args, **kwargs):
+            self.path = Path(args[0])
+            self._file = real_open(*args, **kwargs)
+
+        def write(self, text):
+            self._file.write(text)
+            self._file.flush()
+            writes.append(self.path.read_text())
+            raise KeyboardInterrupt
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._file.close()
+
+    monkeypatch.setattr(cli, "open", InterruptedFile, raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["patterns", CRON_LOG, "--rules", CRON_RULES, "--out", str(out)])
+    assert writes and writes[0].startswith("#Raw log entries,20\n")
+    assert list(out.iterdir()) == []
 
 
 def test_patterns_bad_top_list(tmp_path, capsys):
@@ -308,6 +370,27 @@ def test_compare_pgm_and_missing_node_warning(tmp_path, capsys):
     assert header == ["P2", "240 2"]
 
 
+def test_compare_interrupt_leaves_no_output(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    staged = []
+
+    def interrupted(grid, fmt, stream):
+        staged.append(sorted(p.name for p in out.iterdir()))
+        if len(staged) == 3:
+            raise KeyboardInterrupt
+        return real(grid, fmt, stream)
+
+    real = cli.emit_grid
+    monkeypatch.setattr(cli, "emit_grid", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["compare", CRON_LOG, "T-1020", "T-1022", "--epoch-day0", "1517270400",
+              "--out", str(out)])
+    assert staged[2] == [
+        "T-1020-T-1022_similarity.csv.tmp", "T-1020_occurrence.csv.tmp", "T-1022_occurrence.csv.tmp",
+    ]
+    assert list(out.iterdir()) == []
+
+
 def test_compare_rejects_reversed_days(tmp_path, capsys):
     code, out, err = run(
         ["compare", CRON_LOG, "T-1020", "T-1022", "--days", "3:1", "--out", str(tmp_path)], capsys
@@ -352,6 +435,32 @@ def test_gen_command_roundtrip(tmp_path, capsys):
         parse_line(line)
 
 
+def test_gen_interrupt_leaves_no_output(tmp_path, monkeypatch):
+    out_file = tmp_path / "corpus.log"
+    staged = tmp_path / "corpus.log.tmp"
+
+    def interrupted(spec):
+        for i, line in enumerate(real(spec)):
+            if i == 50:
+                assert staged.exists()
+                raise KeyboardInterrupt
+            yield line
+
+    real = cli.generate_lines
+    monkeypatch.setattr(cli, "generate_lines", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["gen", "--entries", "100", "--patterns", "7", "--out", str(out_file)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_out_naming_a_directory_rejected(tmp_path, capsys):
+    code, out, err = run(["gen", "--entries", "3", "--patterns", "2", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_to_stdout(capsys):
     code, out, _ = run(["gen", "--entries", "3", "--patterns", "2", "--seed", "1"], capsys)
     assert code == 0
@@ -388,3 +497,42 @@ def test_workers_flag_matches_sequential(tmp_path, capsys):
     assert (out1 / "encoded.log").read_bytes() == (out2 / "encoded.log").read_bytes()
     assert (out1 / "dictionary.tsv").read_bytes() == (out2 / "dictionary.tsv").read_bytes()
     assert stdout1.replace(str(out1), "") == stdout2.replace(str(out2), "")
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_ctrl_c_with_worker_pool_leaves_no_output(tmp_path):
+    """A real SIGINT to the process group of `anonymize --workers 2` while it writes."""
+    corpus = tmp_path / "cmd.log"
+    assert main(["gen", "--entries", "50000", "--patterns", "20000", "--users", "300",
+                 "--style", "cmd", "--seed", "3", "--out", str(corpus)]) == 0
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(loganon.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loganon", "anonymize", str(corpus), "--workers", "2",
+         "--mode", "individual", "--digest-bytes", "8", "--emit-dictionary", "--emit-meanings",
+         "--out", str(out)],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        staged = out / "encoded.log.tmp"
+        deadline = time.monotonic() + 30
+        while not (staged.exists() and staged.stat().st_size > 0):
+            assert proc.poll() is None, "the run ended before it was interrupted"
+            assert time.monotonic() < deadline, "encoded.log.tmp stayed empty"
+            time.sleep(0.002)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == -signal.SIGINT
+    assert err.rstrip().endswith(b"KeyboardInterrupt")
+    assert list(out.iterdir()) == []
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process of the group outlived the run"
+        time.sleep(0.01)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -144,41 +146,47 @@ def test_similarity_commutative_and_partition(pair):
 
 # --- emission -----------------------------------------------------------------
 
-def test_emit_empty_pgm(tmp_path):
+def _emitted(grid: OccurrenceGrid, fmt: str) -> str:
+    out = io.StringIO()
+    emit_grid(grid, fmt, out)
+    return out.getvalue()
+
+
+def test_emit_empty_pgm():
     g = _grid_from([[0, 0, 0], [0, 0, 0]])
-    out = emit_grid(g, "pgm", tmp_path / "empty.pgm")
-    lines = out.read_text().splitlines()
+    lines = _emitted(g, "pgm").splitlines()
     assert lines[:3] == ["P2", "3 2", "255"]
     assert all(v == "255" for line in lines[3:] for v in line.split())
 
 
-def test_emit_single_cell_pgm(tmp_path):
+def test_emit_single_cell_pgm():
     g = _grid_from([[1, 0], [0, 0]])
-    body = (emit_grid(g, "pgm", tmp_path / "one.pgm")).read_text().splitlines()[3:]
+    body = _emitted(g, "pgm").splitlines()[3:]
     assert body[0].split() == ["0", "255"]
     assert body[1].split() == ["255", "255"]
 
 
-def test_emit_pgm_wraps_long_rows(tmp_path):
+def test_emit_pgm_wraps_long_rows():
     g = _grid_from([[0] * 100])
-    lines = emit_grid(g, "pgm", tmp_path / "wide.pgm").read_text().splitlines()
+    lines = _emitted(g, "pgm").splitlines()
     assert lines[1] == "100 1"
     assert all(len(line) <= 70 for line in lines)
     assert sum(len(line.split()) for line in lines[3:]) == 100
 
 
-def test_emit_csv_lists_set_cells(tmp_path):
+def test_emit_csv_lists_set_cells():
     g = build_grid([_entry(2, 7)], "nodeA", (1, 3), (5, 10), EPOCH)
-    out = emit_grid(g, "csv", tmp_path / "g.csv")
-    assert out.read_text().splitlines() == ["day,minute", "2,7"]
+    assert _emitted(g, "csv").splitlines() == ["day,minute", "2,7"]
 
 
-def test_emit_unknown_format(tmp_path):
+def test_emit_unknown_format():
+    out = io.StringIO()
     with pytest.raises(ValueError):
-        emit_grid(_grid_from([[1]]), "bmp", tmp_path / "x.bmp")
+        emit_grid(_grid_from([[1]]), "bmp", out)
+    assert out.getvalue() == ""
 
 
-def test_golden_grid_files(tmp_path):
+def test_golden_grid_files():
     entries = [
         _entry(0, 0, second=5),
         _entry(0, 3),
@@ -188,7 +196,7 @@ def test_golden_grid_files(tmp_path):
         RawLogEntry(EPOCH, "nodeB", "m"),
     ]
     g = build_grid(entries, "nodeA", (0, 2), (0, 5), EPOCH)
-    pgm = emit_grid(g, "pgm", tmp_path / "g.pgm").read_bytes()
-    csv = emit_grid(g, "csv", tmp_path / "g.csv").read_bytes()
+    pgm = _emitted(g, "pgm").encode("ascii")
+    csv = _emitted(g, "csv").encode("ascii")
     assert pgm == (FIXTURES / "grid_small.pgm").read_bytes()
     assert csv == (FIXTURES / "grid_small.csv").read_bytes()

@@ -26,7 +26,7 @@ from loganon import (
 )
 from loganon import _stream, cli
 from loganon.cli import main
-from loganon.rules import default_ruleset, dumps_rules
+from loganon.rules import default_ruleset
 
 from test_cli import COLLIDING_MESSAGES
 
@@ -46,11 +46,49 @@ def corpus(tmp_path_factory) -> Path:
     return path
 
 
+# The built-in ruleset in group mode, plus a group table for USER.
+GROUP_RULES = r"""[ruleset]
+mode = group
+
+[rule DAEM]
+pattern = \b(?:0anacron|rsyslogd|anacron|systemd|postfix|polkitd|audispd|munged|slurmd|crond|sshd|sudo|ntpd|dbus)\b
+significant = yes
+
+[rule IPv4]
+pattern = \b(?:\d{1,3}\.){3}\d{1,3}\b
+significant = no
+
+[rule TIME]
+pattern = \b\d{4}-\d{2}-\d{2}(?:[ T]\d{2}:\d{2}(?::\d{2})?)?\b
+significant = no
+
+[rule USER]
+pattern = (?<=\()[A-Za-z][\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor )[A-Za-z][\w.-]*$
+significant = yes
+
+[rule PATH]
+pattern = /[^\s()]+
+significant = no
+
+[rule NUM]
+pattern = \b\d+\b
+significant = yes
+
+[groups USER]
+user001 = p
+user002 = p
+* = n
+"""
+
+
 @pytest.fixture(scope="module")
 def group_rules(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("rules") / "group.rules"
-    table = "[groups USER]\nuser001 = p\nuser002 = p\n* = n\n"
-    path.write_text(dumps_rules(default_ruleset(Mode.GROUP)) + "\n" + table, encoding="utf-8")
+    path.write_text(GROUP_RULES, encoding="utf-8")
+    loaded, builtin = load_rules(path).rules, default_ruleset().rules
+    assert [(r.name, r.pattern.pattern, r.significant) for r in loaded] == [
+        (r.name, r.pattern.pattern, r.significant) for r in builtin
+    ]
     return path
 
 

@@ -15,7 +15,6 @@ from loganon import (
     TermClass,
     TermRule,
     default_ruleset,
-    dumps_rules,
     loads_rules,
     process_entry,
     sanitize_message,
@@ -395,22 +394,35 @@ def test_mixed_case_name_allowed():
     assert TermRule("IPv4", r"\d+\.\d+").name == "IPv4"
 
 
-def test_rule_file_round_trip():
-    rules = RuleSet(
-        (
-            TermRule("USER", r"(?<=\()[a-z]+(?=\) CMD \()", significant=True,
-                     group_map={"root": "p"}, group_default="n"),
-            TermRule("PATH", r"/[^\s()]+", mode=Mode.GLOBAL),
-        ),
-        Mode.GROUP,
+def test_loads_rules_literal_ini():
+    parsed = loads_rules(
+        "[ruleset]\n"
+        "mode = group\n"
+        "\n"
+        "[rule USER]\n"
+        "pattern = (?<=\\()[a-z]+(?=\\) CMD \\()\n"
+        "significant = yes\n"
+        "\n"
+        "[rule PATH]\n"
+        "pattern = /[^\\s()]+\n"
+        "significant = no\n"
+        "mode = global\n"
+        "\n"
+        "[groups USER]\n"
+        "root = p\n"
+        "* = n\n"
     )
-    parsed = loads_rules(dumps_rules(rules))
     assert parsed.mode is Mode.GROUP
     assert [r.name for r in parsed.rules] == ["USER", "PATH"]
-    assert parsed.rules[0].group_map == {"root": "p"}
-    assert parsed.rules[0].group_default == "n"
-    assert parsed.rules[1].mode is Mode.GLOBAL
-    assert parsed.rules[0].pattern.pattern == rules.rules[0].pattern.pattern
+    user, path = parsed.rules
+    assert user.pattern.pattern == r"(?<=\()[a-z]+(?=\) CMD \()"
+    assert user.significant and not path.significant
+    assert user.group_map == {"root": "p"}
+    assert user.group_default == "n"
+    assert user.mode is None
+    assert path.mode is Mode.GLOBAL
+    assert path.pattern.pattern == r"/[^\s()]+"
+    assert path.group_map is None and path.group_default is None
 
 
 def test_rule_file_unknown_section_rejected():

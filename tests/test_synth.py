@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from loganon import CorpusSpec, generate_lines, parse_line, zipf_weights
-from loganon.synth import cmd_message, cmd_pattern_text, plain_message
+from loganon import CorpusSpec, generate_lines, parse_line
+from loganon.synth import cmd_message, cmd_pattern_text, plain_message, zipf_weights
 from loganon import default_ruleset, process_entry
 
 

@@ -18,7 +18,6 @@ from loganon import (
     TermCardinality,
     UsefulnessAccumulator,
     dominance,
-    pattern_ratio,
     process_entry,
     render_decimal,
     top_k_coverage,
@@ -42,18 +41,22 @@ def test_dominance_domain_errors():
         dominance(6, 5)
 
 
-def test_pattern_ratio_values():
-    assert pattern_ratio([]) == 1
-    assert pattern_ratio([(1, 3)]) == Fraction(1, 3)
-    assert pattern_ratio([(2, 3)]) == Fraction(2, 3)
-    assert pattern_ratio([(2, 3), (1, 2)]) == Fraction(1, 3)
+def test_row_ratio_values():
+    # (N_s, N_val) per slot -> prod N_s / prod N_val; no slots means ratio 1.
+    cases = {(): 1, ((1, 3),): Fraction(1, 3), ((2, 3),): Fraction(2, 3),
+             ((2, 3), (1, 2)): Fraction(1, 3)}
+    for pairs, ratio in cases.items():
+        per_term = tuple(TermCardinality(f"T{i}", n_values, n_symbols)
+                         for i, (n_symbols, n_values) in enumerate(pairs))
+        (row,) = usefulness([PatternStats("c", "p", 1, per_term)], 1).rows
+        assert row.ratio == ratio
+        assert row.contribution == ratio
 
 
-def test_pattern_ratio_rejects_bad_pairs():
-    with pytest.raises(DomainError):
-        pattern_ratio([(0, 3)])
-    with pytest.raises(DomainError):
-        pattern_ratio([(4, 3)])
+def test_term_cardinality_rejects_bad_pairs():
+    for n_symbols, n_values in ((0, 3), (4, 3)):
+        with pytest.raises(DomainError):
+            TermCardinality("T", n_values=n_values, n_symbols=n_symbols)
 
 
 def _accumulate(entries, ruleset):
