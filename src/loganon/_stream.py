@@ -44,10 +44,10 @@ class RunMemo(dict):
 
 
 class ScannedLine(NamedTuple):
-    lineno: int
+    """One parsed entry: timestamp, source, sanitize_message() form and its rule matches."""
+
     timestamp: int
     source: str
-    message: str
     sanitized: str
     matches: tuple[RuleMatch, ...]
 
@@ -60,15 +60,17 @@ class LineIssue(NamedTuple):
 def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[tuple[int, bytes]]:
     """Yield (lineno, line bytes) across all inputs; '-' reads standard input.
 
-    Line numbers are global and 1-based; LF (and a preceding CR) are
-    stripped, nothing else is touched.
+    Line numbers are global and 1-based; a final LF and at most one CR
+    before it are stripped, nothing else is touched.
     """
     lineno = 0
     for path in paths:
         with nullcontext(sys.stdin.buffer) if str(path) == "-" else open(path, "rb") as stream:
             for raw in stream:
                 lineno += 1
-                yield lineno, raw.rstrip(b"\r\n") if raw.endswith(b"\n") else raw
+                if raw.endswith(b"\n"):
+                    raw = raw[:-2] if raw.endswith(b"\r\n") else raw[:-1]
+                yield lineno, raw
 
 
 def _scan_one(
@@ -88,7 +90,7 @@ def _scan_one(
         matches = tuple(scan_message(sanitized, ruleset))
         if memo is not None:
             memo.admit(sanitized, matches)
-    return ScannedLine(lineno, entry.timestamp, entry.source, entry.message, sanitized, matches)
+    return ScannedLine(entry.timestamp, entry.source, sanitized, matches)
 
 
 def _new_memo(ruleset: RuleSet) -> Optional[RunMemo]:

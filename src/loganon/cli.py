@@ -141,10 +141,11 @@ def _staged_outputs(out_dir: Path) -> Iterator[Callable[[str], TextIO]]:
 
     Every file loganon writes is opened here, as UTF-8 text with LF line
     ends. Each file is moved onto its name when the block succeeds and
-    removed on any exception, so a failed run leaves no output that looks
-    complete.
+    removed on any exception, one already moved included, so a failed run
+    leaves no output that looks complete.
     """
     names: list[str] = []
+    renamed: list[str] = []
 
     def create(name: str) -> TextIO:
         names.append(name)
@@ -154,9 +155,12 @@ def _staged_outputs(out_dir: Path) -> Iterator[Callable[[str], TextIO]]:
         yield create
         for name in names:
             os.replace(out_dir / f"{name}.tmp", out_dir / name)
+            renamed.append(name)
     except BaseException:
         for name in names:
             (out_dir / f"{name}.tmp").unlink(missing_ok=True)
+        for name in renamed:
+            (out_dir / name).unlink(missing_ok=True)
         raise
 
 
@@ -184,14 +188,16 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                     memo.admit(
                         item.sanitized, (encoded.hash_key, encoded.category_key, deid_message, pattern)
                     )
-                    for sig in significant:
-                        symbol_rows.setdefault((sig.symbol, sig.original_value))
+                    if args.emit_dictionary:
+                        for sig in significant:
+                            symbol_rows.setdefault((sig.symbol, sig.original_value))
                 else:
                     hash_key, category_key, deid_message, pattern = known
                     dicts.register(hash_key, deid_message, category_key, pattern)
                     encoded = EncodedEntry(item.timestamp, item.source, hash_key, category_key)
                 out.write(render_entry(encoded) + "\n")
-                tally.add(item.message, encoded)
+                # sanitize_message only swaps '#' for '?': same UTF-8 length as the raw message.
+                tally.add(item.sanitized, encoded)
         if args.emit_dictionary:
             with create("dictionary.tsv") as f:
                 for symbol, value in symbol_rows:
@@ -316,17 +322,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = CorpusSpec(
-        entries=args.entries,
-        patterns=args.patterns,
-        seed=args.seed,
-        zipf_exponent=args.zipf_s,
-        nodes=args.nodes,
-        days=args.days,
-        epoch_day0=args.epoch_day0,
-        style=args.style,
-        users=args.users,
-    )
+    try:
+        spec = CorpusSpec(
+            entries=args.entries,
+            patterns=args.patterns,
+            seed=args.seed,
+            zipf_exponent=args.zipf_s,
+            nodes=args.nodes,
+            days=args.days,
+            epoch_day0=args.epoch_day0,
+            style=args.style,
+            users=args.users,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.out == "-":
         for line in generate_lines(spec):
             sys.stdout.write(line + "\n")

@@ -37,7 +37,7 @@ class RawLogEntry:
         if self.timestamp < 0:
             raise ValueError("timestamp must be >= 0")
         if not self.source or any(c.isspace() for c in self.source):
-            raise ValueError("source must be non-empty and whitespace-free")
+            raise MalformedLine(f"bad source field: {self.source!r}")
         if "\n" in self.message or "\r" in self.message:
             raise ValueError("message must not contain line terminators")
 
@@ -46,20 +46,17 @@ class RawLogEntry:
 class Term:
     """A slice of a message: constant text or one variable-term match.
 
-    ``span`` holds byte offsets into the UTF-8 encoding of the message, so
-    concatenating the ``text`` of all terms of a message reproduces it
-    byte-for-byte.
+    A message's terms are in order and cover it, so concatenating their
+    ``text`` reproduces the message.
     """
 
     text: str
-    span: tuple[int, int]
     klass: TermClass
 
 
 class SignificantValue(NamedTuple):
-    """One significant-term replacement: where it sat, what it was, what symbol it got."""
+    """One significant-term replacement: the value it held and the symbol it got."""
 
-    term_position: int
     original_value: str
     symbol: str
 
@@ -98,8 +95,9 @@ def parse_line(line: str) -> RawLogEntry:
 
     The first two fields are split on single spaces; the message is the rest
     of the line verbatim (possibly empty). Raises MalformedLine for missing
-    fields, a non-integer timestamp, or embedded line terminators, leaving
-    the skip-vs-abort policy to the caller.
+    fields, a non-integer timestamp, an empty or whitespace-holding source
+    (RawLogEntry's check), or embedded line terminators, leaving the
+    skip-vs-abort policy to the caller.
     """
     if "\n" in line or "\r" in line:
         raise MalformedLine("line contains embedded line terminator")
@@ -109,8 +107,6 @@ def parse_line(line: str) -> RawLogEntry:
     if not _TIMESTAMP_RE.fullmatch(ts_text):
         raise MalformedLine(f"non-integer timestamp: {ts_text!r}")
     source, _, message = rest.partition(" ")
-    if not source or any(c.isspace() for c in source):
-        raise MalformedLine(f"bad source field: {source!r}")
     return RawLogEntry(int(ts_text), source, message)
 
 

@@ -218,43 +218,23 @@ def scan_message(message: str, ruleset: RuleSet) -> list[RuleMatch]:
     return matches
 
 
-def _byte_offsets(message: str) -> Optional[list[int]]:
-    """Cumulative UTF-8 byte offset per character index; None when ASCII."""
-    if message.isascii():
-        return None
-    offsets = [0]
-    total = 0
-    for ch in message:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
-
-
 def tokenize(message: str, ruleset: RuleSet) -> list[Term]:
     """Split a message into constant and variable terms.
 
     The terms cover the message completely, in order; gaps between rule
     matches become constant terms. An empty message yields no terms.
     """
-    matches = scan_message(message, ruleset)
-    offsets = _byte_offsets(message)
-
-    def span(a: int, b: int) -> tuple[int, int]:
-        if offsets is None:
-            return (a, b)
-        return (offsets[a], offsets[b])
-
     terms: list[Term] = []
     cursor = 0
-    for m in matches:
+    for m in scan_message(message, ruleset):
         if m.start > cursor:
-            terms.append(Term(message[cursor : m.start], span(cursor, m.start), TermClass.CONSTANT))
+            terms.append(Term(message[cursor : m.start], TermClass.CONSTANT))
         rule = ruleset.rules[m.rule_index]
         klass = TermClass.VARIABLE_SIGNIFICANT if rule.significant else TermClass.VARIABLE_INSIGNIFICANT
-        terms.append(Term(message[m.start : m.end], span(m.start, m.end), klass))
+        terms.append(Term(message[m.start : m.end], klass))
         cursor = m.end
     if cursor < len(message):
-        terms.append(Term(message[cursor:], span(cursor, len(message)), TermClass.CONSTANT))
+        terms.append(Term(message[cursor:], TermClass.CONSTANT))
     return terms
 
 
@@ -300,13 +280,11 @@ def rewrite_matches(
     pattern_parts: list[str] = []
     significant: list[SignificantValue] = []
     cursor = 0
-    term_position = 0
     for m in matches:
         if m.start > cursor:
             constant = sanitized[cursor : m.start]
             deid_parts.append(constant)
             pattern_parts.append(constant)
-            term_position += 1
         rule = ruleset.rules[m.rule_index]
         value = sanitized[m.start : m.end]
         mode = ruleset.effective_mode(rule)
@@ -316,8 +294,7 @@ def rewrite_matches(
         deid_parts.append(symbol)
         pattern_parts.append(global_symbol(rule))
         if rule.significant:
-            significant.append(SignificantValue(term_position, value, symbol))
-        term_position += 1
+            significant.append(SignificantValue(value, symbol))
         cursor = m.end
     if cursor < len(sanitized):
         tail = sanitized[cursor:]
@@ -389,13 +366,18 @@ def loads_rules(text: str) -> RuleSet:
         if not parser.has_option(section, "pattern"):
             raise ConfigError(f"rule {name}: missing pattern")
         override = parser.get(section, "mode", fallback=None)
+        try:
+            significant = parser.getboolean(section, "significant", fallback=False)
+            rule_mode = Mode(override.strip().lower()) if override else None
+        except ValueError as exc:
+            raise ConfigError(f"rule {name}: {exc}") from None
         group_map, group_default = groups.pop(name, (None, None))
         rules.append(
             TermRule(
                 name=name,
                 pattern=parser.get(section, "pattern"),
-                significant=parser.getboolean(section, "significant", fallback=False),
-                mode=Mode(override.strip().lower()) if override else None,
+                significant=significant,
+                mode=rule_mode,
                 group_map=group_map if group_map else None,
                 group_default=group_default,
             )
@@ -411,17 +393,23 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
     Layout::
 
         [ruleset]
-        mode = global            ; individual | group | global
+        ; individual | group | global
+        mode = global
 
         [rule USER]
         pattern = (?<=\\()[a-z]+(?=\\) CMD \\()
         significant = yes
-        mode = individual        ; optional per-rule override
+        ; optional per-rule override
+        mode = individual
 
-        [groups USER]            ; optional, enables group mode for USER
+        ; optional, enables group mode for USER
+        [groups USER]
         siavash = n
         root = p
-        * = n                    ; optional default label
+        ; optional default label
+        * = n
+
+    Comments go on lines of their own; a ``;`` after a value is part of it.
     """
     return loads_rules(Path(path).read_text(encoding="utf-8"))
 

@@ -11,6 +11,7 @@ and large-scale tests are reproducible byte-for-byte. Two message styles:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -83,6 +84,8 @@ class CorpusSpec:
             raise ValueError("entries, patterns, nodes, and days must be >= 1")
         if self.style == "cmd" and self.users < 1:
             raise ValueError("cmd style needs users >= 1")
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent}")
 
 
 def generate_lines(spec: CorpusSpec) -> Iterator[str]:

@@ -187,12 +187,13 @@ def usefulness(
     rows = []
     for s in sorted(stats, key=lambda s: (-s.f_p, s.category_key)):
         f_p = s.f_p
-        # prod N_s / prod N_val, unreduced; TermCardinality checked each pair.
+        # prod N_s / prod N_val, unreduced; TermCardinality checked each pair,
+        # PatternStats f_p >= 1, and the coverage check above f_p <= N_e.
         num = math.prod(t.n_symbols for t in s.per_term)
         den = math.prod(t.n_values for t in s.per_term)
         values = exact.get((f_p, num, den))
         if values is None:
-            share = dominance(f_p, n_entries)
+            share = Fraction(f_p, n_entries)
             ratio = Fraction(num, den)
             values = exact[f_p, num, den] = (share, ratio, share * ratio)
         rows.append(PatternRow(s.category_key, s.pattern_text, f_p, *values))

@@ -17,6 +17,8 @@ from loganon import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# Rule-file keys given values they cannot take, each a configuration error.
+BAD_RULE_VALUES = [("mode", "bogus"), ("significant", "maybe")]
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

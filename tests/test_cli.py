@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import loganon
-from conftest import FIXTURES
+from conftest import BAD_RULE_VALUES, FIXTURES
 from loganon import UsefulnessAccumulator, cli, parse_line
 from loganon.cli import main
 
@@ -79,6 +79,59 @@ def test_anonymize_emits_dictionary_and_meanings(tmp_path, capsys):
     meanings = dict(line.split("\t", 1) for line in (tmp_path / "meanings.tsv").read_text().splitlines())
     encoded_keys = {line.split(" ")[2] for line in (tmp_path / "encoded.log").read_text().splitlines()}
     assert encoded_keys == set(meanings)
+
+
+def test_anonymize_without_dictionary_same_encoded_log(tmp_path, capsys):
+    argv = ["anonymize", CRON_LOG, "--rules", CRON_RULES, "--mode", "individual"]
+    code, _, _ = run([*argv, "--emit-dictionary", "--out", str(tmp_path / "with")], capsys)
+    assert code == 0
+    code, _, _ = run([*argv, "--out", str(tmp_path / "without")], capsys)
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "without").iterdir()) == ["encoded.log"]
+    encoded = [(tmp_path / d / "encoded.log").read_bytes() for d in ("with", "without")]
+    assert encoded[0] == encoded[1]
+
+
+def test_anonymize_storage_counts_raw_message_bytes(tmp_path, capsys):
+    messages = ["issue #42 in ü", "##", "#PATH# and # é", "(#USER_#) plain"]
+    corpus = tmp_path / "in.log"
+    corpus.write_text("".join(f"{i} n {m}\n" for i, m in enumerate(messages)), encoding="utf-8")
+    code, out, _ = run(["anonymize", str(corpus), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert f"raw message bytes: {sum(len(m.encode('utf-8')) for m in messages)}\n" in out
+
+
+def test_anonymize_strips_one_cr_before_lf(tmp_path, capsys):
+    crlf, double_cr = tmp_path / "crlf.log", tmp_path / "double_cr.log"
+    crlf.write_bytes(b"5 n msg\r\n")
+    double_cr.write_bytes(b"5 n msg\r\r\n")
+    out = tmp_path / "out"
+    code, _, _ = run(
+        ["anonymize", str(crlf), "--strict", "--emit-dictionary", "--emit-meanings", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert (out / "meanings.tsv").read_text().split("\t")[1] == "msg\n"
+    code, stdout, _ = run(["anonymize", str(double_cr), "--out", str(tmp_path / "lenient")], capsys)
+    assert code == 0
+    assert "skipped lines: 1" in stdout
+    assert (tmp_path / "lenient" / "encoded.log").read_bytes() == b""
+    code, _, err = run(["anonymize", str(double_cr), "--strict", "--out", str(tmp_path / "strict")], capsys)
+    assert code == 4
+    assert err == "error: line 1: line contains embedded line terminator\n"
+
+
+@pytest.mark.parametrize("key,value", BAD_RULE_VALUES)
+def test_rule_file_bad_value_exits_config(tmp_path, capsys, key, value):
+    rules = tmp_path / "bad.rules"
+    rules.write_text(f"[rule NUM]\npattern = \\d+\n{key} = {value}\n")
+    out = tmp_path / "out"
+    code, stdout, err = run(["anonymize", CRON_LOG, "--rules", str(rules), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: rule NUM: ") and value in err
+    assert err.count("\n") == 1
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_anonymize_meanings_requires_dictionary(tmp_path, capsys):
@@ -391,6 +444,20 @@ def test_compare_interrupt_leaves_no_output(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_compare_failed_rename_leaves_no_output(tmp_path, capsys):
+    corpus = tmp_path / "in.log"
+    corpus.write_text("60 n001 a\n120 n002 b\n")
+    out = tmp_path / "out"
+    blocker = out / "n001-n002_similarity.csv"
+    blocker.mkdir(parents=True)
+    (blocker / "keep").write_text("")
+    code, _, err = run(["compare", str(corpus), "n001", "n002", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert list(out.iterdir()) == [blocker]
+    assert list(blocker.iterdir()) == [blocker / "keep"]
+
+
 def test_compare_rejects_reversed_days(tmp_path, capsys):
     code, out, err = run(
         ["compare", CRON_LOG, "T-1020", "T-1022", "--days", "3:1", "--out", str(tmp_path)], capsys
@@ -457,6 +524,28 @@ def test_gen_out_naming_a_directory_rejected(tmp_path, capsys):
     code, out, err = run(["gen", "--entries", "3", "--patterns", "2", "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--entries", "0"],
+        ["--patterns", "0"],
+        ["--nodes", "0"],
+        ["--days", "0"],
+        ["--style", "cmd", "--users", "0"],
+        ["--zipf-s", "nan"],
+    ],
+    ids="-".join,
+)
+def test_gen_bad_option_exits_config(tmp_path, capsys, bad):
+    out_file = tmp_path / "corpus.log"
+    argv = ["gen", "--entries", "5", "--patterns", "3", *bad, "--out", str(out_file)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 

@@ -44,6 +44,13 @@ def test_parse_line_malformed(line):
         parse_line(line)
 
 
+def test_bad_source_reason_comes_from_the_entry_check():
+    with pytest.raises(MalformedLine, match=r"^bad source field: 'a b'$"):
+        RawLogEntry(0, "a b", "x")
+    with pytest.raises(MalformedLine, match=r"^bad source field: 'a\\tb'$"):
+        parse_line("5 a\tb c")
+
+
 def test_parse_line_rejects_embedded_newline():
     with pytest.raises(MalformedLine):
         parse_line("5 n two\nlines")

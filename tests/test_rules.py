@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHELL_CMD_A, SHELL_CMD_B, shell_cmd_rulesets
+from conftest import BAD_RULE_VALUES, SHELL_CMD_A, SHELL_CMD_B, shell_cmd_rulesets
 from loganon import (
     ConfigError,
     GroupMapIncomplete,
@@ -54,18 +57,20 @@ def test_tokenize_full_coverage_and_ordered_spans():
     msg = "(root) CMD (/bin/x) at 2018-01-30 from 10.0.0.1"
     terms = tokenize(msg, default_ruleset())
     assert "".join(t.text for t in terms) == msg
-    spans = [t.span for t in terms]
-    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
-    assert spans[0][0] == 0 and spans[-1][1] == len(msg.encode())
+    variables = [t.text for t in terms if t.klass is not TermClass.CONSTANT]
+    assert variables == ["root", "/bin/x", "2018-01-30", "10.0.0.1"]
 
 
 def test_tokenize_byte_spans_non_ascii():
     rules = RuleSet((TermRule("NUM", r"\b\d+\b", significant=True),))
     msg = "héllo 42 wörld"
     terms = tokenize(msg, rules)
-    raw = msg.encode("utf-8")
-    for t in terms:
-        assert raw[t.span[0] : t.span[1]].decode("utf-8") == t.text
+    assert "".join(t.text for t in terms) == msg
+    assert [t.klass for t in terms] == [
+        TermClass.CONSTANT,
+        TermClass.VARIABLE_SIGNIFICANT,
+        TermClass.CONSTANT,
+    ]
 
 
 def test_leftmost_longest_beats_later_shorter():
@@ -313,6 +318,17 @@ def test_sanitize_mixed():
     assert sanitize_message("x # y #PATH# z ##") == "x ? y #PATH# z ??"
 
 
+SYMBOLS = st.from_regex(r"#[A-Z][A-Za-z0-9]{0,7}[A-Za-z0-9_]*#", fullmatch=True)
+HASH_RUNS = st.text(alphabet="#", min_size=1, max_size=4)
+NON_ASCII = st.text(alphabet=st.sampled_from("é€ü ÿ\U0001F600a_9Z"), max_size=6)
+
+
+@given(st.lists(st.one_of(SYMBOLS, HASH_RUNS, NON_ASCII), max_size=8).map("".join))
+def test_sanitize_keeps_utf8_length(message):
+    # The storage report counts the sanitized message in place of the raw one.
+    assert len(sanitize_message(message).encode("utf-8")) == len(message.encode("utf-8"))
+
+
 def test_deidentify_sanitizes_values():
     rules = RuleSet((TermRule("TAG", r"\bid=\S+", significant=True),), Mode.INDIVIDUAL)
     d = process_entry(entry("seen id=a#b here"), rules)[0]
@@ -438,3 +454,21 @@ def test_rule_file_orphan_groups_rejected():
 def test_rule_file_bad_mode_rejected():
     with pytest.raises(ConfigError):
         loads_rules("[ruleset]\nmode = sideways\n")
+
+
+@pytest.mark.parametrize("key,value", BAD_RULE_VALUES)
+def test_rule_file_bad_rule_value_is_config_error(key, value):
+    text = f"[rule NUM]\npattern = \\d+\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"^rule NUM: .*\b{value}\b"):
+        loads_rules(text)
+
+
+def test_readme_rule_file_loads():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    parsed = loads_rules(block)
+    rules = {r.name: r for r in parsed.rules}
+    assert parsed.mode is Mode.GLOBAL
+    assert rules["USER"].group_default == "n"
+    assert rules["USER"].group_map == {"siavash": "n", "florina": "n", "root": "p"}
+    assert rules["NUM"].mode is Mode.INDIVIDUAL
