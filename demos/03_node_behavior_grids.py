@@ -44,14 +44,12 @@ for grid, stem in (
     (similar, "n001-n002_similarity"),
     (different, "n001-n002_difference"),
 ):
-    occupied = int(grid.occupied.sum())
-    print(f"{stem:24s} {occupied:5d} occupied cells")
+    print(f"{stem:24s} {len(grid.cells):5d} occupied cells")
     for fmt in ("csv", "pgm"):
         with open(OUT / f"{stem}.{fmt}", "w", encoding="ascii") as f:
             emit_grid(grid, fmt, f)
 
 # The partition law in action: similarity and difference tile the union.
-union = grid_a.occupied | grid_b.occupied
-assert ((similar.occupied | different.occupied) == union).all()
-assert not (similar.occupied & different.occupied).any()
+assert similar.cells | different.cells == grid_a.cells | grid_b.cells
+assert not similar.cells & different.cells
 print(f"\nwrote 8 files to {OUT}/")

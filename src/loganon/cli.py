@@ -3,7 +3,8 @@
 Wires the streaming pipeline end to end: parse -> de-identify -> encode,
 plus the analysis commands over the same scan stage. Exit codes: 0 success,
 2 configuration error, 3 hash collision detected, 4 parse failure in strict
-mode.
+mode, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
+filter killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -117,9 +118,11 @@ def _anonymize_options(args: argparse.Namespace) -> tuple[RuleSet, EncoderConfig
 
 
 def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None) -> RunConfig:
-    """Check the inputs, the command's own options, --workers, then create --out.
+    """Check the inputs, the command's rule options, --workers, then create --out.
 
-    Without ``read_options`` the run scans with no rules.
+    Without ``read_options`` the run scans with no rules. A command checks
+    any other option of its own before calling this, so a bad value leaves
+    no directory behind.
     """
     for path in args.inputs:
         if path != "-" and not Path(path).exists():
@@ -245,7 +248,6 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
 
 
 def cmd_patterns(args: argparse.Namespace) -> int:
-    cfg = _run_config(args, _rule_options)
     try:
         ks = [int(k) for k in args.top.split(",") if k.strip()]
     except ValueError:
@@ -254,6 +256,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         raise ConfigError("--top must name at least one K")
     if min(ks) < 1:
         raise ConfigError(f"--top values must be >= 1: {args.top!r}")
+    cfg = _run_config(args, _rule_options)
     counts: Counter[str] = Counter()
     for item in cfg.entries():
         _, _, pattern = rewrite_matches(item.sanitized, item.matches, cfg.ruleset, None)
@@ -285,7 +288,6 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
     window = _parse_span(args.window, "--window")
     if not 0 <= window[0] < window[1] <= 1440:
         raise ConfigError(f"--window must lie within [0, 1440): {args.window}")
@@ -293,6 +295,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         day_range = _parse_span(args.days, "--days")
         if day_range[0] > day_range[1]:
             raise ConfigError(f"--days must have FIRST <= LAST: {args.days}")
+    cfg = _run_config(args)
     node_a, node_b = args.node_a, args.node_b
     entries = [item for item in cfg.entries() if item.source in (node_a, node_b)]
     if not args.days:
@@ -301,7 +304,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     grid_a = build_grid(entries, node_a, day_range, window, args.epoch_day0)
     grid_b = build_grid(entries, node_b, day_range, window, args.epoch_day0)
     for grid, name in ((grid_a, node_a), (grid_b, node_b)):
-        if not grid.occupied.any():
+        if not grid.cells:
             print(f"warning: node {name} has no entries in the selected frame", file=sys.stderr)
     fmt = args.format
     outputs = [
@@ -428,7 +431,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away. Point stdout at devnull so the
+        # interpreter's final flush stays silent, and exit as a filter
+        # killed by SIGPIPE would: 128 + 13.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -1,11 +1,11 @@
 """Per-node (day x minute) event-occurrence grids and their comparison maps.
 
-A grid marks, for one node, which (day, minute) cells saw at least one log
-entry. Comparing two nodes cell-wise gives a similarity map (both active)
-and a difference map (exactly one active); persistent horizontal or vertical
-structure in the difference map is the visual cue analysts look for. Grids
-can be emitted as CSV cell lists or as plain PGM rasters (black dot =
-occupied, white = empty).
+A grid is the set of (day, minute) cells in which one node logged at least
+one entry. Comparing two nodes cell-wise gives a similarity map (both
+active: set intersection) and a difference map (exactly one active:
+symmetric difference); persistent horizontal or vertical structure in the
+difference map is the visual cue analysts look for. Grids can be emitted as
+CSV cell lists or as plain PGM rasters (black dot = occupied, white = empty).
 
 Day indices come from ``day_index`` for an explicit epoch_day0, so no
 timezone interpretation ever happens here.
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Protocol, TextIO
-
-import numpy as np
 
 SECONDS_PER_DAY = 86400
 DEFAULT_MINUTE_WINDOW = (0, 240)
@@ -38,29 +36,28 @@ class _HasTimeAndSource(Protocol):
 
 @dataclass
 class OccurrenceGrid:
-    """Dense per-cell counts for one node over a day range and minute window.
+    """The occupied cells of one node within a frame of days and minutes.
 
     ``day_range`` is inclusive on both ends; ``minute_window`` is
-    [start, end). ``cells[d][m]`` counts entries on day ``day_range[0] + d``
-    at minute ``minute_window[0] + m``.
+    [start, end). ``cells`` holds the absolute ``(day, minute)`` pairs that
+    saw at least one entry; every other cell of the frame is empty.
     """
 
     node: str
     day_range: tuple[int, int]
     minute_window: tuple[int, int]
-    cells: np.ndarray
+    cells: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        days = self.day_range[1] - self.day_range[0] + 1
-        minutes = self.minute_window[1] - self.minute_window[0]
-        if days < 1 or minutes < 1:
+        first_day, last_day = self.day_range
+        start, end = self.minute_window
+        if first_day > last_day or start >= end:
             raise ValueError("day range and minute window must be non-empty")
-        if self.cells.shape != (days, minutes):
-            raise ValueError(f"cells shape {self.cells.shape} != ({days}, {minutes})")
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.cells > 0
+        for day, minute in self.cells:
+            if not (first_day <= day <= last_day and start <= minute < end):
+                raise ValueError(
+                    f"cell ({day}, {minute}) lies outside {self.day_range}/{self.minute_window}"
+                )
 
     def check_same_frame(self, other: "OccurrenceGrid") -> None:
         if self.day_range != other.day_range or self.minute_window != other.minute_window:
@@ -77,60 +74,52 @@ def build_grid(
     minute_window: tuple[int, int] = DEFAULT_MINUTE_WINDOW,
     epoch_day0: int = 0,
 ) -> OccurrenceGrid:
-    """Count, per (day, minute) cell, the entries of ``node`` in the window.
+    """Mark each (day, minute) cell in which ``node`` has an entry.
 
     Entries outside the node, day range, or minute window are ignored. Works
     on raw and encoded entries alike since only timestamp and source matter.
     """
     if not 0 <= minute_window[0] < minute_window[1] <= 1440:
         raise ValueError(f"minute window must lie within [0, 1440): {minute_window}")
-    days = day_range[1] - day_range[0] + 1
-    minutes = minute_window[1] - minute_window[0]
-    cells = np.zeros((days, minutes), dtype=np.int64)
+    first_day, last_day = day_range
+    start, end = minute_window
+    cells = set()
     for entry in entries:
         if entry.source != node:
             continue
         day = day_index(entry.timestamp, epoch_day0)
-        if not day_range[0] <= day <= day_range[1]:
-            continue
         minute = (entry.timestamp - epoch_day0) % SECONDS_PER_DAY // 60
-        if not minute_window[0] <= minute < minute_window[1]:
-            continue
-        cells[int(day - day_range[0]), int(minute - minute_window[0])] += 1
-    return OccurrenceGrid(node, tuple(day_range), tuple(minute_window), cells)
+        if first_day <= day <= last_day and start <= minute < end:
+            cells.add((day, minute))
+    return OccurrenceGrid(node, tuple(day_range), tuple(minute_window), frozenset(cells))
 
 
 def similarity_grid(a: OccurrenceGrid, b: OccurrenceGrid) -> OccurrenceGrid:
-    """Cells active in both grids (logical AND on occupancy)."""
+    """Cells active in both grids."""
     a.check_same_frame(b)
-    cells = (a.occupied & b.occupied).astype(np.int64)
-    return OccurrenceGrid(f"{a.node}&{b.node}", a.day_range, a.minute_window, cells)
+    return OccurrenceGrid(f"{a.node}&{b.node}", a.day_range, a.minute_window, a.cells & b.cells)
 
 
 def difference_grid(a: OccurrenceGrid, b: OccurrenceGrid) -> OccurrenceGrid:
-    """Cells active in exactly one of the grids (logical XOR on occupancy)."""
+    """Cells active in exactly one of the grids."""
     a.check_same_frame(b)
-    cells = (a.occupied ^ b.occupied).astype(np.int64)
-    return OccurrenceGrid(f"{a.node}^{b.node}", a.day_range, a.minute_window, cells)
+    return OccurrenceGrid(f"{a.node}^{b.node}", a.day_range, a.minute_window, a.cells ^ b.cells)
 
 
 def _pgm_lines(grid: OccurrenceGrid) -> list[str]:
-    days, minutes = grid.cells.shape
-    lines = ["P2", f"{minutes} {days}", "255"]
-    values = np.where(grid.occupied, 0, 255)
-    for row in values:
+    first_day, last_day = grid.day_range
+    start, end = grid.minute_window
+    lines = ["P2", f"{end - start} {last_day - first_day + 1}", "255"]
+    for day in range(first_day, last_day + 1):
+        row = ["0" if (day, minute) in grid.cells else "255" for minute in range(start, end)]
         # Keep plain-PGM lines short (70-char convention): 17 values per line.
-        tokens = [str(v) for v in row]
-        for i in range(0, len(tokens), 17):
-            lines.append(" ".join(tokens[i : i + 17]))
+        for i in range(0, len(row), 17):
+            lines.append(" ".join(row[i : i + 17]))
     return lines
 
 
 def _csv_lines(grid: OccurrenceGrid) -> list[str]:
-    lines = ["day,minute"]
-    for d, m in zip(*np.nonzero(grid.occupied)):
-        lines.append(f"{grid.day_range[0] + int(d)},{grid.minute_window[0] + int(m)}")
-    return lines
+    return ["day,minute"] + [f"{day},{minute}" for day, minute in sorted(grid.cells)]
 
 
 def emit_grid(grid: OccurrenceGrid, fmt: str, out: TextIO) -> None:

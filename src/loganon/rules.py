@@ -329,6 +329,13 @@ _RULE_SECTION_RE = re.compile(r"rule\s+(\S+)")
 _GROUPS_SECTION_RE = re.compile(r"groups\s+(\S+)")
 
 
+def _check_keys(parser: configparser.RawConfigParser, section: str, known: tuple[str, ...]) -> None:
+    """A misspelt key would silently change the ruleset, so any key not in ``known`` is an error."""
+    for key in parser.options(section):
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+
+
 def loads_rules(text: str) -> RuleSet:
     """Parse a rule file (INI syntax). See load_rules for the layout."""
     parser = configparser.RawConfigParser(delimiters=("=",), interpolation=None)
@@ -337,9 +344,13 @@ def loads_rules(text: str) -> RuleSet:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad rule file: {exc}") from exc
+    if parser.defaults():
+        # configparser would copy [DEFAULT] keys into every other section.
+        raise ConfigError("unknown section [DEFAULT]")
 
     mode = Mode.GLOBAL
     if parser.has_section("ruleset"):
+        _check_keys(parser, "ruleset", ("mode",))
         raw_mode = parser.get("ruleset", "mode", fallback="global")
         try:
             mode = Mode(raw_mode.strip().lower())
@@ -363,6 +374,7 @@ def loads_rules(text: str) -> RuleSet:
                 raise ConfigError(f"unknown section [{section}]")
             continue
         name = r.group(1)
+        _check_keys(parser, section, ("pattern", "significant", "mode"))
         if not parser.has_option(section, "pattern"):
             raise ConfigError(f"rule {name}: missing pattern")
         override = parser.get(section, "mode", fallback=None)
@@ -410,6 +422,8 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
         * = n
 
     Comments go on lines of their own; a ``;`` after a value is part of it.
+    A key not shown above in ``[ruleset]`` or ``[rule X]`` is an error;
+    ``[groups X]`` keys are values and may be anything.
     """
     return loads_rules(Path(path).read_text(encoding="utf-8"))
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # 64 filler words; no digits, no daemon names, nothing the default rules match.
 _WORDS = (
@@ -32,6 +33,8 @@ assert len(_WORDS) == 64
 
 def zipf_weights(n_patterns: int, exponent: float = 1.0) -> np.ndarray:
     """Normalized rank probabilities p_k proportional to 1/k**exponent, k = 1..n."""
+    import numpy as np  # here, not at module level: only gen needs numpy
+
     ranks = np.arange(1, n_patterns + 1, dtype=np.float64)
     weights = ranks**-exponent
     return weights / weights.sum()
@@ -94,6 +97,8 @@ def generate_lines(spec: CorpusSpec) -> Iterator[str]:
     Timestamps are sorted uniform draws over the covered days; pattern ranks
     are Zipf draws; everything is reproducible from the seed.
     """
+    import numpy as np  # here, not at module level: only gen needs numpy
+
     rng = np.random.default_rng(spec.seed)
     weights = zipf_weights(spec.patterns, spec.zipf_exponent)
     ranks = rng.choice(spec.patterns, size=spec.entries, p=weights)

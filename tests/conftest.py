@@ -19,6 +19,20 @@ from loganon import (
 FIXTURES = Path(__file__).parent / "fixtures"
 # Rule-file keys given values they cannot take, each a configuration error.
 BAD_RULE_VALUES = [("mode", "bogus"), ("significant", "maybe")]
+# Rule files with a misspelt or unknown key, and the error each must give.
+UNKNOWN_RULE_KEYS = [
+    pytest.param(
+        "[rule NUM]\npattern = \\d+\nsignficant = yes\n",
+        "unknown key 'signficant' in [rule NUM]",
+        id="signficant",
+    ),
+    pytest.param(
+        "[rule NUM]\npattern = \\d+\nmdoe = individual\n",
+        "unknown key 'mdoe' in [rule NUM]",
+        id="mdoe",
+    ),
+    pytest.param("[ruleset]\nworkers = 4\n", "unknown key 'workers' in [ruleset]", id="workers"),
+]
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import loganon
-from conftest import BAD_RULE_VALUES, FIXTURES
+from conftest import BAD_RULE_VALUES, FIXTURES, UNKNOWN_RULE_KEYS
 from loganon import UsefulnessAccumulator, cli, parse_line
 from loganon.cli import main
 
@@ -130,6 +130,18 @@ def test_rule_file_bad_value_exits_config(tmp_path, capsys, key, value):
     assert code == 2
     assert err.startswith("error: rule NUM: ") and value in err
     assert err.count("\n") == 1
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", UNKNOWN_RULE_KEYS)
+def test_rule_file_unknown_key_exits_config(tmp_path, capsys, text, message):
+    rules = tmp_path / "typo.rules"
+    rules.write_text(text)
+    out = tmp_path / "out"
+    code, stdout, err = run(["anonymize", CRON_LOG, "--rules", str(rules), "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
     assert stdout == ""
     assert not out.exists()
 
@@ -478,6 +490,26 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["patterns", CRON_LOG, "--top", "x"], "bad --top list: 'x'"),
+        (["compare", CRON_LOG, "T-1020", "T-1022", "--window", "9:3"],
+         "--window must lie within [0, 1440): 9:3"),
+        (["compare", CRON_LOG, "T-1020", "T-1022", "--days", "3:1"],
+         "--days must have FIRST <= LAST: 3:1"),
+    ],
+    ids=["top", "window", "days"],
+)
+def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "made" / "deep"
+    code, stdout, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["anonymize", *sorted(ANALYSIS_ARGV)])
 def test_out_naming_a_file_rejected(tmp_path, capsys, command):
     not_a_dir = tmp_path / "taken"
@@ -554,6 +586,27 @@ def test_gen_to_stdout(capsys):
     code, out, _ = run(["gen", "--entries", "3", "--patterns", "2", "--seed", "1"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+def test_gen_to_closed_stdout_exits_141_quietly():
+    # `loganon gen ... | head -1`: the reader leaves after one line.
+    env = dict(os.environ, PYTHONPATH=str(Path(loganon.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loganon", "gen", "--entries", "200000", "--patterns", "10",
+         "--out", "-"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_stdin_input(tmp_path):

@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import io
 
-import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -29,33 +28,34 @@ def _entry(day: int, minute: int, node: str = "nodeA", second: int = 0) -> RawLo
 
 def test_empty_corpus_all_zero():
     g = build_grid([], "nodeA", (0, 3), (0, 10), EPOCH)
-    assert g.cells.shape == (4, 10)
-    assert not g.occupied.any()
+    assert (g.day_range, g.minute_window) == ((0, 3), (0, 10))
+    assert g.cells == frozenset()
 
 
 def test_single_entry_at_origin():
     g = build_grid([_entry(0, 0)], "nodeA", (0, 1), (0, 240), EPOCH)
-    assert g.cells[0, 0] == 1
-    assert g.cells.sum() == 1
+    assert g.cells == {(0, 0)}
 
 
 def test_full_first_row_with_counting_oracle():
     entries = [_entry(0, m, second=7) for m in range(240)] + [_entry(1, 5)]
     g = build_grid(entries, "nodeA", (0, 1), (0, 240), EPOCH)
-    assert g.occupied[0].all()
-    # independent per-row count straight from timestamp arithmetic
-    expected_rows = [0, 0]
+    assert all((0, m) in g.cells for m in range(240))
+    # independent per-row count of occupied cells straight from timestamp arithmetic
+    expected_rows: list[set[int]] = [set(), set()]
     for e in entries:
         rel = e.timestamp - EPOCH
-        expected_rows[rel // 86400] += 1
-    assert list(g.cells.sum(axis=1)) == expected_rows
+        expected_rows[rel // 86400].add(rel % 86400 // 60)
+    assert [sum(1 for d, _ in g.cells if d == row) for row in (0, 1)] == [
+        len(minutes) for minutes in expected_rows
+    ]
 
 
 def test_build_grid_order_insensitive():
     entries = [_entry(d, m) for d in range(3) for m in (0, 7, 9)]
     a = build_grid(entries, "nodeA", (0, 2), (0, 10), EPOCH)
     b = build_grid(list(reversed(entries)), "nodeA", (0, 2), (0, 10), EPOCH)
-    assert np.array_equal(a.cells, b.cells)
+    assert a.cells == b.cells
 
 
 def test_build_grid_filters_node_day_and_minute():
@@ -67,13 +67,12 @@ def test_build_grid_filters_node_day_and_minute():
         RawLogEntry(EPOCH - 1, "nodeA", "m"),  # before day 0
     ]
     g = build_grid(entries, "nodeA", (0, 1), (0, 100), EPOCH)
-    assert g.cells.sum() == 1
-    assert g.cells[0, 3] == 1
+    assert g.cells == {(0, 3)}
 
 
-def test_build_grid_counts_accumulate():
+def test_build_grid_same_minute_is_one_cell():
     g = build_grid([_entry(0, 1, second=10), _entry(0, 1, second=50)], "nodeA", (0, 0), (0, 5), EPOCH)
-    assert g.cells[0, 1] == 2
+    assert g.cells == {(0, 1)}
 
 
 def test_build_grid_bad_window():
@@ -88,7 +87,7 @@ def test_raw_and_encoded_corpora_give_same_grid():
     encoded = [EncodedEntry(e.timestamp, e.source, "aa" * 4, "bb" * 4) for e in raw]
     g_raw = build_grid(raw, "nodeA", (0, 1), (0, 10), EPOCH)
     g_enc = build_grid(encoded, "nodeA", (0, 1), (0, 10), EPOCH)
-    assert np.array_equal(g_raw.cells, g_enc.cells)
+    assert g_raw.cells == g_enc.cells
 
 
 def test_day_index_floors_around_epoch():
@@ -98,50 +97,59 @@ def test_day_index_floors_around_epoch():
 
 # --- similarity / difference --------------------------------------------------
 
-def _grid_from(cells: list[list[int]], node: str = "g") -> OccurrenceGrid:
-    arr = np.array(cells, dtype=np.int64)
-    return OccurrenceGrid(node, (0, arr.shape[0] - 1), (0, arr.shape[1]), arr)
+def _grid_from(cells: set[tuple[int, int]], days: int, minutes: int, node: str = "g") -> OccurrenceGrid:
+    return OccurrenceGrid(node, (0, days - 1), (0, minutes), frozenset(cells))
 
 
 def test_similarity_idempotent_and_annihilating():
-    g = _grid_from([[1, 0], [0, 2]])
-    empty = _grid_from([[0, 0], [0, 0]])
-    assert np.array_equal(similarity_grid(g, g).cells, g.occupied.astype(int))
-    assert not similarity_grid(g, empty).occupied.any()
+    g = _grid_from({(0, 0), (1, 1)}, 2, 2)
+    empty = _grid_from(set(), 2, 2)
+    assert similarity_grid(g, g).cells == g.cells
+    assert not similarity_grid(g, empty).cells
 
 
 def test_difference_identity_and_self():
-    g = _grid_from([[1, 0], [0, 2]])
-    empty = _grid_from([[0, 0], [0, 0]])
-    assert np.array_equal(difference_grid(g, empty).occupied, g.occupied)
-    assert not difference_grid(g, g).occupied.any()
+    g = _grid_from({(0, 0), (1, 1)}, 2, 2)
+    empty = _grid_from(set(), 2, 2)
+    assert difference_grid(g, empty).cells == g.cells
+    assert not difference_grid(g, g).cells
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        similarity_grid(_grid_from([[1]]), _grid_from([[1, 0]]))
+        similarity_grid(_grid_from({(0, 0)}, 1, 1), _grid_from({(0, 0)}, 1, 2))
     with pytest.raises(DimensionMismatch):
-        difference_grid(_grid_from([[1]]), _grid_from([[1], [0]]))
+        difference_grid(_grid_from({(0, 0)}, 1, 1), _grid_from({(0, 0)}, 2, 1))
 
 
-grids_pair = st.tuples(
-    st.lists(st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
-             min_size=4, max_size=4),
-    st.lists(st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
-             min_size=4, max_size=4),
+@pytest.mark.parametrize(
+    "day_range,window,cells",
+    [
+        ((1, 0), (0, 5), set()),         # empty day range
+        ((0, 1), (5, 5), set()),         # empty minute window
+        ((0, 1), (0, 5), {(2, 0)}),      # day past the range
+        ((0, 1), (0, 5), {(-1, 0)}),     # day before the range
+        ((0, 1), (2, 5), {(0, 5)}),      # window end is exclusive
+        ((0, 1), (2, 5), {(0, 1)}),      # minute before the window
+    ],
 )
+def test_grid_rejects_cells_outside_its_frame(day_range, window, cells):
+    with pytest.raises(ValueError):
+        OccurrenceGrid("g", day_range, window, frozenset(cells))
 
 
-@given(grids_pair)
-def test_similarity_commutative_and_partition(pair):
-    a, b = (_grid_from(c) for c in pair)
+cell_sets = st.sets(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=5)))
+
+
+@given(cell_sets, cell_sets)
+def test_similarity_commutative_and_partition(cells_a, cells_b):
+    a, b = _grid_from(cells_a, 4, 6), _grid_from(cells_b, 4, 6)
     sim = similarity_grid(a, b)
     diff = difference_grid(a, b)
-    assert np.array_equal(sim.cells, similarity_grid(b, a).cells)
-    assert np.array_equal(diff.cells, difference_grid(b, a).cells)
-    union = a.occupied | b.occupied
-    assert np.array_equal(sim.occupied | diff.occupied, union)
-    assert not (sim.occupied & diff.occupied).any()
+    assert sim.cells == similarity_grid(b, a).cells
+    assert diff.cells == difference_grid(b, a).cells
+    assert sim.cells | diff.cells == a.cells | b.cells
+    assert not sim.cells & diff.cells
 
 
 # --- emission -----------------------------------------------------------------
@@ -153,21 +161,21 @@ def _emitted(grid: OccurrenceGrid, fmt: str) -> str:
 
 
 def test_emit_empty_pgm():
-    g = _grid_from([[0, 0, 0], [0, 0, 0]])
+    g = _grid_from(set(), 2, 3)
     lines = _emitted(g, "pgm").splitlines()
     assert lines[:3] == ["P2", "3 2", "255"]
     assert all(v == "255" for line in lines[3:] for v in line.split())
 
 
 def test_emit_single_cell_pgm():
-    g = _grid_from([[1, 0], [0, 0]])
+    g = _grid_from({(0, 0)}, 2, 2)
     body = _emitted(g, "pgm").splitlines()[3:]
     assert body[0].split() == ["0", "255"]
     assert body[1].split() == ["255", "255"]
 
 
 def test_emit_pgm_wraps_long_rows():
-    g = _grid_from([[0] * 100])
+    g = _grid_from(set(), 1, 100)
     lines = _emitted(g, "pgm").splitlines()
     assert lines[1] == "100 1"
     assert all(len(line) <= 70 for line in lines)
@@ -182,7 +190,7 @@ def test_emit_csv_lists_set_cells():
 def test_emit_unknown_format():
     out = io.StringIO()
     with pytest.raises(ValueError):
-        emit_grid(_grid_from([[1]]), "bmp", out)
+        emit_grid(_grid_from({(0, 0)}, 1, 1), "bmp", out)
     assert out.getvalue() == ""
 
 
@@ -200,3 +208,66 @@ def test_golden_grid_files():
     csv = _emitted(g, "csv").encode("ascii")
     assert pgm == (FIXTURES / "grid_small.pgm").read_bytes()
     assert csv == (FIXTURES / "grid_small.csv").read_bytes()
+
+
+# --- independent oracle ---------------------------------------------------------
+
+def _oracle_text(
+    entries: list[RawLogEntry],
+    node: str,
+    day_range: tuple[int, int],
+    window: tuple[int, int],
+    epoch: int,
+    fmt: str,
+) -> str:
+    """The expected CSV or PGM text, from divmod on each timestamp alone."""
+    occupied = set()
+    for e in entries:
+        day, second_of_day = divmod(e.timestamp - epoch, 86400)
+        minute = second_of_day // 60
+        if e.source == node and day_range[0] <= day <= day_range[1] and window[0] <= minute < window[1]:
+            occupied.add((day, minute))
+    if fmt == "csv":
+        return "day,minute\n" + "".join(f"{d},{m}\n" for d, m in sorted(occupied))
+    width, height = window[1] - window[0], day_range[1] - day_range[0] + 1
+    text = f"P2\n{width} {height}\n255\n"
+    for day in range(day_range[0], day_range[1] + 1):
+        row = ["255"] * width
+        for d, m in occupied:
+            if d == day:
+                row[m - window[0]] = "0"
+        text += "".join(" ".join(row[i : i + 17]) + "\n" for i in range(0, width, 17))
+    return text
+
+
+@st.composite
+def _grid_case(draw):
+    """A frame, and entries of several nodes around it: before the epoch,
+    outside the day range, and on or next to either edge of the window."""
+    epoch = draw(st.integers(min_value=3 * 86400, max_value=10**7))
+    first_day = draw(st.integers(min_value=-2, max_value=3))
+    day_range = (first_day, first_day + draw(st.integers(min_value=0, max_value=2)))
+    start = draw(st.integers(min_value=0, max_value=1400))
+    window = (start, draw(st.integers(min_value=start + 1, max_value=min(start + 30, 1440))))
+    edges = [m for m in (start - 1, start, window[1] - 1, window[1]) if 0 <= m < 1440]
+    nodes = st.sampled_from(["n1", "n2", "n3"])
+    near = st.builds(
+        lambda day, minute, second: day * 86400 + minute * 60 + second,
+        st.integers(min_value=day_range[0] - 1, max_value=day_range[1] + 1),
+        st.one_of(st.sampled_from(edges), st.integers(min_value=0, max_value=1439)),
+        st.integers(min_value=0, max_value=59),
+    )
+    anywhere = st.integers(min_value=-3 * 86400, max_value=7 * 86400)
+    offsets = draw(st.lists(st.tuples(nodes, near), max_size=20))
+    offsets += draw(st.lists(st.tuples(nodes, anywhere), max_size=20))
+    entries = [RawLogEntry(epoch + off, node, "m") for node, off in offsets]
+    return entries, day_range, window, epoch
+
+
+@settings(max_examples=300)
+@given(_grid_case())
+def test_emitted_grid_matches_independent_oracle(case):
+    entries, day_range, window, epoch = case
+    grid = build_grid(entries, "n1", day_range, window, epoch)
+    for fmt in ("csv", "pgm"):
+        assert _emitted(grid, fmt) == _oracle_text(entries, "n1", day_range, window, epoch, fmt)

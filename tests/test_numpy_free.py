@@ -1,0 +1,62 @@
+"""numpy is loaded only by `gen`: every other command runs without it."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import loganon
+from conftest import FIXTURES
+from loganon.synth import CorpusSpec, generate_lines
+
+SRC = str(Path(loganon.__file__).parent.parent)
+
+
+def _fresh_python(code: str, cwd: Path) -> str:
+    """Run ``code`` in a new interpreter that imports loganon from this tree; return its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_analysis_commands_do_not_import_numpy(tmp_path):
+    log, rules = FIXTURES / "cron_sample.log", FIXTURES / "cron_sample.rules"
+    out = _fresh_python(
+        "import sys\n"
+        "import loganon\n"
+        "from loganon import cli\n"
+        f"assert cli.main(['patterns', {str(log)!r}, '--rules', {str(rules)!r}, '--out', 'p']) == 0\n"
+        f"assert cli.main(['compare', {str(log)!r}, 'T-1020', 'T-1022', '--epoch-day0', '1517270400',"
+        " '--format', 'pgm', '--out', 'c']) == 0\n"
+        "print('numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("style", ["plain", "cmd"])
+def test_gen_imports_numpy_and_keeps_its_bytes(tmp_path, style):
+    out = _fresh_python(
+        "import sys\n"
+        "from loganon import cli\n"
+        "assert cli.main(['gen', '--entries', '300', '--patterns', '40', '--seed', '9',"
+        f" '--style', {style!r}, '--out', 'corpus.log']) == 0\n"
+        "print('numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert out.splitlines()[-1] == "True"
+    spec = CorpusSpec(entries=300, patterns=40, seed=9, style=style)
+    expected = "".join(line + "\n" for line in generate_lines(spec)).encode("utf-8")
+    assert (tmp_path / "corpus.log").read_bytes() == expected

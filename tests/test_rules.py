@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_RULE_VALUES, SHELL_CMD_A, SHELL_CMD_B, shell_cmd_rulesets
+from conftest import BAD_RULE_VALUES, SHELL_CMD_A, SHELL_CMD_B, UNKNOWN_RULE_KEYS, shell_cmd_rulesets
 from loganon import (
     ConfigError,
     GroupMapIncomplete,
@@ -444,6 +444,8 @@ def test_loads_rules_literal_ini():
 def test_rule_file_unknown_section_rejected():
     with pytest.raises(ConfigError):
         loads_rules("[nonsense]\nx = 1\n")
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        loads_rules("[DEFAULT]\nsignificant = yes\n\n[rule A]\npattern = a\n")
 
 
 def test_rule_file_orphan_groups_rejected():
@@ -461,6 +463,13 @@ def test_rule_file_bad_rule_value_is_config_error(key, value):
     text = f"[rule NUM]\npattern = \\d+\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=rf"^rule NUM: .*\b{value}\b"):
         loads_rules(text)
+
+
+@pytest.mark.parametrize("text,message", UNKNOWN_RULE_KEYS)
+def test_rule_file_unknown_key_rejected(text, message):
+    with pytest.raises(ConfigError) as info:
+        loads_rules(text)
+    assert str(info.value) == message
 
 
 def test_readme_rule_file_loads():
