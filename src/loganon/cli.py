@@ -48,7 +48,13 @@ from .rules import (
     rewrite_matches,
 )
 from .synth import CorpusSpec, generate_lines
-from .usefulness import CoverageTable, PatternStats, UsefulnessAccumulator, top_k_coverage
+from .usefulness import (
+    CoverageTable,
+    PatternKeys,
+    PatternStats,
+    UsefulnessAccumulator,
+    top_k_coverage,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -232,9 +238,10 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
         print("no entries", file=sys.stderr)
         return EXIT_OK
     mode_label = cfg.ruleset.mode.value
+    pattern_keys: PatternKeys = {}
     with _staged_outputs(cfg.out_dir) as create:
         for key in sorted(accumulators, key=lambda k: (k is not None, k)):
-            report = accumulators[key].report(mode_label, cfg.encoder)
+            report = accumulators[key].report(mode_label, cfg.encoder, pattern_keys)
             suffix = "" if key is None else f"_d{key}"
             with create(f"usefulness{suffix}.csv") as f:
                 f.write("\n".join(report.csv_lines()) + "\n")

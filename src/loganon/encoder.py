@@ -10,7 +10,7 @@ storage report quantifies how much smaller the encoded corpus is.
 from __future__ import annotations
 
 import hashlib
-import threading
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -47,33 +47,43 @@ def hash_text(text: str, cfg: EncoderConfig = EncoderConfig()) -> str:
     return hashlib.shake_128(text.encode("utf-8")).hexdigest(cfg.digest_length_bytes)
 
 
+def _safe_digest_bytes(n: int) -> int:
+    """The smallest --digest-bytes (4-32) at which n keys collide with probability below 1e-6.
+
+    Uses the birthday estimate 1 - exp(-n^2 / 2^(8b+1)) for b bytes.
+    """
+    return next((b for b in range(4, 33) if -math.expm1(-(n * n) / 2 ** (8 * b + 1)) < 1e-6), 32)
+
+
 class PatternDictionary:
     """One-to-one map from hash key to the text it encodes, with counts.
 
-    register() is atomic check-and-insert: a key seen again with the same
-    text increments its count, a key seen with different text raises
+    register() checks and inserts: a key seen again with the same text
+    increments its count, a key seen with different text raises
     CollisionDetected. Counts therefore always sum to the number of
-    registrations.
+    registrations. Not thread-safe: the streaming pipeline registers only
+    in its single ordered reduce step.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[str, int]] = {}
-        self._lock = threading.Lock()
 
     def register(self, key: str, text: str) -> int:
-        with self._lock:
-            known = self._entries.get(key)
-            if known is None:
-                self._entries[key] = (text, 1)
-                return 1
-            known_text, count = known
-            if known_text != text:
-                raise CollisionDetected(
-                    f"key {key} maps to both {known_text!r} and {text!r}; "
-                    "increase the digest width and re-run"
-                )
-            self._entries[key] = (known_text, count + 1)
-            return count + 1
+        known = self._entries.get(key)
+        if known is None:
+            self._entries[key] = (text, 1)
+            return 1
+        known_text, count = known
+        if known_text != text:
+            n = len(self._entries)
+            raise CollisionDetected(
+                f"key {key} maps to both {known_text!r} and {text!r}; "
+                "increase the digest width and re-run "
+                f"(distinct keys so far: {n}, width: {len(key) // 2} bytes; smallest "
+                f"--digest-bytes with a birthday estimate below 1e-6: {_safe_digest_bytes(n)})"
+            )
+        self._entries[key] = (known_text, count + 1)
+        return count + 1
 
     def items(self) -> Iterator[tuple[str, str, int]]:
         """(key, text, count) triples in first-registration order."""

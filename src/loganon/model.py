@@ -13,6 +13,10 @@ from enum import Enum
 from typing import NamedTuple, Union
 
 _TIMESTAMP_RE = re.compile(r"[0-9]+")
+# One C call per check: \s is exactly str.isspace, and a key is one or
+# more pairs of lowercase hex digits.
+_SPACE_RE = re.compile(r"\s")
+_HEX_KEY_RE = re.compile(r"(?:[0-9a-f]{2})+")
 
 
 class MalformedLine(ValueError):
@@ -36,7 +40,7 @@ class RawLogEntry:
     def __post_init__(self) -> None:
         if self.timestamp < 0:
             raise ValueError("timestamp must be >= 0")
-        if not self.source or any(c.isspace() for c in self.source):
+        if not self.source or _SPACE_RE.search(self.source):
             raise MalformedLine(f"bad source field: {self.source!r}")
         if "\n" in self.message or "\r" in self.message:
             raise ValueError("message must not contain line terminators")
@@ -86,7 +90,7 @@ class EncodedEntry:
 
     def __post_init__(self) -> None:
         for key in (self.hash_key, self.category_key):
-            if not key or len(key) % 2 or not all(c in "0123456789abcdef" for c in key):
+            if not _HEX_KEY_RE.fullmatch(key):
                 raise ValueError(f"key {key!r} is not lowercase hex of even length")
 
 

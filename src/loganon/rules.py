@@ -12,14 +12,19 @@ significant ones are rewritten according to the active granularity:
 The fully generalized rewrite of a message (every variable term replaced by
 its global symbol) is its *event pattern*; entries sharing an event pattern
 form one event category.
+
+Scanning skips a rule whose prefilter rules it out. The prefilter is a
+necessary condition for the rule's pattern to match anywhere in a message,
+derived once from the pattern's parse tree and written over literal
+substrings (see TermRule.prefilter); it is never sufficient, so skipping
+cannot change a match.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -32,6 +37,14 @@ from .model import (
     TermClass,
 )
 
+try:
+    from re import _parser as _sre_parse
+except ImportError:  # Python 3.10 names the regex parser sre_parse
+    try:
+        import sre_parse as _sre_parse
+    except ImportError:
+        _sre_parse = None
+
 _NAME_RE = re.compile(r"[A-Z][A-Za-z0-9]{0,7}")
 # Group labels are restricted to the symbol tail alphabet below, so every
 # emitted #NAME<label># stays a well-formed symbol that sanitizing keeps.
@@ -40,6 +53,15 @@ _LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
 _SYMBOL_RE = re.compile(r"#[A-Z][A-Za-z0-9]{0,7}[A-Za-z0-9_]*#")
 
 GROUP_DEFAULT_KEY = "*"
+
+# A prefilter in conjunctive normal form: a tuple of clauses, each a tuple
+# of strings at least one of which must occur in the message. The empty
+# tuple (no clause) means "always run the pattern".
+Prefilter = tuple[tuple[str, ...], ...]
+_ALWAYS: Prefilter = ()
+# Bounds the condition: an alternation multiplies the clauses of its branches,
+# and each string is one `in` test per scanned message.
+_PREFILTER_MAX_STRINGS = 32
 
 
 class ConfigError(ValueError):
@@ -63,7 +85,8 @@ class TermRule:
     ``pattern`` may be a regex string or a precompiled pattern; it must never
     match the empty string. ``mode`` overrides the RuleSet mode for this rule
     only. ``group_map`` maps matched values to group labels; a missing value
-    falls back to ``group_default`` when set.
+    falls back to ``group_default`` when set. ``prefilter`` is derived from
+    the pattern: a message that fails it cannot match (see _prefilter_of).
     """
 
     name: str
@@ -72,6 +95,7 @@ class TermRule:
     mode: Optional[Mode] = None
     group_map: Optional[Mapping[str, str]] = None
     group_default: Optional[str] = None
+    prefilter: Prefilter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _NAME_RE.fullmatch(self.name):
@@ -87,6 +111,7 @@ class TermRule:
             object.__setattr__(self, "pattern", pat)
         if pat.search("") is not None:
             raise ConfigError(f"rule {self.name}: pattern must not match the empty string")
+        object.__setattr__(self, "prefilter", _prefilter_of(pat))
         labels = list(self.group_map.values()) if self.group_map is not None else []
         if self.group_default is not None:
             labels.append(self.group_default)
@@ -124,6 +149,88 @@ class RuleSet:
         return rule.mode if rule.mode is not None else self.mode
 
 
+def _prefilter_of(pattern: re.Pattern) -> Prefilter:
+    """A necessary condition, over literal substrings, for ``pattern`` to match.
+
+    Derived from the parse tree: a run of literal characters is one required
+    string; a sequence needs all its parts, an alternation one of its
+    branches. Groups, atomic groups, positive lookarounds and repeats with
+    a minimum of at least one are entered. Everything else (classes,
+    categories, negative lookarounds, back references, conditionals, a
+    scoped ``(?i:...)``) requires nothing. Any global IGNORECASE, a
+    condition of more than _PREFILTER_MAX_STRINGS strings, or a Python
+    without the parser give _ALWAYS.
+    """
+    if _sre_parse is None:
+        return _ALWAYS
+    parsed = _sre_parse.parse(pattern.pattern, pattern.flags)
+    if parsed.state.flags & re.IGNORECASE:
+        return _ALWAYS
+    cnf = _sequence_cnf(parsed)
+    return cnf if _cnf_size(cnf) <= _PREFILTER_MAX_STRINGS else _ALWAYS
+
+
+def _cnf_size(cnf: Prefilter) -> int:
+    return sum(len(clause) for clause in cnf)
+
+
+def _sequence_cnf(items) -> Prefilter:
+    """AND over a sequence of parse-tree nodes; adjacent literals join into one string."""
+    clauses: list[tuple[str, ...]] = []
+    run: list[str] = []
+    for op, av in items:
+        if op.name == "LITERAL":
+            run.append(chr(av))
+            continue
+        if run:
+            clauses.append(("".join(run),))
+            run = []
+        clauses.extend(_node_cnf(op.name, av))
+    if run:
+        clauses.append(("".join(run),))
+    return tuple(dict.fromkeys(clauses))
+
+
+def _node_cnf(name: str, av) -> Prefilter:
+    if name == "SUBPATTERN":
+        _, add_flags, _, body = av
+        return _ALWAYS if add_flags & re.IGNORECASE else _sequence_cnf(body)
+    if name == "ATOMIC_GROUP":
+        return _sequence_cnf(av)
+    if name == "ASSERT":  # lookahead or lookbehind: its text is in the message too
+        return _sequence_cnf(av[1])
+    if name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"):
+        low, _, body = av
+        return _sequence_cnf(body) if low >= 1 else _ALWAYS
+    if name == "BRANCH":
+        # OR of two CNFs: one clause per pair of clauses, their union.
+        result: Optional[Prefilter] = None
+        for branch in av[1]:
+            cnf = _sequence_cnf(branch)
+            if not cnf:
+                return _ALWAYS
+            if result is not None:
+                cnf = tuple(
+                    dict.fromkeys(tuple(dict.fromkeys(a + b)) for a in result for b in cnf)
+                )
+            if _cnf_size(cnf) > _PREFILTER_MAX_STRINGS:
+                return _ALWAYS
+            result = cnf
+        return result
+    return _ALWAYS
+
+
+def _may_match(prefilter: Prefilter, message: str) -> bool:
+    """False only if some clause has none of its strings in ``message``."""
+    for clause in prefilter:
+        for text in clause:
+            if text in message:
+                break
+        else:
+            return False
+    return True
+
+
 class RuleMatch(NamedTuple):
     """One variable-term match, in character offsets."""
 
@@ -137,23 +244,21 @@ class SymbolRegistry:
 
     Indices are dense, 1-based, and assigned in first-occurrence order, so a
     sequential pass over the same entry order always reproduces the same
-    symbols. Assignment is atomic; the streaming pipeline keeps
-    first-occurrence order by assigning indices in its single ordered
-    reduce step.
+    symbols. Not thread-safe: the streaming pipeline assigns indices only
+    in its single ordered reduce step, which also keeps first-occurrence
+    order.
     """
 
     def __init__(self) -> None:
         self._by_rule: dict[str, dict[str, int]] = {}
-        self._lock = threading.Lock()
 
     def index(self, rule_name: str, value: str) -> int:
-        with self._lock:
-            values = self._by_rule.setdefault(rule_name, {})
-            idx = values.get(value)
-            if idx is None:
-                idx = len(values) + 1
-                values[value] = idx
-            return idx
+        values = self._by_rule.setdefault(rule_name, {})
+        idx = values.get(value)
+        if idx is None:
+            idx = len(values) + 1
+            values[value] = idx
+        return idx
 
     def rows(self) -> Iterator[tuple[str, str]]:
         """Yield (symbol, original value) pairs in assignment order."""
@@ -185,27 +290,34 @@ def scan_message(message: str, ruleset: RuleSet) -> list[RuleMatch]:
     """Find all variable-term matches, leftmost-longest, ties by rule order.
 
     Matches never overlap: after a match is taken, scanning resumes at its
-    end. Character offsets refer to ``message`` as given.
+    end. Character offsets refer to ``message`` as given. A rule runs only
+    if its prefilter holds, and leaves the scan once a search finds
+    nothing: a search from a later position cannot match either.
     """
     rules = ruleset.rules
     if not rules or not message:
         return []
+    # Rule index -> the rule's next candidate match at or after the cursor.
+    candidates: dict[int, re.Match] = {}
+    for i, rule in enumerate(rules):
+        if _may_match(rule.prefilter, message):
+            m = rule.pattern.search(message)
+            if m is not None:
+                candidates[i] = m
     matches: list[RuleMatch] = []
-    # Per-rule cache of the next candidate match at or after the cursor.
-    candidates: list[Optional[re.Match]] = [r.pattern.search(message) for r in rules]
     pos = 0
     n = len(message)
-    while pos < n:
+    while candidates and pos < n:
         best: Optional[tuple[int, int, int]] = None  # (start, -length, rule_index)
-        for i, rule in enumerate(rules):
-            m = candidates[i]
+        for i, m in list(candidates.items()):
             while m is not None and (m.start() < pos or m.end() <= m.start()):
                 # Re-seek past the cursor; skip degenerate empty matches.
                 next_from = max(pos, m.start() + 1) if m.end() <= m.start() else pos
-                m = rule.pattern.search(message, next_from)
-            candidates[i] = m
+                m = rules[i].pattern.search(message, next_from)
             if m is None:
+                del candidates[i]
                 continue
+            candidates[i] = m
             key = (m.start(), -(m.end() - m.start()), i)
             if best is None or key < best:
                 best = key

@@ -271,6 +271,11 @@ def top_k_coverage(stats: Sequence[PatternStats], ks: Union[int, Iterable[int]])
     return CoverageTable(n_entries=n_entries, n_patterns=len(ordered), rows=tuple(rows))
 
 
+# Pattern text -> (category key, significant slot names); shared by the
+# per-day accumulators of one run, so each pattern is hashed once.
+PatternKeys = dict[str, tuple[str, tuple[str, ...]]]
+
+
 class UsefulnessAccumulator:
     """Streaming collection of pattern statistics from de-identified entries.
 
@@ -298,13 +303,21 @@ class UsefulnessAccumulator:
             values.add(sig.original_value)
             symbols.add(sig.symbol)
 
-    def stats(self, cfg: EncoderConfig = EncoderConfig()) -> list[PatternStats]:
+    def stats(
+        self, cfg: EncoderConfig = EncoderConfig(), keys: Optional[PatternKeys] = None
+    ) -> list[PatternStats]:
+        """Pattern statistics; ``keys`` may be shared by the accumulators of one run and cfg."""
+        if keys is None:
+            keys = {}
         out = []
         for pattern, (f_p, slots) in self._patterns.items():
-            names = _slot_names(pattern, len(slots))
+            known = keys.get(pattern)
+            if known is None:
+                known = keys[pattern] = (hash_text(pattern, cfg), _significant_names(pattern))
+            category_key, names = known
             per_term = tuple(
                 TermCardinality(
-                    rule_name=names[i],
+                    rule_name=names[i] if i < len(names) else f"slot{i}",
                     n_values=len(values),
                     n_symbols=len(symbols),
                 )
@@ -312,7 +325,7 @@ class UsefulnessAccumulator:
             )
             out.append(
                 PatternStats(
-                    category_key=hash_text(pattern, cfg),
+                    category_key=category_key,
                     pattern_text=pattern,
                     f_p=f_p,
                     per_term=per_term,
@@ -320,20 +333,22 @@ class UsefulnessAccumulator:
             )
         return out
 
-    def report(self, mode_label: str = "", cfg: EncoderConfig = EncoderConfig()) -> UsefulnessReport:
-        return usefulness(self.stats(cfg), self.n_entries, mode_label)
+    def report(
+        self,
+        mode_label: str = "",
+        cfg: EncoderConfig = EncoderConfig(),
+        keys: Optional[PatternKeys] = None,
+    ) -> UsefulnessReport:
+        return usefulness(self.stats(cfg, keys), self.n_entries, mode_label)
 
 
 _SIGNIFICANT_SYMBOL_RE = re.compile(r"#([A-Z][A-Za-z0-9]{0,7})_#")
 
 
-def _slot_names(pattern: str, n_slots: int) -> list[str]:
+def _significant_names(pattern: str) -> tuple[str, ...]:
     # Significant slots appear in the pattern as #NAME_#; rule names are
     # alphanumeric, so the trailing underscore delimits them exactly.
-    names = [m.group(1) for m in _SIGNIFICANT_SYMBOL_RE.finditer(pattern)]
-    if len(names) < n_slots:
-        names += [f"slot{i}" for i in range(len(names), n_slots)]
-    return names[:n_slots]
+    return tuple(m.group(1) for m in _SIGNIFICANT_SYMBOL_RE.finditer(pattern))
 
 
 def render_decimal(value: Rational, places: int = 4) -> str:

@@ -12,7 +12,7 @@ import pytest
 
 import loganon
 from conftest import BAD_RULE_VALUES, FIXTURES, UNKNOWN_RULE_KEYS
-from loganon import UsefulnessAccumulator, cli, parse_line
+from loganon import UsefulnessAccumulator, cli, hash_text, parse_line
 from loganon.cli import main
 
 CRON_LOG = str(FIXTURES / "cron_sample.log")
@@ -176,7 +176,11 @@ def test_anonymize_collision_exit_code(tmp_path, capsys):
         ["anonymize", str(corpus), "--rules", str(rules), "--out", str(tmp_path)], capsys
     )
     assert code == 3
-    assert "digest" in err
+    assert err == (
+        f"error: key {hash_text(COLLIDING_MESSAGES[0])} maps to both {COLLIDING_MESSAGES[0]!r} "
+        f"and {COLLIDING_MESSAGES[1]!r}; increase the digest width and re-run (distinct keys "
+        "so far: 1, width: 4 bytes; smallest --digest-bytes with a birthday estimate below 1e-6: 4)\n"
+    )
     assert_no_encoded_output(tmp_path)
 
 
@@ -295,6 +299,36 @@ def test_usefulness_per_day(tmp_path, capsys):
     assert (tmp_path / "usefulness_d0.csv").exists()
     assert (tmp_path / "usefulness_d1.csv").exists()
     assert "--- day 0 ---" in out and "--- day 1 ---" in out
+
+
+def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypatch):
+    # "#NUM_# literal" and "5 literal" share one pattern with 0 and 1 slots.
+    messages = ["job 17 done", "job 42 done", "disk full", "#NUM_# literal", "5 literal"]
+    lines = [(day * 86400 + i, m) for day in range(3) for i, m in enumerate(messages[day:] + messages[:day])]
+    corpus = tmp_path / "in.log"
+    corpus.write_text("".join(f"{ts} n {m}\n" for ts, m in lines))
+    hashed = []
+
+    def counted(text, cfg):
+        hashed.append(text)
+        return hash_text(text, cfg)
+
+    # The package rebinds the name `usefulness` to the metric function.
+    monkeypatch.setattr(sys.modules["loganon.usefulness"], "hash_text", counted)
+    code, _, _ = run(["usefulness", str(corpus), "--per-day", "--mode", "individual",
+                      "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert sorted(hashed) == ["#NUM_# literal", "disk full", "job #NUM_# done"]
+    # Each day's file equals a report built without a shared key map.
+    rules = loganon.default_ruleset(loganon.Mode.INDIVIDUAL)
+    registry = loganon.SymbolRegistry()
+    days = [UsefulnessAccumulator() for _ in range(3)]
+    for ts, message in lines:
+        deid, pattern = loganon.process_entry(loganon.RawLogEntry(ts, "n", message), rules, registry)
+        days[ts // 86400].add(deid, pattern)
+    for day, accumulator in enumerate(days):
+        expected = "\n".join(accumulator.report("individual").csv_lines()) + "\n"
+        assert (tmp_path / "out" / f"usefulness_d{day}.csv").read_text() == expected
 
 
 def test_usefulness_interrupt_leaves_no_output(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,26 @@ def test_forced_collision_at_one_byte():
     with pytest.raises(CollisionDetected):
         for i in range(257):
             d.register(hash_text(f"t{i}", cfg), f"t{i}")
+
+
+def smallest_safe_width(n: int) -> int:
+    """Independent of the encoder: the first width from 4 up whose birthday estimate is below 1e-6."""
+    return next(b for b in range(4, 33) if 1 - math.exp(-(n * n) / 2 ** (8 * b + 1)) < 1e-6)
+
+
+@pytest.mark.parametrize("n, width", [(1, 4), (92, 4), (93, 5), (100_000, 7)])
+def test_collision_error_names_a_safe_width(n, width):
+    assert smallest_safe_width(n) == width
+    d = PatternDictionary()
+    for i in range(n):
+        d.register(f"{i:08x}", f"text {i}")
+    with pytest.raises(CollisionDetected) as caught:
+        d.register("00000000", "another text")
+    assert str(caught.value) == (
+        "key 00000000 maps to both 'text 0' and 'another text'; increase the digest width "
+        f"and re-run (distinct keys so far: {n}, width: 4 bytes; smallest --digest-bytes "
+        f"with a birthday estimate below 1e-6: {width})"
+    )
 
 
 def _encode(message: str, rules, dicts, registry, cfg=EncoderConfig()):

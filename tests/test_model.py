@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loganon import EncodedEntry, MalformedLine, RawLogEntry, parse_line, render_entry
+from loganon import EncodedEntry, MalformedLine, RawLogEntry, model, parse_line, render_entry
 
 
 def test_parse_line_basic():
@@ -96,3 +96,28 @@ message_strategy = st.text(max_size=80).filter(lambda s: "\n" not in s and "\r" 
 def test_parse_render_round_trip(ts, source, message):
     entry = RawLogEntry(ts, source, message)
     assert parse_line(render_entry(entry)) == entry
+
+
+def test_source_whitespace_check_is_str_isspace_on_every_code_point():
+    # RawLogEntry rejects a source holding any character for which
+    # str.isspace() is true; its compiled \s must agree on all of Unicode.
+    everything = "".join(map(chr, range(0x110000)))
+    assert model._SPACE_RE.findall(everything) == [c for c in everything if c.isspace()]
+    for c in (c for c in everything if c.isspace()):
+        with pytest.raises(MalformedLine):
+            RawLogEntry(0, f"a{c}b", "x")
+
+
+def old_hex_key_check(key: str) -> bool:
+    """The key check as written before it became one regex: even-length lowercase hex."""
+    return bool(key) and len(key) % 2 == 0 and all(c in "0123456789abcdef" for c in key)
+
+
+@given(key=st.one_of(st.text(alphabet="0123456789abcdefABCDEF\n g٣", max_size=9), st.text(max_size=9)))
+def test_encoded_entry_key_check_matches_old_check(key):
+    for hash_key, category_key in ((key, "00"), ("00", key)):
+        if old_hex_key_check(key):
+            EncodedEntry(0, "n", hash_key, category_key)
+        else:
+            with pytest.raises(ValueError):
+                EncodedEntry(0, "n", hash_key, category_key)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ from loganon import (
     sanitize_message,
     tokenize,
 )
-from loganon.rules import RuleMatch, scan_message
+from loganon import rules as rules_module
+from loganon.rules import DAEMON_NAMES, RuleMatch, scan_message
 
 
 def entry(message: str, ts: int = 1, source: str = "T-1") -> RawLogEntry:
@@ -228,10 +230,15 @@ def test_group_label_outside_symbol_alphabet_rejected(label):
 
 # Rule patterns over a tiny alphabet, chosen so that random rulesets overlap,
 # tie on length, look around the cursor, and offer empty matches mid-message.
+# The second group exercises what the rule prefilter models or falls back
+# on: classes, alternations, lookarounds, repeats, case folding, \b and \d.
 SCAN_PATTERNS = (
     r"a", r"a+", r"ab", r"ba", r"b+a?", r"[ab]{2}", r"a|ab", r"ab|a", r"a+b+",
     r"(?<=a)b+", r"(?<=b)a", r"a(?=b)", r"\ba+", r"\bb", r"a\b", r"a*b",
     r"#", r"x+", r"\w+", r"[^ab]+",
+    r"[aA]b", r"(?:ab|ba)+", r"a{2,}", r"(?:a|x)b|b#", r"(?<=a|b)a", r"(?<!a)b",
+    r"a(?!b)", r"(?i)ab", r"(?i:a)b", r"(?i:ab)|x", r"\d+", r"\b\d\b", r"a\d?b",
+    r"(a)\1", r"(?=ab)a", r"(?<=\d)a", r"b(?:a|1)+?", r"x|ab", r"#b|1a",
 )
 
 
@@ -258,11 +265,126 @@ def oracle_scan(message: str, ruleset: RuleSet) -> list[RuleMatch]:
 @settings(max_examples=1000)
 @given(
     patterns=st.lists(st.sampled_from(SCAN_PATTERNS), min_size=1, max_size=5),
-    message=st.text(alphabet="ab x#", max_size=24),
+    message=st.text(alphabet="ab x#A1\u0663", max_size=24),
 )
 def test_scan_matches_brute_force_oracle(patterns, message):
     ruleset = RuleSet(tuple(TermRule(f"R{i}", p) for i, p in enumerate(patterns)))
     assert scan_message(message, ruleset) == oracle_scan(message, ruleset)
+
+
+# --- rule prefilter --------------------------------------------------------
+
+def holds(prefilter, message: str) -> bool:
+    """The prefilter's meaning: every clause has a string that occurs in the message."""
+    return all(any(text in message for text in clause) for clause in prefilter)
+
+
+def test_default_rule_prefilters():
+    by_name = {rule.name: rule.prefilter for rule in default_ruleset().rules}
+    assert len(by_name["DAEM"]) == 1
+    assert sorted(by_name["DAEM"][0]) == sorted(DAEMON_NAMES)
+    assert by_name["IPv4"] == ((".",),)
+    assert by_name["TIME"] == (("-",),)
+    # ("(" and ") " and ("CMD" or "cmd") and " (") or "for ", in clause form.
+    assert by_name["USER"] == (
+        ("(", "for "),
+        (") ", "for "),
+        ("CMD", "cmd", "for "),
+        (" (", "for "),
+    )
+    assert by_name["PATH"] == (("/",),)
+    assert by_name["NUM"] == ()  # \d is Unicode: no literal is required
+
+
+PAIRS_16 = "".join(f"(?:a{i:x}|b{i:x})" for i in range(16))
+
+
+@pytest.mark.parametrize(
+    "pattern, prefilter",
+    [
+        (r"abc", (("abc",),)),
+        (r"ab\dcd", (("ab",), ("cd",))),
+        (r"(?:ab|cd)x", (("ab", "cd"), ("x",))),
+        (r"(?<=ab)c(?=de)", (("ab",), ("c",), ("de",))),
+        (r"(?:ab)+c", (("ab",), ("c",))),
+        (r"(?:ab){0,3}c", (("c",),)),
+        (r"(?:ab)*?c", (("c",),)),
+        (r"(?<!ab)c(?!de)", (("c",),)),
+        (r"[ab]c", (("c",),)),
+        (r"(?:ab|c*)d", (("d",),)),
+        (r"(ab)\1", (("ab",),)),
+        (r"(?i:ab)c", (("c",),)),
+        (r"(?i)abc", ()),
+        (r"(?i)ab(?-i:cd)", ()),
+        (re.compile("abc", re.IGNORECASE), ()),
+        (re.compile("a b", re.VERBOSE), (("ab",),)),
+        (r"(?x) a b  c", (("abc",),)),
+        (r"\d+", ()),
+        (r"(?:aa|bb)" * 3, (("aa", "bb"),)),
+        (PAIRS_16, tuple((f"a{i:x}", f"b{i:x}") for i in range(16))),
+        (PAIRS_16 + "(?:cc|dd)", ()),  # 34 strings: oversized
+        # An alternation of two 6-clause conditions would have 36 clauses.
+        (f"(?:{PAIRS_16[:54]}|{PAIRS_16[54:108]})y", (("y",),)),
+    ],
+)
+def test_rule_prefilter_shapes(pattern, prefilter):
+    assert TermRule("R", pattern).prefilter == prefilter
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="atomic groups and possessive repeats need 3.11")
+def test_rule_prefilter_atomic_and_possessive():
+    assert TermRule("R", r"(?>ab|cd)e").prefilter == (("ab", "cd"), ("e",))
+    assert TermRule("R", r"(?:ab)++c").prefilter == (("ab",), ("c",))
+
+
+def test_rule_prefilter_without_regex_parser(monkeypatch):
+    monkeypatch.setattr(rules_module, "_sre_parse", None)
+    rule = TermRule("R", r"abc")
+    assert rule.prefilter == ()
+    assert scan_message("xabc", RuleSet((rule,))) == [RuleMatch(1, 4, 0)]
+
+
+LOOKBEHINDS = (r"(?<=a)", r"(?<=ab)", r"(?<=a|b)", r"(?<!b)", r"(?<=\d)", r"(?<=(?i:a)b)", r"(?<=\bA)")
+
+
+def regex_strategy() -> st.SearchStrategy[str]:
+    atoms = st.sampled_from(
+        ("a", "b", "ab", "ba", "A", "1", "-", r"\d", r"[ab]", r"[^a]", ".", r"\b", r"\w", r"\s", "$")
+        + LOOKBEHINDS
+    )
+
+    def compound(inner: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+        return st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map("".join),
+            st.lists(inner, min_size=2, max_size=3).map(lambda xs: "(?:" + "|".join(xs) + ")"),
+            inner.map(lambda x: f"({x})"),
+            st.tuples(inner, st.sampled_from(["*", "+", "?", "{2}", "{0,2}", "{1,3}", "+?", "??"])).map(
+                lambda t: f"(?:{t[0]}){t[1]}"
+            ),
+            inner.map(lambda x: f"(?={x})"),
+            inner.map(lambda x: f"(?!{x})"),
+            inner.map(lambda x: f"(?i:{x})"),
+        )
+
+    return st.recursive(atoms, compound, max_leaves=8)
+
+
+MESSAGE_PIECES = ("a", "b", "A", "B", "1", "\u0663", "\u0967", " ", "-", "ab", "ba", "x")
+
+
+@settings(max_examples=2000)
+@given(
+    regex=regex_strategy(),
+    ignorecase=st.booleans(),
+    message=st.lists(st.sampled_from(MESSAGE_PIECES), max_size=10).map("".join),
+)
+def test_prefilter_false_means_no_match(regex, ignorecase, message):
+    try:
+        rule = TermRule("R", f"(?i){regex}" if ignorecase else regex)
+    except ConfigError:
+        return  # invalid regex, or one that matches the empty string
+    if not holds(rule.prefilter, message):
+        assert rule.pattern.search(message) is None
 
 
 # --- event patterns ---------------------------------------------------------
