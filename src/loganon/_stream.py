@@ -1,10 +1,19 @@
 """Line ingestion and the parallel scan stage shared by the CLI commands.
 
-The expensive per-line work (UTF-8 validation, field parsing, rule
-scanning) is pure and runs in worker processes over ordered batches; all
-order-sensitive state (individual-mode symbol numbering, dictionaries,
-output writing) stays in the single reduce loop that consumes the batches
-in input order. Results are therefore byte-identical for any worker count.
+The per-line work that depends on one line only (UTF-8 validation, field
+parsing, sanitizing, rule scanning) runs in worker processes over ordered
+batches. Everything order-sensitive (the rewrite, whose individual-mode
+symbols are numbered in input order, hashing, dictionaries, output
+writing) stays in the single reduce loop that consumes the batches in
+input order. Results are therefore byte-identical for any worker count,
+and that one reduce process bounds what more workers can gain. The pool
+never has more processes than the CPUs this process may run on.
+
+Only built-in types cross the pipe: a worker returns each line's fields as
+a plain tuple, its matches as plain ``(start, end, rule_index)`` triples,
+and the parent wraps the fields back into a ScannedLine or LineIssue.
+Named tuples would cost the parent a Python-level constructor call per
+object to unpickle, on the thread that competes with the reduce.
 
 Real logs repeat: most lines carry a message already seen. Each run keeps
 an exact memo from sanitized message to its rule matches, so a repeated
@@ -19,6 +28,7 @@ so the memo never changes a result.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import sys
 import threading
@@ -28,7 +38,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import MalformedLine, parse_line
-from .rules import RuleMatch, RuleSet, sanitize_message, scan_message
+from .rules import RuleSet, sanitize_message, scan_message
 
 BATCH_LINES = 4096
 # Distinct messages one run memoizes; later ones are computed, not stored.
@@ -43,13 +53,16 @@ class RunMemo(dict):
             self[key] = value
 
 
+Match = tuple[int, int, int]  # (start, end, rule_index), as RuleMatch but a plain tuple
+
+
 class ScannedLine(NamedTuple):
     """One parsed entry: timestamp, source, sanitize_message() form and its rule matches."""
 
     timestamp: int
     source: str
     sanitized: str
-    matches: tuple[RuleMatch, ...]
+    matches: tuple[Match, ...]
 
 
 class LineIssue(NamedTuple):
@@ -75,22 +88,27 @@ def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[tuple[int, byt
 
 def _scan_one(
     lineno: int, raw: bytes, ruleset: RuleSet, memo: Optional[RunMemo]
-) -> Union[ScannedLine, LineIssue]:
+) -> tuple:
+    """The fields of one line's ScannedLine (four) or LineIssue (two), as a plain tuple.
+
+    Only built-in types, so a batch pickles without any class lookup.
+    """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
-        return LineIssue(lineno, "not valid UTF-8")
+        return lineno, "not valid UTF-8"
     try:
         entry = parse_line(text)
     except MalformedLine as exc:
-        return LineIssue(lineno, str(exc))
+        return lineno, str(exc)
     sanitized = sanitize_message(entry.message)
     matches = memo.get(sanitized) if memo is not None else None
     if matches is None:
-        matches = tuple(scan_message(sanitized, ruleset))
+        found = scan_message(sanitized, ruleset)
+        matches = tuple(map(tuple, found)) if found else ()
         if memo is not None:
             memo.admit(sanitized, matches)
-    return ScannedLine(entry.timestamp, entry.source, sanitized, matches)
+    return entry.timestamp, entry.source, sanitized, matches
 
 
 def _new_memo(ruleset: RuleSet) -> Optional[RunMemo]:
@@ -110,9 +128,17 @@ def _init_worker(ruleset: RuleSet) -> None:
     _worker_memo = _new_memo(ruleset)
 
 
-def _scan_batch(batch: list[tuple[int, bytes]]) -> list[Union[ScannedLine, LineIssue]]:
+def _scan_batch(batch: list[tuple[int, bytes]]) -> list[tuple]:
     assert _worker_ruleset is not None
     return [_scan_one(lineno, raw, _worker_ruleset, _worker_memo) for lineno, raw in batch]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _batches(
@@ -132,22 +158,30 @@ def scanned_stream(
     """Scan lines against the ruleset, preserving input order.
 
     ``workers > 1`` fans batches out to a process pool; the ordered imap
-    merge keeps the stream identical to the sequential one. When the stream
-    ends or is closed early (an error, Ctrl-C), the pool takes no more input
-    and the workers finish the batches already queued; terminating them
-    could leave the pool's feeder thread blocked on a half-written batch.
+    merge keeps the stream identical to the sequential one. The pool has
+    at most _usable_cpus() processes, and a pool of one is the sequential
+    path. Workers return plain tuples (see _scan_one), which this
+    generator wraps back into ScannedLine and LineIssue. When the stream
+    ends or is closed early (an error, Ctrl-C), the pool takes no more
+    input and the workers finish the batches already queued; terminating
+    them could leave the pool's feeder thread blocked on a half-written
+    batch.
     """
+    workers = min(workers, _usable_cpus())
     if workers <= 1:
         memo = _new_memo(ruleset)
         for lineno, raw in lines:
-            yield _scan_one(lineno, raw, ruleset, memo)
+            fields = _scan_one(lineno, raw, ruleset, memo)
+            # What NamedTuple._make does, without its Python-level call per line.
+            yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
         return
     ctx = multiprocessing.get_context("fork")
     stop = threading.Event()
     with ctx.Pool(workers, initializer=_init_worker, initargs=(ruleset,)) as pool:
         try:
             for batch_result in pool.imap(_scan_batch, _batches(lines, stop)):
-                yield from batch_result
+                for fields in batch_result:
+                    yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
         finally:
             stop.set()
             pool.close()

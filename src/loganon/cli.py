@@ -36,7 +36,7 @@ from .grids import (
     emit_grid,
     similarity_grid,
 )
-from .model import DeidentifiedEntry, EncodedEntry, render_entry
+from .model import DeidentifiedEntry, _trusted_encoded_entry, render_entry
 from .rules import (
     ConfigError,
     GroupMapIncomplete,
@@ -203,7 +203,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                 else:
                     hash_key, category_key, deid_message, pattern = known
                     dicts.register(hash_key, deid_message, category_key, pattern)
-                    encoded = EncodedEntry(item.timestamp, item.source, hash_key, category_key)
+                    encoded = _trusted_encoded_entry(item.timestamp, item.source, hash_key, category_key)
                 out.write(render_entry(encoded) + "\n")
                 # sanitize_message only swaps '#' for '?': same UTF-8 length as the raw message.
                 tally.add(item.sanitized, encoded)
@@ -360,6 +360,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+WORKERS_HELP = (
+    "parallel scan processes, at most the CPUs this process may run on; "
+    "1 scans in this process (output is byte-identical for any value)"
+)
+
+
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("inputs", nargs="+", help="input log files, or - for stdin")
     sub.add_argument("--rules", help="rule file (INI); omit for the built-in ruleset")
@@ -370,7 +376,7 @@ def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--digest-bytes", type=int, default=4, help="hash key width in bytes (4-32)")
     sub.add_argument("--strict", action="store_true", help="abort on the first malformed line")
-    sub.add_argument("--workers", type=int, default=1, help="parallel scan workers")
+    sub.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sub.add_argument("--out", default=".", help="output directory")
 
 
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", help="day index range FIRST:LAST (default: span of the data)")
     p.add_argument("--format", choices=["csv", "pgm"], default="csv")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_compare)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .model import DeidentifiedEntry, EncodedEntry
+from .model import DeidentifiedEntry, EncodedEntry, _trusted_encoded_entry
 
 
 class CollisionDetected(RuntimeError):
@@ -121,7 +121,7 @@ def encode_entry(
     hash_key = hash_text(deid.deid_message, cfg)
     category_key = hash_text(pattern, cfg)
     dicts.register(hash_key, deid.deid_message, category_key, pattern)
-    return EncodedEntry(deid.timestamp, deid.source, hash_key, category_key)
+    return _trusted_encoded_entry(deid.timestamp, deid.source, hash_key, category_key)
 
 
 def _utf8_len(text: str) -> int:

@@ -94,6 +94,23 @@ class EncodedEntry:
                 raise ValueError(f"key {key!r} is not lowercase hex of even length")
 
 
+def _trusted_encoded_entry(
+    timestamp: int, source: str, hash_key: str, category_key: str
+) -> EncodedEntry:
+    """An EncodedEntry built without the key check, for keys ``hash_text`` just made.
+
+    Equal to ``EncodedEntry(timestamp, source, hash_key, category_key)``;
+    the public constructor stays the check for every other caller.
+    """
+    entry = object.__new__(EncodedEntry)
+    fields = entry.__dict__
+    fields["timestamp"] = timestamp
+    fields["source"] = source
+    fields["hash_key"] = hash_key
+    fields["category_key"] = category_key
+    return entry
+
+
 def parse_line(line: str) -> RawLogEntry:
     """Parse one flat-file line into a RawLogEntry.
 

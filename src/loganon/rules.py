@@ -129,24 +129,59 @@ class TermRule:
         raise GroupMapIncomplete(f"rule {self.name}: no group for value {value!r}")
 
 
+class RuleSymbols(NamedTuple):
+    """How rewrite_matches writes one rule's matches under a RuleSet's mode.
+
+    ``pattern_symbol`` is the rule's global symbol, which the event pattern
+    always uses: ``#NAME_#`` if significant, else ``#NAME#``. ``symbol`` is
+    the de-identified symbol when it does not depend on the value, else
+    None; the value then gets a group label (``by_group``) or a registry
+    index.
+    """
+
+    pattern_symbol: str
+    symbol: Optional[str]
+    significant: bool
+    rule: TermRule
+    by_group: bool
+
+
+def _rule_symbols(rule: TermRule, mode: Mode) -> RuleSymbols:
+    """The plan of ``rule`` under ``mode``, its own override taking precedence."""
+    if not rule.significant:
+        return RuleSymbols(f"#{rule.name}#", f"#{rule.name}#", False, rule, False)
+    if rule.mode is not None:
+        mode = rule.mode
+    pattern_symbol = f"#{rule.name}_#"
+    if mode is Mode.GROUP and rule.group_map is None and rule.group_default is None:
+        mode = Mode.GLOBAL  # no grouping declared: strongest generalization applies
+    if mode is Mode.GLOBAL:
+        return RuleSymbols(pattern_symbol, pattern_symbol, True, rule, False)
+    return RuleSymbols(pattern_symbol, None, True, rule, mode is Mode.GROUP)
+
+
 @dataclass(frozen=True)
 class RuleSet:
-    """An ordered collection of rules plus the default granularity mode."""
+    """An ordered collection of rules plus the default granularity mode.
+
+    ``symbols`` holds each rule's RuleSymbols under this mode, in rule order.
+    """
 
     rules: tuple[TermRule, ...]
     mode: Mode = Mode.GLOBAL
+    symbols: tuple[RuleSymbols, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate rule names: {names}")
+        object.__setattr__(
+            self, "symbols", tuple(_rule_symbols(rule, self.mode) for rule in self.rules)
+        )
 
     def with_mode(self, mode: Mode) -> "RuleSet":
         return replace(self, mode=mode)
-
-    def effective_mode(self, rule: TermRule) -> Mode:
-        return rule.mode if rule.mode is not None else self.mode
 
 
 def _prefilter_of(pattern: re.Pattern) -> Prefilter:
@@ -350,64 +385,49 @@ def tokenize(message: str, ruleset: RuleSet) -> list[Term]:
     return terms
 
 
-def global_symbol(rule: TermRule) -> str:
-    """The fully generalized symbol for a rule: #NAME_# if significant, else #NAME#."""
-    return f"#{rule.name}_#" if rule.significant else f"#{rule.name}#"
-
-
-def _mode_symbol(
-    rule: TermRule, value: str, mode: Mode, registry: Optional[SymbolRegistry]
-) -> str:
-    # ``registry`` is needed, and given, only for a significant rule in individual mode.
-    if not rule.significant:
-        return f"#{rule.name}#"
-    if mode is Mode.GROUP and rule.group_map is None and rule.group_default is None:
-        mode = Mode.GLOBAL  # no grouping declared: strongest generalization applies
-    if mode is Mode.GLOBAL:
-        return f"#{rule.name}_#"
-    if mode is Mode.GROUP:
-        return f"#{rule.name}{rule.group_label(value)}#"
-    return f"#{rule.name}{registry.index(rule.name, value)}#"
-
-
 def rewrite_matches(
     sanitized: str,
-    matches: Sequence[RuleMatch],
+    matches: Sequence[tuple[int, int, int]],
     ruleset: RuleSet,
     registry: Optional[SymbolRegistry] = None,
 ) -> tuple[str, tuple[SignificantValue, ...], str]:
     """Build (deid_message, significant_values, event_pattern) from one scan.
 
     ``sanitized`` must be the sanitize_message() form the matches were
-    computed on. The event pattern is derived from the same matches with
-    every rule forced to its global symbol, so it never depends on the
-    configured mode or per-rule overrides.
+    computed on; a match is a RuleMatch or a plain ``(start, end,
+    rule_index)`` triple. The event pattern is derived from the same
+    matches with every rule forced to its global symbol, so it never
+    depends on the configured mode or per-rule overrides.
 
     Individual-mode indices come from ``registry``. Without one, a registry
     scoped to this call is created at the first individual-mode significant
     match, so the message's own distinct values get distinct symbols
     numbered from 1.
     """
+    plan = ruleset.symbols
     deid_parts: list[str] = []
     pattern_parts: list[str] = []
     significant: list[SignificantValue] = []
     cursor = 0
-    for m in matches:
-        if m.start > cursor:
-            constant = sanitized[cursor : m.start]
+    for start, end, rule_index in matches:
+        if start > cursor:
+            constant = sanitized[cursor:start]
             deid_parts.append(constant)
             pattern_parts.append(constant)
-        rule = ruleset.rules[m.rule_index]
-        value = sanitized[m.start : m.end]
-        mode = ruleset.effective_mode(rule)
-        if registry is None and rule.significant and mode is Mode.INDIVIDUAL:
-            registry = SymbolRegistry()
-        symbol = _mode_symbol(rule, value, mode, registry)
-        deid_parts.append(symbol)
-        pattern_parts.append(global_symbol(rule))
-        if rule.significant:
+        pattern_symbol, symbol, is_significant, rule, by_group = plan[rule_index]
+        if is_significant:
+            value = sanitized[start:end]
+            if symbol is None:
+                if by_group:
+                    symbol = f"#{rule.name}{rule.group_label(value)}#"
+                else:
+                    if registry is None:
+                        registry = SymbolRegistry()
+                    symbol = f"#{rule.name}{registry.index(rule.name, value)}#"
             significant.append(SignificantValue(value, symbol))
-        cursor = m.end
+        deid_parts.append(symbol)
+        pattern_parts.append(pattern_symbol)
+        cursor = end
     if cursor < len(sanitized):
         tail = sanitized[cursor:]
         deid_parts.append(tail)

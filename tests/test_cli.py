@@ -675,6 +675,45 @@ def test_workers_flag_matches_sequential(tmp_path, capsys):
     assert stdout1.replace(str(out1), "") == stdout2.replace(str(out2), "")
 
 
+# Inputs that fail in the reduce after many good lines: a hash collision
+# (exit 3) and a value the group table does not cover (exit 2).
+REDUCE_FAILURES = {
+    "collision": (
+        [f"filler message {i}" for i in range(300)] + [*COLLIDING_MESSAGES],
+        "[ruleset]\nmode = global\n\n[rule F]\npattern = filler\n",
+        3,
+    ),
+    "group-map-incomplete": (
+        [f"({'root' if i % 3 else 'admin'}) CMD (/bin/job{i})" for i in range(300)] + ["(guest) CMD (/x)"],
+        "[ruleset]\nmode = group\n\n[rule USER]\npattern = (?<=\\()[a-z]+(?=\\))\n"
+        "significant = yes\n\n[groups USER]\nroot = p\nadmin = p\n",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(REDUCE_FAILURES))
+def test_reduce_errors_identical_at_one_and_two_workers(tmp_path, capsys, monkeypatch, failure):
+    messages, rule_text, exit_code = REDUCE_FAILURES[failure]
+    corpus = tmp_path / "bad.log"
+    corpus.write_text("".join(f"{i} n{i % 4} {m}\n" for i, m in enumerate(messages)))
+    rules = tmp_path / "bad.rules"
+    rules.write_text(rule_text)
+    # Small batches, so the failing line arrives while the pool is still busy,
+    # and a real pool of two even where this process may use one CPU.
+    monkeypatch.setattr(loganon._stream, "BATCH_LINES", 16)
+    monkeypatch.setattr(loganon._stream, "_usable_cpus", lambda: 2)
+    results = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        results[workers] = run(["anonymize", str(corpus), "--rules", str(rules), "--emit-dictionary",
+                                "--workers", str(workers), "--out", str(out)], capsys)
+        assert results[workers][0] == exit_code
+        assert list(out.iterdir()) == []
+    assert results[1] == results[2]
+    assert results[1][2].startswith("error: ")
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
 def test_ctrl_c_with_worker_pool_leaves_no_output(tmp_path):
     """A real SIGINT to the process group of `anonymize --workers 2` while it writes."""

@@ -19,6 +19,7 @@ from loganon import (
     Mode,
     SymbolRegistry,
     encode_entry,
+    hash_text,
     load_rules,
     parse_line,
     process_entry,
@@ -193,7 +194,11 @@ def test_collision_after_memo_is_full_exits_3(tmp_path, capsys, monkeypatch, wor
     rules = tmp_path / "filler.rules"
     rules.write_text("[ruleset]\nmode = global\n\n[rule F]\npattern = filler\n")
     monkeypatch.setattr(_stream, "MEMO_ENTRIES", SMALL_CAP)
-    code = main(["anonymize", str(corpus), "--rules", str(rules),
-                 "--workers", str(workers), "--out", str(tmp_path)])
-    assert code == 3
-    assert "digest" in capsys.readouterr().err
+    errors = {}
+    for n in (workers, 3 - workers):  # this worker count, then the other one
+        code = main(["anonymize", str(corpus), "--rules", str(rules),
+                     "--workers", str(n), "--out", str(tmp_path / f"w{n}")])
+        assert code == 3
+        errors[n] = capsys.readouterr().err
+    assert errors[1] == errors[2]
+    assert errors[1].startswith(f"error: key {hash_text(first)} maps to both {first!r} and {second!r};")

@@ -505,6 +505,96 @@ def test_granularity_monotonicity(messages):
     assert n_global <= n_group <= n_individual <= len(set(messages))
 
 
+# --- symbol plan against the per-match reference ----------------------------
+
+def reference_symbol(rule: TermRule, value: str, mode: Mode, registry) -> str:
+    """Each match's de-identified symbol, resolved from the rule and mode every time."""
+    if not rule.significant:
+        return f"#{rule.name}#"
+    if mode is Mode.GROUP and rule.group_map is None and rule.group_default is None:
+        mode = Mode.GLOBAL
+    if mode is Mode.GLOBAL:
+        return f"#{rule.name}_#"
+    if mode is Mode.GROUP:
+        return f"#{rule.name}{rule.group_label(value)}#"
+    return f"#{rule.name}{registry.index(rule.name, value)}#"
+
+
+def reference_rewrite(sanitized, matches, ruleset, registry):
+    deid, pattern, significant = [], [], []
+    cursor = 0
+    for m in matches:
+        constant = sanitized[cursor : m.start]
+        deid.append(constant)
+        pattern.append(constant)
+        rule = ruleset.rules[m.rule_index]
+        value = sanitized[m.start : m.end]
+        mode = rule.mode if rule.mode is not None else ruleset.mode
+        if registry is None and rule.significant and mode is Mode.INDIVIDUAL:
+            registry = SymbolRegistry()
+        symbol = reference_symbol(rule, value, mode, registry)
+        deid.append(symbol)
+        pattern.append(f"#{rule.name}_#" if rule.significant else f"#{rule.name}#")
+        if rule.significant:
+            significant.append((value, symbol))
+        cursor = m.end
+    deid.append(sanitized[cursor:])
+    pattern.append(sanitized[cursor:])
+    return "".join(deid), tuple(significant), "".join(pattern)
+
+
+PLAN_PATTERNS = (r"a+", r"b", r"\d+", r"ab", r"[ab]1", r"(?<= )[ab]+")
+PLAN_VALUES = ("a", "aa", "b", "1", "11", "ab", "a1", "b1")
+PLAN_LABELS = ("p", "n", "x_1")
+
+
+@st.composite
+def plan_rulesets(draw) -> RuleSet:
+    rules = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        group_map = draw(st.none() | st.dictionaries(
+            st.sampled_from(PLAN_VALUES), st.sampled_from(PLAN_LABELS), max_size=4
+        ))
+        rules.append(TermRule(
+            f"R{i}",
+            draw(st.sampled_from(PLAN_PATTERNS)),
+            significant=draw(st.booleans()),
+            mode=draw(st.none() | st.sampled_from(Mode)),
+            group_map=group_map or None,
+            group_default=draw(st.none() | st.sampled_from(PLAN_LABELS)),  # the `*` row
+        ))
+    return RuleSet(tuple(rules), draw(st.sampled_from(Mode)))
+
+
+def outcome(rewrite, *args):
+    try:
+        deid, significant, pattern = rewrite(*args)
+    except GroupMapIncomplete as exc:
+        return "GroupMapIncomplete", str(exc)
+    return deid, tuple(map(tuple, significant)), pattern
+
+
+@settings(max_examples=400)
+@given(
+    plan_rulesets(),
+    st.lists(st.text("ab1 #", max_size=12), min_size=1, max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_symbol_plan_matches_per_match_reference(ruleset, messages, shared, plain):
+    """rewrite_matches with the per-rule plan equals resolving every match from scratch."""
+    registries = (SymbolRegistry(), SymbolRegistry()) if shared else (None, None)
+    for message in messages:
+        sanitized = sanitize_message(message)
+        matches = scan_message(sanitized, ruleset)
+        given_matches = [tuple(m) for m in matches] if plain else matches
+        got = outcome(rules_module.rewrite_matches, sanitized, given_matches, ruleset, registries[0])
+        want = outcome(reference_rewrite, sanitized, matches, ruleset, registries[1])
+        assert got == want
+        if shared:
+            assert list(registries[0].rows()) == list(registries[1].rows())
+
+
 # --- rule definitions and files ----------------------------------------------
 
 @pytest.mark.parametrize("name", ["lower", "TOOLONGNAME", "BAD#", "", "9X"])
