@@ -10,10 +10,11 @@ and that one reduce process bounds what more workers can gain. The pool
 never has more processes than the CPUs this process may run on.
 
 Only built-in types cross the pipe: a worker returns each line's fields as
-a plain tuple, its matches as plain ``(start, end, rule_index)`` triples,
-and the parent wraps the fields back into a ScannedLine or LineIssue.
-Named tuples would cost the parent a Python-level constructor call per
-object to unpickle, on the thread that competes with the reduce.
+a plain tuple, with the tuple of ``(start, end, rule_index)`` triples that
+scan_message returns, and the parent wraps the fields back into a
+ScannedLine or LineIssue. Named tuples would cost the parent a Python-level
+constructor call per object to unpickle, on the thread that competes with
+the reduce.
 
 Real logs repeat: most lines carry a message already seen. Each run keeps
 an exact memo from sanitized message to its rule matches, so a repeated
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import MalformedLine, parse_line
-from .rules import RuleSet, sanitize_message, scan_message
+from .rules import Match, RuleSet, sanitize_message, scan_message
 
 BATCH_LINES = 4096
 # Distinct messages one run memoizes; later ones are computed, not stored.
@@ -51,9 +52,6 @@ class RunMemo(dict):
     def admit(self, key, value) -> None:
         if len(self) < MEMO_ENTRIES:
             self[key] = value
-
-
-Match = tuple[int, int, int]  # (start, end, rule_index), as RuleMatch but a plain tuple
 
 
 class ScannedLine(NamedTuple):
@@ -104,8 +102,7 @@ def _scan_one(
     sanitized = sanitize_message(entry.message)
     matches = memo.get(sanitized) if memo is not None else None
     if matches is None:
-        found = scan_message(sanitized, ruleset)
-        matches = tuple(map(tuple, found)) if found else ()
+        matches = scan_message(sanitized, ruleset)
         if memo is not None:
             memo.admit(sanitized, matches)
     return entry.timestamp, entry.source, sanitized, matches

@@ -2,9 +2,9 @@
 
 Wires the streaming pipeline end to end: parse -> de-identify -> encode,
 plus the analysis commands over the same scan stage. Exit codes: 0 success,
-2 configuration error, 3 hash collision detected, 4 parse failure in strict
-mode, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
-filter killed by SIGPIPE).
+2 configuration error or input outside the metric's domain, 3 hash
+collision detected, 4 parse failure in strict mode, 141 stdout closed by
+its reader (128 + SIGPIPE, as a shell reports a filter killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .rules import (
 from .synth import CorpusSpec, generate_lines
 from .usefulness import (
     CoverageTable,
+    DomainError,
     PatternKeys,
     PatternStats,
     UsefulnessAccumulator,
@@ -70,6 +71,7 @@ class StrictParseFailure(Exception):
 EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     GroupMapIncomplete: EXIT_CONFIG,
+    DomainError: EXIT_CONFIG,
     CollisionDetected: EXIT_COLLISION,
     StrictParseFailure: EXIT_PARSE,
     OSError: EXIT_CONFIG,

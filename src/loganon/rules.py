@@ -63,6 +63,9 @@ _ALWAYS: Prefilter = ()
 # and each string is one `in` test per scanned message.
 _PREFILTER_MAX_STRINGS = 32
 
+# One variable-term match: (start, end, rule index), in character offsets.
+Match = tuple[int, int, int]
+
 
 class ConfigError(ValueError):
     """Invalid rule definition or rule file."""
@@ -78,15 +81,24 @@ class Mode(str, Enum):
     GLOBAL = "global"
 
 
+def _as_mode(mode: Union[Mode, str], context: str = "") -> Mode:
+    """``mode`` as a Mode; a plain string names its value, anything else is a ConfigError."""
+    try:
+        return Mode(mode)
+    except ValueError:
+        raise ConfigError(f"{context}unknown mode {mode!r}") from None
+
+
 @dataclass(frozen=True)
 class TermRule:
     """One substitution rule.
 
     ``pattern`` may be a regex string or a precompiled pattern; it must never
-    match the empty string. ``mode`` overrides the RuleSet mode for this rule
-    only. ``group_map`` maps matched values to group labels; a missing value
-    falls back to ``group_default`` when set. ``prefilter`` is derived from
-    the pattern: a message that fails it cannot match (see _prefilter_of).
+    match the empty string. ``mode``, a Mode or its value, overrides the
+    RuleSet mode for this rule only. ``group_map`` maps matched values to
+    group labels; a missing value falls back to ``group_default`` when set.
+    ``prefilter`` is derived from the pattern: a message that fails it
+    cannot match (see _prefilter_of).
     """
 
     name: str
@@ -112,6 +124,8 @@ class TermRule:
         if pat.search("") is not None:
             raise ConfigError(f"rule {self.name}: pattern must not match the empty string")
         object.__setattr__(self, "prefilter", _prefilter_of(pat))
+        if self.mode is not None:
+            object.__setattr__(self, "mode", _as_mode(self.mode, f"rule {self.name}: "))
         labels = list(self.group_map.values()) if self.group_map is not None else []
         if self.group_default is not None:
             labels.append(self.group_default)
@@ -162,7 +176,7 @@ def _rule_symbols(rule: TermRule, mode: Mode) -> RuleSymbols:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """An ordered collection of rules plus the default granularity mode.
+    """An ordered collection of rules plus the default granularity mode (a Mode or its value).
 
     ``symbols`` holds each rule's RuleSymbols under this mode, in rule order.
     """
@@ -173,6 +187,7 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "mode", _as_mode(self.mode))
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate rule names: {names}")
@@ -266,14 +281,6 @@ def _may_match(prefilter: Prefilter, message: str) -> bool:
     return True
 
 
-class RuleMatch(NamedTuple):
-    """One variable-term match, in character offsets."""
-
-    start: int
-    end: int
-    rule_index: int
-
-
 class SymbolRegistry:
     """Corpus-scoped value->index assignment for individual de-identification.
 
@@ -321,7 +328,7 @@ def sanitize_message(message: str) -> str:
     return "".join(parts)
 
 
-def scan_message(message: str, ruleset: RuleSet) -> list[RuleMatch]:
+def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
     """Find all variable-term matches, leftmost-longest, ties by rule order.
 
     Matches never overlap: after a match is taken, scanning resumes at its
@@ -331,7 +338,7 @@ def scan_message(message: str, ruleset: RuleSet) -> list[RuleMatch]:
     """
     rules = ruleset.rules
     if not rules or not message:
-        return []
+        return ()
     # Rule index -> the rule's next candidate match at or after the cursor.
     candidates: dict[int, re.Match] = {}
     for i, rule in enumerate(rules):
@@ -339,7 +346,7 @@ def scan_message(message: str, ruleset: RuleSet) -> list[RuleMatch]:
             m = rule.pattern.search(message)
             if m is not None:
                 candidates[i] = m
-    matches: list[RuleMatch] = []
+    matches: list[Match] = []
     pos = 0
     n = len(message)
     while candidates and pos < n:
@@ -360,9 +367,9 @@ def scan_message(message: str, ruleset: RuleSet) -> list[RuleMatch]:
             break
         start, neg_len, rule_index = best
         end = start - neg_len
-        matches.append(RuleMatch(start, end, rule_index))
+        matches.append((start, end, rule_index))
         pos = end
-    return matches
+    return tuple(matches)
 
 
 def tokenize(message: str, ruleset: RuleSet) -> list[Term]:
@@ -373,13 +380,13 @@ def tokenize(message: str, ruleset: RuleSet) -> list[Term]:
     """
     terms: list[Term] = []
     cursor = 0
-    for m in scan_message(message, ruleset):
-        if m.start > cursor:
-            terms.append(Term(message[cursor : m.start], TermClass.CONSTANT))
-        rule = ruleset.rules[m.rule_index]
+    for start, end, rule_index in scan_message(message, ruleset):
+        if start > cursor:
+            terms.append(Term(message[cursor:start], TermClass.CONSTANT))
+        rule = ruleset.rules[rule_index]
         klass = TermClass.VARIABLE_SIGNIFICANT if rule.significant else TermClass.VARIABLE_INSIGNIFICANT
-        terms.append(Term(message[m.start : m.end], klass))
-        cursor = m.end
+        terms.append(Term(message[start:end], klass))
+        cursor = end
     if cursor < len(message):
         terms.append(Term(message[cursor:], TermClass.CONSTANT))
     return terms
@@ -387,17 +394,17 @@ def tokenize(message: str, ruleset: RuleSet) -> list[Term]:
 
 def rewrite_matches(
     sanitized: str,
-    matches: Sequence[tuple[int, int, int]],
+    matches: Sequence[Match],
     ruleset: RuleSet,
     registry: Optional[SymbolRegistry] = None,
 ) -> tuple[str, tuple[SignificantValue, ...], str]:
     """Build (deid_message, significant_values, event_pattern) from one scan.
 
     ``sanitized`` must be the sanitize_message() form the matches were
-    computed on; a match is a RuleMatch or a plain ``(start, end,
-    rule_index)`` triple. The event pattern is derived from the same
-    matches with every rule forced to its global symbol, so it never
-    depends on the configured mode or per-rule overrides.
+    computed on, and ``matches`` what scan_message returned for it. The
+    event pattern is derived from the same matches with every rule forced
+    to its global symbol, so it never depends on the configured mode or
+    per-rule overrides.
 
     Individual-mode indices come from ``registry``. Without one, a registry
     scoped to this call is created at the first individual-mode significant
@@ -483,11 +490,7 @@ def loads_rules(text: str) -> RuleSet:
     mode = Mode.GLOBAL
     if parser.has_section("ruleset"):
         _check_keys(parser, "ruleset", ("mode",))
-        raw_mode = parser.get("ruleset", "mode", fallback="global")
-        try:
-            mode = Mode(raw_mode.strip().lower())
-        except ValueError:
-            raise ConfigError(f"unknown mode {raw_mode!r}") from None
+        mode = _as_mode(parser.get("ruleset", "mode", fallback="global").strip().lower())
 
     groups: dict[str, tuple[dict[str, str], Optional[str]]] = {}
     for section in parser.sections():
@@ -512,7 +515,6 @@ def loads_rules(text: str) -> RuleSet:
         override = parser.get(section, "mode", fallback=None)
         try:
             significant = parser.getboolean(section, "significant", fallback=False)
-            rule_mode = Mode(override.strip().lower()) if override else None
         except ValueError as exc:
             raise ConfigError(f"rule {name}: {exc}") from None
         group_map, group_default = groups.pop(name, (None, None))
@@ -521,7 +523,7 @@ def loads_rules(text: str) -> RuleSet:
                 name=name,
                 pattern=parser.get(section, "pattern"),
                 significant=significant,
-                mode=rule_mode,
+                mode=override.strip().lower() if override else None,
                 group_map=group_map if group_map else None,
                 group_default=group_default,
             )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -98,7 +97,7 @@ class PatternRow:
 
 @dataclass(frozen=True)
 class UsefulnessReport:
-    """Per-pattern breakdown plus the aggregate usefulness U, as built by usefulness()."""
+    """Per-pattern breakdown plus the aggregate usefulness U."""
 
     n_entries: int
     mode_label: str
@@ -177,6 +176,24 @@ def usefulness(
     total = sum(s.f_p for s in stats)
     if total != n_entries:
         raise CoverageError(f"pattern frequencies cover {total} of {n_entries} entries")
+    counts = (
+        (s.category_key, s.pattern_text, s.f_p,
+         math.prod(t.n_symbols for t in s.per_term), math.prod(t.n_values for t in s.per_term))
+        for s in stats
+    )
+    return _report(counts, n_entries, mode_label)
+
+
+# One pattern's counts: (category key, pattern text, f_p, prod N_s, prod N_val).
+PatternCounts = tuple[str, str, int, int, int]
+
+
+def _report(counts: Iterable[PatternCounts], n_entries: int, mode_label: str) -> UsefulnessReport:
+    """The report over counts whose f_p add up to ``n_entries``.
+
+    The caller has checked each pattern: f_p >= 1 and, in every slot,
+    1 <= N_s <= N_val.
+    """
     if n_entries == 0:
         raise DomainError("empty analysis window")
     # Rows with equal f_p and ratio terms share their (dominance, ratio,
@@ -185,18 +202,14 @@ def usefulness(
     # Ratio terms -> sum of f_p over the patterns with that ratio.
     mass: dict[tuple[int, int], int] = {}
     rows = []
-    for s in sorted(stats, key=lambda s: (-s.f_p, s.category_key)):
-        f_p = s.f_p
-        # prod N_s / prod N_val, unreduced; TermCardinality checked each pair,
-        # PatternStats f_p >= 1, and the coverage check above f_p <= N_e.
-        num = math.prod(t.n_symbols for t in s.per_term)
-        den = math.prod(t.n_values for t in s.per_term)
+    # num/den is prod N_s / prod N_val, unreduced.
+    for category_key, text, f_p, num, den in sorted(counts, key=lambda c: (-c[2], c[0])):
         values = exact.get((f_p, num, den))
         if values is None:
             share = Fraction(f_p, n_entries)
             ratio = Fraction(num, den)
             values = exact[f_p, num, den] = (share, ratio, share * ratio)
-        rows.append(PatternRow(s.category_key, s.pattern_text, f_p, *values))
+        rows.append(PatternRow(category_key, text, f_p, *values))
         mass[num, den] = mass.get((num, den), 0) + f_p
     # U = sum over distinct ratios r of r * (sum of f_p) / N_e.
     value = sum((Fraction(num * f, den) for (num, den), f in mass.items()), Fraction(0)) / n_entries
@@ -271,9 +284,9 @@ def top_k_coverage(stats: Sequence[PatternStats], ks: Union[int, Iterable[int]])
     return CoverageTable(n_entries=n_entries, n_patterns=len(ordered), rows=tuple(rows))
 
 
-# Pattern text -> (category key, significant slot names); shared by the
-# per-day accumulators of one run, so each pattern is hashed once.
-PatternKeys = dict[str, tuple[str, tuple[str, ...]]]
+# Pattern text -> category key; shared by the per-day accumulators of one
+# run, so each pattern is hashed once.
+PatternKeys = dict[str, str]
 
 
 class UsefulnessAccumulator:
@@ -285,7 +298,7 @@ class UsefulnessAccumulator:
 
     def __init__(self) -> None:
         self.n_entries = 0
-        # pattern text -> [f_p, list per slot of (rule tag, value set, symbol set)]
+        # pattern text -> [f_p, list per slot of (value set, symbol set)]
         self._patterns: dict[str, list] = {}
 
     def add(self, deid: DeidentifiedEntry, pattern: str) -> None:
@@ -303,52 +316,32 @@ class UsefulnessAccumulator:
             values.add(sig.original_value)
             symbols.add(sig.symbol)
 
-    def stats(
-        self, cfg: EncoderConfig = EncoderConfig(), keys: Optional[PatternKeys] = None
-    ) -> list[PatternStats]:
-        """Pattern statistics; ``keys`` may be shared by the accumulators of one run and cfg."""
-        if keys is None:
-            keys = {}
-        out = []
-        for pattern, (f_p, slots) in self._patterns.items():
-            known = keys.get(pattern)
-            if known is None:
-                known = keys[pattern] = (hash_text(pattern, cfg), _significant_names(pattern))
-            category_key, names = known
-            per_term = tuple(
-                TermCardinality(
-                    rule_name=names[i] if i < len(names) else f"slot{i}",
-                    n_values=len(values),
-                    n_symbols=len(symbols),
-                )
-                for i, (values, symbols) in enumerate(slots)
-            )
-            out.append(
-                PatternStats(
-                    category_key=category_key,
-                    pattern_text=pattern,
-                    f_p=f_p,
-                    per_term=per_term,
-                )
-            )
-        return out
-
     def report(
         self,
         mode_label: str = "",
         cfg: EncoderConfig = EncoderConfig(),
         keys: Optional[PatternKeys] = None,
     ) -> UsefulnessReport:
-        return usefulness(self.stats(cfg, keys), self.n_entries, mode_label)
-
-
-_SIGNIFICANT_SYMBOL_RE = re.compile(r"#([A-Z][A-Za-z0-9]{0,7})_#")
-
-
-def _significant_names(pattern: str) -> tuple[str, ...]:
-    # Significant slots appear in the pattern as #NAME_#; rule names are
-    # alphanumeric, so the trailing underscore delimits them exactly.
-    return tuple(m.group(1) for m in _SIGNIFICANT_SYMBOL_RE.finditer(pattern))
+        """The report over the entries so far; ``keys`` may be shared by one run's accumulators."""
+        if keys is None:
+            keys = {}
+        counts: list[PatternCounts] = []
+        for pattern, (f_p, slots) in self._patterns.items():
+            category_key = keys.get(pattern)
+            if category_key is None:
+                category_key = keys[pattern] = hash_text(pattern, cfg)
+            num = den = 1
+            for i, (values, symbols) in enumerate(slots):
+                # Two rules' symbols in one slot can outnumber its values.
+                if len(symbols) > len(values):
+                    raise DomainError(
+                        f"pattern {category_key}: slot {i} has more symbols ({len(symbols)}) "
+                        f"than values ({len(values)})"
+                    )
+                num *= len(symbols)
+                den *= len(values)
+            counts.append((category_key, pattern, f_p, num, den))
+        return _report(counts, self.n_entries, mode_label)
 
 
 def render_decimal(value: Rational, places: int = 4) -> str:

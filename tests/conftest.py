@@ -63,28 +63,36 @@ def mixed_entries() -> list[RawLogEntry]:
     return load_fixture_entries("mixed_sample.log")
 
 
-def brute_force_usefulness(entries: list[RawLogEntry], ruleset: RuleSet) -> Fraction:
-    """Reference usefulness: group by pattern, rescan the recorded replacements.
+def brute_force_rows(entries: list[RawLogEntry], ruleset: RuleSet) -> list[tuple[str, int, Fraction]]:
+    """Reference report rows: (pattern, f_p, ratio) per event pattern, sorted.
 
     Deliberately simple and non-streaming: materialize every de-identified
     entry, bucket them by event pattern, and count distinct values/symbols
     per significant slot with plain set comprehensions.
     """
     registry = SymbolRegistry()
-    processed = [process_entry(e, ruleset, registry) for e in entries]
     by_pattern: dict[str, list] = {}
-    for deid, pattern in processed:
+    for e in entries:
+        deid, pattern = process_entry(e, ruleset, registry)
         by_pattern.setdefault(pattern, []).append(deid)
-    total = Fraction(0)
-    for deids in by_pattern.values():
+    rows = []
+    for pattern, deids in by_pattern.items():
         ratio = Fraction(1)
         n_slots = len(deids[0].significant_values)
         for i in range(n_slots):
             values = {d.significant_values[i].original_value for d in deids}
             symbols = {d.significant_values[i].symbol for d in deids}
             ratio *= Fraction(len(symbols), len(values))
-        total += Fraction(len(deids), len(processed)) * ratio
-    return total
+        rows.append((pattern, len(deids), ratio))
+    return sorted(rows)
+
+
+def brute_force_usefulness(entries: list[RawLogEntry], ruleset: RuleSet) -> Fraction:
+    """Reference usefulness: the dominance-weighted sum of brute_force_rows."""
+    return sum(
+        (Fraction(f_p, len(entries)) * ratio for _, f_p, ratio in brute_force_rows(entries, ruleset)),
+        Fraction(0),
+    )
 
 
 def shell_cmd_rulesets() -> dict[str, RuleSet]:

@@ -21,6 +21,7 @@ from conftest import (
     FIXTURES,
     SHELL_CMD_A,
     SHELL_CMD_B,
+    brute_force_rows,
     brute_force_usefulness,
     load_fixture_entries,
     shell_cmd_rulesets,
@@ -305,17 +306,22 @@ def test_criterion_5d_grid_partition_laws():
 def test_criterion_5e_streaming_equals_brute_force():
     from loganon import RuleSet
 
-    @BIG
-    @given(_corpus(max_entries=25), st.sampled_from(list(Mode)))
-    def check(messages, mode):
-        ruleset = RuleSet(_granularity_rules(), mode)
-        entries = [RawLogEntry(i + 1, "n", m) for i, m in enumerate(messages)]
+    def check_report(entries, ruleset):
         registry = SymbolRegistry()
         acc = UsefulnessAccumulator()
         for e in entries:
             deid, pattern = process_entry(e, ruleset, registry)
             acc.add(deid, pattern)
-        assert acc.report(mode.value).value == brute_force_usefulness(entries, ruleset)
+        report = acc.report(ruleset.mode.value)
+        rows = sorted((row.pattern_text, row.f_p, row.ratio) for row in report.rows)
+        assert rows == brute_force_rows(entries, ruleset)
+        assert report.value == brute_force_usefulness(entries, ruleset)
+
+    @BIG
+    @given(_corpus(max_entries=25), st.sampled_from(list(Mode)))
+    def check(messages, mode):
+        entries = [RawLogEntry(i + 1, "n", m) for i, m in enumerate(messages)]
+        check_report(entries, RuleSet(_granularity_rules(), mode))
 
     def deterministic_large_case():
         from loganon import default_ruleset
@@ -327,18 +333,13 @@ def test_criterion_5e_streaming_equals_brute_force():
                 CorpusSpec(entries=10_000, patterns=300, seed=12, style="cmd", users=40)
             )
         ]
-        registry = SymbolRegistry()
-        acc = UsefulnessAccumulator()
-        for e in entries:
-            deid, pattern = process_entry(e, ruleset, registry)
-            acc.add(deid, pattern)
-        assert acc.report("individual").value == brute_force_usefulness(entries, ruleset)
+        check_report(entries, ruleset)
 
     def both():
         check()
         deterministic_large_case()
 
-    _report("C5e streaming == brute-force usefulness (1000 cases + 1e4-entry corpus)", both)
+    _report("C5e streaming == brute-force rows and usefulness (1000 cases + 1e4-entry corpus)", both)
 
 
 def test_criterion_5f_collision_behavior():

@@ -331,6 +331,27 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
         assert (tmp_path / "out" / f"usefulness_d{day}.csv").read_text() == expected
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_usefulness_slot_with_two_rules_symbols_exits_config(tmp_path, capsys, workers):
+    # Both lines de-identify to "#NUM_# #X_#", so slot 0 holds the value 5
+    # under #NUM_# (first line) and under #X_# (second line).
+    rules = tmp_path / "two.rules"
+    rules.write_text(
+        "[rule X]\npattern = (?<=# )\\d\nsignificant = yes\n\n"
+        "[rule NUM]\npattern = \\b\\d+\\b\nsignificant = yes\n"
+    )
+    corpus = tmp_path / "in.log"
+    corpus.write_text("1 n 5 #X_#\n2 n #NUM_# 5\n")
+    out_dir = tmp_path / "out"
+    argv = ["usefulness", str(corpus), "--rules", str(rules), "--workers", workers, "--out", str(out_dir)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    key = hash_text("#NUM_# #X_#")
+    assert err == f"error: pattern {key}: slot 0 has more symbols (2) than values (1)\n"
+    assert out == ""
+    assert list(out_dir.iterdir()) == []
+
+
 def test_usefulness_interrupt_leaves_no_output(tmp_path, monkeypatch):
     calls = []
 

@@ -25,7 +25,7 @@ from loganon import (
     tokenize,
 )
 from loganon import rules as rules_module
-from loganon.rules import DAEMON_NAMES, RuleMatch, scan_message
+from loganon.rules import DAEMON_NAMES, Match, scan_message
 
 
 def entry(message: str, ts: int = 1, source: str = "T-1") -> RawLogEntry:
@@ -171,6 +171,32 @@ def test_group_mode_incomplete_map_raises():
         process_entry(entry("guest"), rules)[0]
 
 
+USER_RULE = dict(name="USER", pattern=r"\b[a-z]+\b", significant=True)
+
+
+def test_ruleset_string_mode_is_coerced():
+    rules = RuleSet((TermRule(**USER_RULE),), "global")
+    assert rules.mode is Mode.GLOBAL
+    assert process_entry(entry("alice bob"), rules)[0].deid_message == "#USER_# #USER_#"
+
+
+def test_rule_string_mode_is_coerced():
+    rule = TermRule(**USER_RULE, mode="global")
+    assert rule.mode is Mode.GLOBAL
+    rules = RuleSet((rule,), Mode.INDIVIDUAL)
+    assert process_entry(entry("alice bob"), rules)[0].deid_message == "#USER_# #USER_#"
+
+
+def test_ruleset_unknown_mode_rejected():
+    with pytest.raises(ConfigError, match="^unknown mode 'bogus'$"):
+        RuleSet((TermRule(**USER_RULE),), "bogus")
+
+
+def test_rule_unknown_mode_rejected():
+    with pytest.raises(ConfigError, match="^rule USER: unknown mode 'bogus'$"):
+        TermRule(**USER_RULE, mode="bogus")
+
+
 def test_insignificant_terms_ignore_mode():
     rules = RuleSet((TermRule("PATH", r"/[^\s()]+"),), Mode.INDIVIDUAL)
     d = process_entry(entry("run /bin/a then /bin/b"), rules)[0]
@@ -242,9 +268,9 @@ SCAN_PATTERNS = (
 )
 
 
-def oracle_scan(message: str, ruleset: RuleSet) -> list[RuleMatch]:
+def oracle_scan(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
     """Brute force: every start, every rule; leftmost-longest, ties to the lower index."""
-    found: list[RuleMatch] = []
+    found: list[Match] = []
     start = 0
     while start < len(message):
         best = None
@@ -252,14 +278,14 @@ def oracle_scan(message: str, ruleset: RuleSet) -> list[RuleMatch]:
             m = rule.pattern.match(message, start)
             if m is None or m.end() == start:
                 continue
-            if best is None or m.end() > best.end:
-                best = RuleMatch(start, m.end(), index)
+            if best is None or m.end() > best[1]:
+                best = (start, m.end(), index)
         if best is None:
             start += 1
         else:
             found.append(best)
-            start = best.end
-    return found
+            start = best[1]
+    return tuple(found)
 
 
 @settings(max_examples=1000)
@@ -341,7 +367,7 @@ def test_rule_prefilter_without_regex_parser(monkeypatch):
     monkeypatch.setattr(rules_module, "_sre_parse", None)
     rule = TermRule("R", r"abc")
     assert rule.prefilter == ()
-    assert scan_message("xabc", RuleSet((rule,))) == [RuleMatch(1, 4, 0)]
+    assert scan_message("xabc", RuleSet((rule,))) == ((1, 4, 0),)
 
 
 LOOKBEHINDS = (r"(?<=a)", r"(?<=ab)", r"(?<=a|b)", r"(?<!b)", r"(?<=\d)", r"(?<=(?i:a)b)", r"(?<=\bA)")
@@ -523,12 +549,12 @@ def reference_symbol(rule: TermRule, value: str, mode: Mode, registry) -> str:
 def reference_rewrite(sanitized, matches, ruleset, registry):
     deid, pattern, significant = [], [], []
     cursor = 0
-    for m in matches:
-        constant = sanitized[cursor : m.start]
+    for start, end, rule_index in matches:
+        constant = sanitized[cursor:start]
         deid.append(constant)
         pattern.append(constant)
-        rule = ruleset.rules[m.rule_index]
-        value = sanitized[m.start : m.end]
+        rule = ruleset.rules[rule_index]
+        value = sanitized[start:end]
         mode = rule.mode if rule.mode is not None else ruleset.mode
         if registry is None and rule.significant and mode is Mode.INDIVIDUAL:
             registry = SymbolRegistry()
@@ -537,7 +563,7 @@ def reference_rewrite(sanitized, matches, ruleset, registry):
         pattern.append(f"#{rule.name}_#" if rule.significant else f"#{rule.name}#")
         if rule.significant:
             significant.append((value, symbol))
-        cursor = m.end
+        cursor = end
     deid.append(sanitized[cursor:])
     pattern.append(sanitized[cursor:])
     return "".join(deid), tuple(significant), "".join(pattern)
@@ -579,16 +605,14 @@ def outcome(rewrite, *args):
     plan_rulesets(),
     st.lists(st.text("ab1 #", max_size=12), min_size=1, max_size=6),
     st.booleans(),
-    st.booleans(),
 )
-def test_symbol_plan_matches_per_match_reference(ruleset, messages, shared, plain):
+def test_symbol_plan_matches_per_match_reference(ruleset, messages, shared):
     """rewrite_matches with the per-rule plan equals resolving every match from scratch."""
     registries = (SymbolRegistry(), SymbolRegistry()) if shared else (None, None)
     for message in messages:
         sanitized = sanitize_message(message)
         matches = scan_message(sanitized, ruleset)
-        given_matches = [tuple(m) for m in matches] if plain else matches
-        got = outcome(rules_module.rewrite_matches, sanitized, given_matches, ruleset, registries[0])
+        got = outcome(rules_module.rewrite_matches, sanitized, matches, ruleset, registries[0])
         want = outcome(reference_rewrite, sanitized, matches, ruleset, registries[1])
         assert got == want
         if shared:

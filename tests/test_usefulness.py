@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from conftest import brute_force_usefulness
 from loganon import (
     CoverageError,
+    DeidentifiedEntry,
     DomainError,
     Mode,
     PatternStats,
+    SignificantValue,
     SymbolRegistry,
     TermCardinality,
     UsefulnessAccumulator,
@@ -91,11 +93,18 @@ def test_usefulness_cron_breakdown(cron_entries, cron_ruleset):
     assert top.f_p == 10
     assert top.dominance == Fraction(1, 2)
     assert top.ratio == Fraction(1, 3)
-    by_pattern = {s.pattern_text: s for s in _accumulate(cron_entries, cron_ruleset).stats()}
-    cmd = by_pattern["(#USER_#) CMD (#PATH#)"]
-    assert cmd.per_term == (TermCardinality("USER", 3, 1),)
-    jobs = by_pattern["Normal exit (#NUM_# jobs run)"]
-    assert jobs.per_term == (TermCardinality("NUM", 2, 1),)
+    by_pattern = {row.pattern_text: row for row in report.rows}
+    # One symbol for 3 users; one for 2 job counts.
+    assert by_pattern["(#USER_#) CMD (#PATH#)"].ratio == Fraction(1, 3)
+    assert by_pattern["Normal exit (#NUM_# jobs run)"].ratio == Fraction(1, 2)
+
+
+def test_accumulator_rejects_more_symbols_than_values():
+    acc = UsefulnessAccumulator()
+    for symbol in ("#NUM_#", "#X_#"):
+        acc.add(DeidentifiedEntry(1, "n", "#NUM_# #X_#", (SignificantValue("5", symbol),)), "#NUM_# #X_#")
+    with pytest.raises(DomainError, match=r": slot 0 has more symbols \(2\) than values \(1\)$"):
+        acc.report()
 
 
 def test_usefulness_coverage_error():
@@ -152,7 +161,8 @@ def test_summary_domain_errors():
 # --- coverage ----------------------------------------------------------------
 
 def _cron_stats(cron_entries, cron_ruleset):
-    return _accumulate(cron_entries, cron_ruleset).stats()
+    report = _accumulate(cron_entries, cron_ruleset).report()
+    return [PatternStats(row.category_key, row.pattern_text, row.f_p) for row in report.rows]
 
 
 def test_top_k_cron(cron_entries, cron_ruleset):
