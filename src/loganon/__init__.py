@@ -5,6 +5,10 @@ then irreversible fixed-width hash encoding of the rewritten messages.
 Companion analytics quantify the privacy/usefulness trade-off (dominance-
 weighted usefulness metric, top-K pattern coverage, storage savings) and
 build per-node occurrence grids for failure analysis.
+
+The usefulness metric over entries comes from UsefulnessAccumulator, the
+path every command takes; usefulness_from_summary evaluates it from
+aggregate shares. ``loganon.usefulness`` is the module that holds both.
 """
 
 from .model import (
@@ -43,17 +47,13 @@ from .encoder import (
     hash_text,
 )
 from .usefulness import (
-    CoverageError,
     CoverageTable,
     DomainError,
     PatternStats,
-    TermCardinality,
     UsefulnessAccumulator,
     UsefulnessReport,
-    dominance,
     render_decimal,
     top_k_coverage,
-    usefulness,
     usefulness_from_summary,
 )
 from .grids import (
@@ -72,7 +72,6 @@ __all__ = [
     "CollisionDetected",
     "ConfigError",
     "CorpusSpec",
-    "CoverageError",
     "CoverageTable",
     "DeidentifiedEntry",
     "DimensionMismatch",
@@ -93,7 +92,6 @@ __all__ = [
     "StorageTally",
     "SymbolRegistry",
     "Term",
-    "TermCardinality",
     "TermClass",
     "TermRule",
     "UsefulnessAccumulator",
@@ -101,7 +99,6 @@ __all__ = [
     "build_grid",
     "default_ruleset",
     "difference_grid",
-    "dominance",
     "emit_grid",
     "encode_entry",
     "generate_lines",
@@ -116,6 +113,5 @@ __all__ = [
     "similarity_grid",
     "tokenize",
     "top_k_coverage",
-    "usefulness",
     "usefulness_from_summary",
 ]

@@ -15,7 +15,7 @@ import os
 import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
@@ -266,9 +266,13 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     if min(ks) < 1:
         raise ConfigError(f"--top values must be >= 1: {args.top!r}")
     cfg = _run_config(args, _rule_options)
+    # An event pattern does not depend on the mode, so rewrite in global
+    # mode, where no group table is looked up. The rules keep their order,
+    # so each match's rule index still points at the rule that made it.
+    ruleset = RuleSet(tuple(replace(r, mode=None) if r.mode is not None else r for r in cfg.ruleset.rules))
     counts: Counter[str] = Counter()
     for item in cfg.entries():
-        _, _, pattern = rewrite_matches(item.sanitized, item.matches, cfg.ruleset, None)
+        _, _, pattern = rewrite_matches(item.sanitized, item.matches, ruleset, None)
         counts[pattern] += 1
     stats = [
         PatternStats(hash_text(pattern, cfg.encoder), pattern, f_p)
@@ -297,6 +301,8 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.node_a == args.node_b:
+        raise ConfigError(f"compare needs two different nodes, got {args.node_a!r} twice")
     window = _parse_span(args.window, "--window")
     if not 0 <= window[0] < window[1] <= 1440:
         raise ConfigError(f"--window must lie within [0, 1440): {args.window}")
@@ -348,6 +354,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:
+        import numpy  # noqa: F401  # only gen needs numpy; see generate_lines
+    except ImportError:
+        raise ConfigError("gen needs numpy: pip install 'loganon[gen]'") from None
     if args.out == "-":
         for line in generate_lines(spec):
             sys.stdout.write(line + "\n")

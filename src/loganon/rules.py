@@ -557,9 +557,10 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
 
     Comments go on lines of their own; a ``;`` after a value is part of it.
     A key not shown above in ``[ruleset]`` or ``[rule X]`` is an error;
-    ``[groups X]`` keys are values and may be anything.
+    ``[groups X]`` keys are values and may be anything. A leading UTF-8
+    byte-order mark is skipped.
     """
-    return loads_rules(Path(path).read_text(encoding="utf-8"))
+    return loads_rules(Path(path).read_text(encoding="utf-8-sig"))
 
 
 # 14 daemon names; site-specific configuration, override per corpus as needed.

@@ -9,14 +9,16 @@ corpus is
     U = sum over patterns of  dominance * (product of N_s / product of N_val)
 
 so U = 1 means no generalization loss for the intended analysis and values
-near 0 mean the significant distinctions were generalized away. All
-arithmetic is exact rational; rendering rounds to 4 decimal places.
+near 0 mean the significant distinctions were generalized away. From
+de-identified entries, U is computed one way: feed them to a
+UsefulnessAccumulator and take its report. usefulness_from_summary evaluates
+the same sum from aggregate (dominance, ratio) shares when only those are
+known. All arithmetic is exact rational; rendering rounds to 4 decimal places.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -31,10 +33,6 @@ class DomainError(ValueError):
     """Inputs outside the metric's domain (empty window, dominances over 1, ...)."""
 
 
-class CoverageError(ValueError):
-    """Per-pattern frequencies do not add up to the declared entry count."""
-
-
 def _as_fraction(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -45,42 +43,16 @@ def _as_fraction(x: Rational) -> Fraction:
 
 
 @dataclass(frozen=True)
-class TermCardinality:
-    """Distinct-value and distinct-symbol counts for one significant term slot."""
-
-    rule_name: str
-    n_values: int
-    n_symbols: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_symbols <= self.n_values:
-            raise DomainError(
-                f"term {self.rule_name}: need 1 <= n_symbols <= n_values, "
-                f"got {self.n_symbols}/{self.n_values}"
-            )
-
-
-@dataclass(frozen=True)
 class PatternStats:
-    """Frequency and per-slot cardinalities of one event pattern."""
+    """Frequency of one event pattern, as top_k_coverage ranks it."""
 
     category_key: str
     pattern_text: str
     f_p: int
-    per_term: tuple[TermCardinality, ...] = ()
 
     def __post_init__(self) -> None:
         if self.f_p < 1:
             raise DomainError(f"pattern {self.category_key}: frequency must be >= 1")
-
-
-def dominance(f_p: int, n_entries: int) -> Fraction:
-    """Share of the analysis window held by one pattern, exact."""
-    if n_entries == 0:
-        raise DomainError("dominance undefined for an empty window")
-    if not 1 <= f_p <= n_entries:
-        raise DomainError(f"need 1 <= f_p <= N_e, got f_p={f_p}, N_e={n_entries}")
-    return Fraction(f_p, n_entries)
 
 
 @dataclass(frozen=True)
@@ -169,53 +141,6 @@ def _printable(text: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
-def usefulness(
-    stats: Sequence[PatternStats], n_entries: int, mode_label: str = ""
-) -> UsefulnessReport:
-    """Aggregate usefulness over pattern statistics covering the whole window."""
-    total = sum(s.f_p for s in stats)
-    if total != n_entries:
-        raise CoverageError(f"pattern frequencies cover {total} of {n_entries} entries")
-    counts = (
-        (s.category_key, s.pattern_text, s.f_p,
-         math.prod(t.n_symbols for t in s.per_term), math.prod(t.n_values for t in s.per_term))
-        for s in stats
-    )
-    return _report(counts, n_entries, mode_label)
-
-
-# One pattern's counts: (category key, pattern text, f_p, prod N_s, prod N_val).
-PatternCounts = tuple[str, str, int, int, int]
-
-
-def _report(counts: Iterable[PatternCounts], n_entries: int, mode_label: str) -> UsefulnessReport:
-    """The report over counts whose f_p add up to ``n_entries``.
-
-    The caller has checked each pattern: f_p >= 1 and, in every slot,
-    1 <= N_s <= N_val.
-    """
-    if n_entries == 0:
-        raise DomainError("empty analysis window")
-    # Rows with equal f_p and ratio terms share their (dominance, ratio,
-    # contribution), so each distinct value is computed once.
-    exact: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
-    # Ratio terms -> sum of f_p over the patterns with that ratio.
-    mass: dict[tuple[int, int], int] = {}
-    rows = []
-    # num/den is prod N_s / prod N_val, unreduced.
-    for category_key, text, f_p, num, den in sorted(counts, key=lambda c: (-c[2], c[0])):
-        values = exact.get((f_p, num, den))
-        if values is None:
-            share = Fraction(f_p, n_entries)
-            ratio = Fraction(num, den)
-            values = exact[f_p, num, den] = (share, ratio, share * ratio)
-        rows.append(PatternRow(category_key, text, f_p, *values))
-        mass[num, den] = mass.get((num, den), 0) + f_p
-    # U = sum over distinct ratios r of r * (sum of f_p) / N_e.
-    value = sum((Fraction(num * f, den) for (num, den), f in mass.items()), Fraction(0)) / n_entries
-    return UsefulnessReport(n_entries=n_entries, mode_label=mode_label, rows=tuple(rows), value=value)
-
-
 def usefulness_from_summary(
     rows: Iterable[tuple[Rational, Rational]],
     residual: Optional[tuple[Rational, Rational]] = None,
@@ -260,13 +185,13 @@ class CoverageTable:
         return lines
 
 
-def top_k_coverage(stats: Sequence[PatternStats], ks: Union[int, Iterable[int]]) -> CoverageTable:
+def top_k_coverage(stats: Sequence[PatternStats], ks: Iterable[int]) -> CoverageTable:
     """Coverage of the top-K patterns for each requested K.
 
     Patterns are ranked by frequency, ties broken by category key; a K beyond
     the pattern count yields the full-coverage row.
     """
-    k_list = [ks] if isinstance(ks, int) else list(ks)
+    k_list = list(ks)
     if not k_list or any(k < 1 for k in k_list):
         raise DomainError(f"K values must be >= 1, got {k_list}")
     ordered = sorted(stats, key=lambda s: (-s.f_p, s.category_key))
@@ -290,7 +215,7 @@ PatternKeys = dict[str, str]
 
 
 class UsefulnessAccumulator:
-    """Streaming collection of pattern statistics from de-identified entries.
+    """Streaming usefulness over de-identified entries; the report is U and its rows.
 
     Tracks, per pattern, the frequency and per significant-slot sets of
     observed values and emitted symbols.
@@ -323,9 +248,13 @@ class UsefulnessAccumulator:
         keys: Optional[PatternKeys] = None,
     ) -> UsefulnessReport:
         """The report over the entries so far; ``keys`` may be shared by one run's accumulators."""
+        n_entries = self.n_entries
+        if n_entries == 0:
+            raise DomainError("empty analysis window")
         if keys is None:
             keys = {}
-        counts: list[PatternCounts] = []
+        # (category key, pattern, f_p, num, den); num/den is prod N_s / prod N_val, unreduced.
+        counts = []
         for pattern, (f_p, slots) in self._patterns.items():
             category_key = keys.get(pattern)
             if category_key is None:
@@ -341,21 +270,36 @@ class UsefulnessAccumulator:
                 num *= len(symbols)
                 den *= len(values)
             counts.append((category_key, pattern, f_p, num, den))
-        return _report(counts, self.n_entries, mode_label)
+        # Rows with equal f_p and ratio terms share their (dominance, ratio,
+        # contribution), so each distinct value is computed once.
+        exact: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
+        # Ratio terms -> sum of f_p over the patterns with that ratio.
+        mass: dict[tuple[int, int], int] = {}
+        rows = []
+        for category_key, text, f_p, num, den in sorted(counts, key=lambda c: (-c[2], c[0])):
+            shares = exact.get((f_p, num, den))
+            if shares is None:
+                share = Fraction(f_p, n_entries)
+                ratio = Fraction(num, den)
+                shares = exact[f_p, num, den] = (share, ratio, share * ratio)
+            rows.append(PatternRow(category_key, text, f_p, *shares))
+            mass[num, den] = mass.get((num, den), 0) + f_p
+        # U = sum over distinct ratios r of r * (sum of f_p) / N_e.
+        value = sum((Fraction(num * f, den) for (num, den), f in mass.items()), Fraction(0)) / n_entries
+        return UsefulnessReport(n_entries=n_entries, mode_label=mode_label, rows=tuple(rows), value=value)
 
 
-def render_decimal(value: Rational, places: int = 4) -> str:
-    """Round an exact rational to fixed places; ties round half to even (banker's rounding)."""
+def render_decimal(value: Rational) -> str:
+    """Round an exact rational to 4 places; ties round half to even (banker's rounding)."""
     frac = _as_fraction(value)
-    return _decimal_text(frac.numerator, frac.denominator, places)
+    return _decimal_text(frac.numerator, frac.denominator)
 
 
-def _decimal_text(num: int, den: int, places: int = 4) -> str:
-    """num/den (den > 0) rounded half to even to ``places`` decimals, in integers."""
-    scale = 10**places
-    rounded, rest = divmod(num * scale, den)
+def _decimal_text(num: int, den: int) -> str:
+    """num/den (den > 0) rounded half to even to 4 decimals, in integers."""
+    rounded, rest = divmod(num * 10_000, den)
     if 2 * rest > den or (2 * rest == den and rounded & 1):
         rounded += 1
     sign = "-" if rounded < 0 else ""
-    whole, fracpart = divmod(abs(rounded), scale)
-    return f"{sign}{whole}.{fracpart:0{places}d}"
+    whole, fracpart = divmod(abs(rounded), 10_000)
+    return f"{sign}{whole}.{fracpart:04d}"

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import settings
 
 from loganon import (
+    DeidentifiedEntry,
     Mode,
     RawLogEntry,
     RuleSet,
+    SignificantValue,
     SymbolRegistry,
+    UsefulnessAccumulator,
     load_rules,
     parse_line,
     process_entry,
@@ -93,6 +97,28 @@ def brute_force_usefulness(entries: list[RawLogEntry], ruleset: RuleSet) -> Frac
         (Fraction(f_p, len(entries)) * ratio for _, f_p, ratio in brute_force_rows(entries, ruleset)),
         Fraction(0),
     )
+
+
+def accumulate_counts(
+    patterns: Iterable[tuple[str, int, Sequence[tuple[int, int]]]],
+) -> UsefulnessAccumulator:
+    """An accumulator fed entries that realize each pattern's counts exactly.
+
+    ``patterns`` holds (text, f_p, [(n_values, n_symbols), ...]) with
+    distinct texts and 1 <= n_symbols <= n_values <= f_p in every slot.
+    Entry k of a pattern holds value k % n_values and symbol
+    (k % n_values) % n_symbols in each slot, so the slot sees exactly
+    n_values values and n_symbols symbols, each value under one symbol.
+    """
+    acc = UsefulnessAccumulator()
+    for text, f_p, slots in patterns:
+        for k in range(f_p):
+            significant = tuple(
+                SignificantValue(f"v{k % n_values}", f"#S{k % n_values % n_symbols}#")
+                for n_values, n_symbols in slots
+            )
+            acc.add(DeidentifiedEntry(k, "n", text, significant), text)
+    return acc
 
 
 def shell_cmd_rulesets() -> dict[str, RuleSet]:

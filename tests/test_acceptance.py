@@ -21,6 +21,7 @@ from conftest import (
     FIXTURES,
     SHELL_CMD_A,
     SHELL_CMD_B,
+    accumulate_counts,
     brute_force_rows,
     brute_force_usefulness,
     load_fixture_entries,
@@ -38,7 +39,6 @@ from loganon import (
     RawLogEntry,
     StorageTally,
     SymbolRegistry,
-    TermCardinality,
     UsefulnessAccumulator,
     difference_grid,
     encode_entry,
@@ -51,7 +51,6 @@ from loganon import (
     render_entry,
     similarity_grid,
     top_k_coverage,
-    usefulness,
     usefulness_from_summary,
 )
 from loganon.cli import main
@@ -246,40 +245,36 @@ def test_criterion_5b_granularity_monotonicity():
 
 
 @st.composite
-def _synthetic_stats(draw):
-    stats = []
+def _synthetic_patterns(draw):
+    """(text, f_p, [(n_values, n_symbols), ...]) per pattern, as accumulate_counts takes them."""
+    patterns = []
     for i in range(draw(st.integers(min_value=1, max_value=5))):
         f_p = draw(st.integers(min_value=1, max_value=40))
-        terms = []
-        for j in range(draw(st.integers(min_value=0, max_value=3))):
-            n_values = draw(st.integers(min_value=1, max_value=8))
-            n_symbols = draw(st.integers(min_value=1, max_value=n_values))
-            terms.append(TermCardinality(f"T{j}", n_values, n_symbols))
-        stats.append(PatternStats(f"{i:08x}", f"p{i}", f_p, tuple(terms)))
-    return stats
+        slots = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            n_values = draw(st.integers(min_value=1, max_value=min(8, f_p)))
+            slots.append((n_values, draw(st.integers(min_value=1, max_value=n_values))))
+        patterns.append((f"p{i}", f_p, slots))
+    return patterns
 
 
 def test_criterion_5c_usefulness_bounds_and_monotonicity():
     @BIG
-    @given(_synthetic_stats(), st.data())
-    def check(stats, data):
-        n_entries = sum(s.f_p for s in stats)
-        base = usefulness(stats, n_entries).value
+    @given(_synthetic_patterns(), st.data())
+    def check(patterns, data):
+        base = accumulate_counts(patterns).report().value
         assert 0 < base <= 1
-        i = data.draw(st.integers(min_value=0, max_value=len(stats) - 1))
-        terms = list(stats[i].per_term)
-        if not terms:
+        i = data.draw(st.integers(min_value=0, max_value=len(patterns) - 1))
+        text, f_p, slots = patterns[i]
+        if not slots:
             return
-        j = data.draw(st.integers(min_value=0, max_value=len(terms) - 1))
-        t = terms[j]
-        if t.n_symbols == t.n_values:
+        j = data.draw(st.integers(min_value=0, max_value=len(slots) - 1))
+        n_values, n_symbols = slots[j]
+        if n_symbols == n_values:
             return
-        terms[j] = TermCardinality(t.rule_name, t.n_values, t.n_symbols + 1)
-        bumped = list(stats)
-        bumped[i] = PatternStats(
-            stats[i].category_key, stats[i].pattern_text, stats[i].f_p, tuple(terms)
-        )
-        assert usefulness(bumped, n_entries).value >= base
+        bumped = list(patterns)
+        bumped[i] = (text, f_p, [*slots[:j], (n_values, n_symbols + 1), *slots[j + 1:]])
+        assert accumulate_counts(bumped).report().value >= base
 
     _report("C5c usefulness bounds 0<U<=1 and monotonicity in N_s (1000 cases)", check)
 

@@ -313,8 +313,7 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
         hashed.append(text)
         return hash_text(text, cfg)
 
-    # The package rebinds the name `usefulness` to the metric function.
-    monkeypatch.setattr(sys.modules["loganon.usefulness"], "hash_text", counted)
+    monkeypatch.setattr(loganon.usefulness, "hash_text", counted)
     code, _, _ = run(["usefulness", str(corpus), "--per-day", "--mode", "individual",
                       "--out", str(tmp_path / "out")], capsys)
     assert code == 0
@@ -450,6 +449,42 @@ def test_patterns_bad_top_list(tmp_path, capsys):
         assert out == ""
 
 
+# Rule files whose group table has no label for "guest" and no `*`: one
+# through the ruleset mode, one through the rule's own override.
+GROUP_TABLE_RULES = {
+    "ruleset-mode": "[ruleset]\nmode = group\n\n[rule USER]\npattern = (?<=\\()[a-z]+(?=\\))\n"
+                    "significant = yes\n\n[groups USER]\nroot = p\nadmin = p\n",
+    "rule-override": "[rule USER]\npattern = (?<=\\()[a-z]+(?=\\))\nsignificant = yes\nmode = group\n\n"
+                     "[groups USER]\nroot = p\nadmin = p\n",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(GROUP_TABLE_RULES))
+def test_patterns_ignores_mode_and_group_tables(tmp_path, capsys, monkeypatch, case, workers):
+    messages = [f"({'root' if i % 3 else 'admin'}) CMD (/bin/job{i % 7})" for i in range(300)]
+    corpus = tmp_path / "in.log"
+    corpus.write_text("".join(f"{i} n {m}\n" for i, m in enumerate([*messages, "(guest) CMD (/x)"])))
+    rules = tmp_path / "group.rules"
+    rules.write_text(GROUP_TABLE_RULES[case])
+    plain_rules = tmp_path / "plain.rules"
+    plain_rules.write_text("[rule USER]\npattern = (?<=\\()[a-z]+(?=\\))\nsignificant = yes\n")
+    monkeypatch.setattr(loganon._stream, "BATCH_LINES", 16)
+    monkeypatch.setattr(loganon._stream, "_usable_cpus", lambda: 2)
+
+    def patterns(rule_file, *mode):
+        out = tmp_path / "-".join(["out", rule_file.stem, *mode])
+        code, stdout, err = run(["patterns", str(corpus), "--rules", str(rule_file), *mode,
+                                 "--top", "1,8", "--workers", str(workers), "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        return stdout, (out / "coverage.csv").read_text()
+
+    expected = patterns(plain_rules)
+    assert expected[1].splitlines()[:2] == ["#Raw log entries,301", "#Event patterns,8"]
+    for mode in ([], ["--mode", "group"], ["--mode", "individual"], ["--mode", "global"]):
+        assert patterns(rules, *mode) == expected
+
+
 def test_compare_command(tmp_path, capsys):
     code, out, err = run(
         [
@@ -553,8 +588,9 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
          "--window must lie within [0, 1440): 9:3"),
         (["compare", CRON_LOG, "T-1020", "T-1022", "--days", "3:1"],
          "--days must have FIRST <= LAST: 3:1"),
+        (["compare", CRON_LOG, "T-1020", "T-1020"], "compare needs two different nodes, got 'T-1020' twice"),
     ],
-    ids=["top", "window", "days"],
+    ids=["top", "window", "days", "same-node"],
 )
 def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "made" / "deep"
@@ -706,8 +742,7 @@ REDUCE_FAILURES = {
     ),
     "group-map-incomplete": (
         [f"({'root' if i % 3 else 'admin'}) CMD (/bin/job{i})" for i in range(300)] + ["(guest) CMD (/x)"],
-        "[ruleset]\nmode = group\n\n[rule USER]\npattern = (?<=\\()[a-z]+(?=\\))\n"
-        "significant = yes\n\n[groups USER]\nroot = p\nadmin = p\n",
+        GROUP_TABLE_RULES["ruleset-mode"],
         2,
     ),
 }

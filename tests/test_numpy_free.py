@@ -60,3 +60,20 @@ def test_gen_imports_numpy_and_keeps_its_bytes(tmp_path, style):
     spec = CorpusSpec(entries=300, patterns=40, seed=9, style=style)
     expected = "".join(line + "\n" for line in generate_lines(spec)).encode("utf-8")
     assert (tmp_path / "corpus.log").read_bytes() == expected
+
+
+@pytest.mark.parametrize("out", ["corpus.log", "-"])
+def test_gen_without_numpy_exits_config(tmp_path, out):
+    stdout = _fresh_python(
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from loganon import cli\n"
+        "err, shown = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stderr(err), contextlib.redirect_stdout(shown):\n"
+        "    code = cli.main(['gen', '--entries', '30', '--patterns', '4', '--out', %r])\n"
+        "print(code, shown.getvalue() == '')\n"
+        "print(err.getvalue(), end='')\n" % out,
+        tmp_path,
+    )
+    assert stdout.splitlines() == ["2 True", "error: gen needs numpy: pip install 'loganon[gen]'"]
+    assert list(tmp_path.iterdir()) == []

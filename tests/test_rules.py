@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_RULE_VALUES, SHELL_CMD_A, SHELL_CMD_B, UNKNOWN_RULE_KEYS, shell_cmd_rulesets
+from conftest import BAD_RULE_VALUES, FIXTURES, SHELL_CMD_A, SHELL_CMD_B, UNKNOWN_RULE_KEYS, shell_cmd_rulesets
 from loganon import (
     ConfigError,
     GroupMapIncomplete,
@@ -19,6 +19,7 @@ from loganon import (
     TermClass,
     TermRule,
     default_ruleset,
+    load_rules,
     loads_rules,
     process_entry,
     sanitize_message,
@@ -706,6 +707,14 @@ def test_rule_file_unknown_key_rejected(text, message):
     with pytest.raises(ConfigError) as info:
         loads_rules(text)
     assert str(info.value) == message
+
+
+def test_rule_file_with_byte_order_mark_loads(tmp_path):
+    text = (FIXTURES / "mixed_sample.rules").read_bytes()
+    plain, marked = tmp_path / "plain.rules", tmp_path / "marked.rules"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_rules(marked) == load_rules(plain)
 
 
 def test_readme_rule_file_loads():

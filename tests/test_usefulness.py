@@ -8,57 +8,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_force_usefulness
+from conftest import accumulate_counts, brute_force_usefulness
 from loganon import (
-    CoverageError,
     DeidentifiedEntry,
     DomainError,
     Mode,
     PatternStats,
     SignificantValue,
     SymbolRegistry,
-    TermCardinality,
     UsefulnessAccumulator,
-    dominance,
+    hash_text,
     process_entry,
     render_decimal,
     top_k_coverage,
-    usefulness,
     usefulness_from_summary,
 )
 
 
-def test_dominance_values():
-    assert dominance(10, 20) == Fraction(1, 2)
-    assert dominance(2, 20) == Fraction(1, 10)
-    assert dominance(7, 7) == 1
-
-
-def test_dominance_domain_errors():
-    with pytest.raises(DomainError):
-        dominance(1, 0)
-    with pytest.raises(DomainError):
-        dominance(0, 5)
-    with pytest.raises(DomainError):
-        dominance(6, 5)
-
-
 def test_row_ratio_values():
-    # (N_s, N_val) per slot -> prod N_s / prod N_val; no slots means ratio 1.
-    cases = {(): 1, ((1, 3),): Fraction(1, 3), ((2, 3),): Fraction(2, 3),
-             ((2, 3), (1, 2)): Fraction(1, 3)}
-    for pairs, ratio in cases.items():
-        per_term = tuple(TermCardinality(f"T{i}", n_values, n_symbols)
-                         for i, (n_symbols, n_values) in enumerate(pairs))
-        (row,) = usefulness([PatternStats("c", "p", 1, per_term)], 1).rows
+    # (N_val, N_s) per slot -> prod N_s / prod N_val; no slots means ratio 1.
+    cases = {(): 1, ((3, 1),): Fraction(1, 3), ((3, 2),): Fraction(2, 3),
+             ((3, 2), (2, 1)): Fraction(1, 3)}
+    for slots, ratio in cases.items():
+        (row,) = accumulate_counts([("p", 3, slots)]).report().rows
         assert row.ratio == ratio
         assert row.contribution == ratio
-
-
-def test_term_cardinality_rejects_bad_pairs():
-    for n_symbols, n_values in ((0, 3), (4, 3)):
-        with pytest.raises(DomainError):
-            TermCardinality("T", n_values=n_values, n_symbols=n_symbols)
 
 
 def _accumulate(entries, ruleset):
@@ -107,20 +81,9 @@ def test_accumulator_rejects_more_symbols_than_values():
         acc.report()
 
 
-def test_usefulness_coverage_error():
-    stats = [PatternStats("aa", "p", 3)]
-    with pytest.raises(CoverageError):
-        usefulness(stats, 5)
-
-
 def test_usefulness_equals_one_iff_all_ratios_one():
-    stats = [
-        PatternStats("aa", "p", 2, (TermCardinality("X", 3, 3),)),
-        PatternStats("bb", "q", 3),
-    ]
-    assert usefulness(stats, 5).value == 1
-    stats[0] = PatternStats("aa", "p", 2, (TermCardinality("X", 3, 2),))
-    assert usefulness(stats, 5).value < 1
+    assert accumulate_counts([("p", 3, [(3, 3)]), ("q", 2, [])]).report().value == 1
+    assert accumulate_counts([("p", 3, [(3, 2)]), ("q", 2, [])]).report().value < 1
 
 
 def test_summary_head_value():
@@ -217,42 +180,39 @@ def test_streaming_matches_brute_force_on_fixture(cron_entries, cron_ruleset, mo
 # --- bounds and monotonicity --------------------------------------------------
 
 @st.composite
-def synthetic_stats(draw):
-    n_patterns = draw(st.integers(min_value=1, max_value=6))
-    stats = []
-    for i in range(n_patterns):
+def synthetic_patterns(draw):
+    """(text, f_p, [(n_values, n_symbols), ...]) per pattern, as accumulate_counts takes them."""
+    patterns = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
         f_p = draw(st.integers(min_value=1, max_value=50))
-        terms = []
-        for j in range(draw(st.integers(min_value=0, max_value=3))):
-            n_values = draw(st.integers(min_value=1, max_value=9))
-            n_symbols = draw(st.integers(min_value=1, max_value=n_values))
-            terms.append(TermCardinality(f"T{j}", n_values, n_symbols))
-        stats.append(PatternStats(f"{i:08x}", f"p{i}", f_p, tuple(terms)))
-    return stats
+        slots = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            n_values = draw(st.integers(min_value=1, max_value=min(9, f_p)))
+            slots.append((n_values, draw(st.integers(min_value=1, max_value=n_values))))
+        patterns.append((f"p{i}", f_p, slots))
+    return patterns
 
 
-@given(synthetic_stats())
-def test_usefulness_bounds(stats):
-    n_entries = sum(s.f_p for s in stats)
-    value = usefulness(stats, n_entries).value
+@given(synthetic_patterns())
+def test_usefulness_bounds(patterns):
+    value = accumulate_counts(patterns).report().value
     assert 0 < value <= 1
 
 
-@given(synthetic_stats(), st.data())
-def test_usefulness_monotone_in_symbol_count(stats, data):
-    n_entries = sum(s.f_p for s in stats)
-    base = usefulness(stats, n_entries).value
-    i = data.draw(st.integers(min_value=0, max_value=len(stats) - 1))
-    terms = list(stats[i].per_term)
-    if not terms:
+@given(synthetic_patterns(), st.data())
+def test_usefulness_monotone_in_symbol_count(patterns, data):
+    base = accumulate_counts(patterns).report().value
+    i = data.draw(st.integers(min_value=0, max_value=len(patterns) - 1))
+    text, f_p, slots = patterns[i]
+    if not slots:
         return
-    j = data.draw(st.integers(min_value=0, max_value=len(terms) - 1))
-    t = terms[j]
-    if t.n_symbols == t.n_values:
+    j = data.draw(st.integers(min_value=0, max_value=len(slots) - 1))
+    n_values, n_symbols = slots[j]
+    if n_symbols == n_values:
         return
-    terms[j] = TermCardinality(t.rule_name, t.n_values, t.n_symbols + 1)
-    bumped = stats[:i] + [PatternStats(stats[i].category_key, stats[i].pattern_text, stats[i].f_p, tuple(terms))] + stats[i + 1:]
-    assert usefulness(bumped, n_entries).value >= base
+    bumped = list(patterns)
+    bumped[i] = (text, f_p, [*slots[:j], (n_values, n_symbols + 1), *slots[j + 1:]])
+    assert accumulate_counts(bumped).report().value >= base
 
 
 def test_mode_ordering_on_fixture(cron_entries, cron_ruleset):
@@ -312,44 +272,41 @@ def test_render_decimal_int_and_float_inputs(x):
 
 
 @st.composite
-def repeating_stats(draw):
-    """Pattern statistics whose f_p and ratios repeat, with texts that need CSV quoting."""
-    n_patterns = draw(st.integers(min_value=1, max_value=30))
+def repeating_patterns(draw):
+    """Patterns whose f_p and ratios repeat, with distinct texts that need CSV quoting."""
     texts = st.text(alphabet="ab ,\"#_XY", min_size=1, max_size=12)
-    stats = []
-    for i in range(n_patterns):
-        terms = []
-        for j in range(draw(st.integers(min_value=0, max_value=2))):
-            n_values = draw(st.integers(min_value=1, max_value=4))
-            n_symbols = draw(st.integers(min_value=1, max_value=n_values))
-            terms.append(TermCardinality(f"T{j}", n_values, n_symbols))
+    patterns = []
+    for text in draw(st.lists(texts, min_size=1, max_size=30, unique=True)):
         f_p = draw(st.integers(min_value=1, max_value=4))
-        stats.append(PatternStats(f"{i:08x}", draw(texts), f_p, tuple(terms)))
-    return stats
+        slots = []
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            n_values = draw(st.integers(min_value=1, max_value=f_p))
+            slots.append((n_values, draw(st.integers(min_value=1, max_value=n_values))))
+        patterns.append((text, f_p, slots))
+    return patterns
 
 
-def _reference_report(stats, mode_label):
+def _reference_report(patterns, mode_label):
     """Rows, CSV lines, table lines and U in plain Fraction arithmetic, one row at a time."""
-    n_entries = sum(s.f_p for s in stats)
+    n_entries = sum(f_p for _, f_p, _ in patterns)
     rows = []
     value = Fraction(0)
-    for s in sorted(stats, key=lambda s: (-s.f_p, s.category_key)):
-        share = Fraction(s.f_p, n_entries)
+    keyed = sorted((-f_p, hash_text(text), text, f_p, slots) for text, f_p, slots in patterns)
+    for _, key, text, f_p, slots in keyed:
+        share = Fraction(f_p, n_entries)
         ratio = Fraction(1)
-        for t in s.per_term:
-            ratio *= Fraction(t.n_symbols, t.n_values)
-        rows.append((s, share, ratio, share * ratio))
+        for n_values, n_symbols in slots:
+            ratio *= Fraction(n_symbols, n_values)
+        rows.append((key, text, f_p, share, ratio, share * ratio))
         value += share * ratio
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["category", "pattern", "f_p", "D_p", "ratio", "contribution"])
     table = [f"{'category':<12} {'f_p':>8} {'D_p':>8} {'ratio':>8} {'contrib':>8}  pattern"]
-    for s, share, ratio, contribution in rows:
+    for key, text, f_p, share, ratio, contribution in rows:
         shown = [_reference_decimal(v) for v in (share, ratio, contribution)]
-        writer.writerow([s.category_key, s.pattern_text, s.f_p, *shown])
-        table.append(
-            f"{s.category_key:<12} {s.f_p:>8} {shown[0]:>8} {shown[1]:>8} {shown[2]:>8}  {s.pattern_text}"
-        )
+        writer.writerow([key, text, f_p, *shown])
+        table.append(f"{key:<12} {f_p:>8} {shown[0]:>8} {shown[1]:>8} {shown[2]:>8}  {text}")
     writer.writerow(["TOTAL", "", n_entries, "1.0000", "", _reference_decimal(value)])
     table.append(
         f"usefulness ({mode_label}): {_reference_decimal(value)} "
@@ -358,14 +315,13 @@ def _reference_report(stats, mode_label):
     return rows, buf.getvalue().splitlines(), table, value
 
 
-@given(repeating_stats(), st.sampled_from(["global", "group", "individual"]))
-def test_report_equals_fraction_reference(stats, mode_label):
-    report = usefulness(stats, sum(s.f_p for s in stats), mode_label)
-    rows, csv_lines, table_lines, value = _reference_report(stats, mode_label)
+@given(repeating_patterns(), st.sampled_from(["global", "group", "individual"]))
+def test_report_equals_fraction_reference(patterns, mode_label):
+    report = accumulate_counts(patterns).report(mode_label)
+    rows, csv_lines, table_lines, value = _reference_report(patterns, mode_label)
     assert report.value == value
-    assert [(r.f_p, r.dominance, r.ratio, r.contribution) for r in report.rows] == [
-        (s.f_p, share, ratio, contribution) for s, share, ratio, contribution in rows
-    ]
+    assert [(r.category_key, r.pattern_text, r.f_p, r.dominance, r.ratio, r.contribution)
+            for r in report.rows] == rows
     assert report.csv_lines() == csv_lines
     assert report.table_lines() == table_lines
     # A second call renders from the report's memo and must not differ.
