@@ -242,7 +242,7 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
     mode_label = cfg.ruleset.mode.value
     pattern_keys: PatternKeys = {}
     with _staged_outputs(cfg.out_dir) as create:
-        for key in sorted(accumulators, key=lambda k: (k is not None, k)):
+        for key in sorted(accumulators):
             report = accumulators[key].report(mode_label, cfg.encoder, pattern_keys)
             suffix = "" if key is None else f"_d{key}"
             with create(f"usefulness{suffix}.csv") as f:
@@ -303,6 +303,10 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.node_a == args.node_b:
         raise ConfigError(f"compare needs two different nodes, got {args.node_a!r} twice")
+    # The node names become output file names, which must stay inside --out.
+    for node in (args.node_a, args.node_b):
+        if any(sep and sep in node for sep in (os.sep, os.altsep)):
+            raise ConfigError(f"compare node names must not hold a path separator: {node!r}")
     window = _parse_span(args.window, "--window")
     if not 0 <= window[0] < window[1] <= 1440:
         raise ConfigError(f"--window must lie within [0, 1440): {args.window}")

@@ -43,7 +43,7 @@ class RawLogEntry:
         if not self.source or _SPACE_RE.search(self.source):
             raise MalformedLine(f"bad source field: {self.source!r}")
         if "\n" in self.message or "\r" in self.message:
-            raise ValueError("message must not contain line terminators")
+            raise MalformedLine("line contains embedded line terminator")
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,11 @@ def parse_line(line: str) -> RawLogEntry:
 
     The first two fields are split on single spaces; the message is the rest
     of the line verbatim (possibly empty). Raises MalformedLine for missing
-    fields, a non-integer timestamp, an empty or whitespace-holding source
-    (RawLogEntry's check), or embedded line terminators, leaving the
-    skip-vs-abort policy to the caller.
+    fields, a non-integer timestamp, or (RawLogEntry's checks) an empty or
+    whitespace-holding source or a CR or LF in the message, leaving the
+    skip-vs-abort policy to the caller. Each fact is checked once: a CR or
+    LF in the first two fields fails the timestamp or the source check.
     """
-    if "\n" in line or "\r" in line:
-        raise MalformedLine("line contains embedded line terminator")
     ts_text, sep, rest = line.partition(" ")
     if not sep:
         raise MalformedLine(f"fewer than 2 fields: {line!r}")

@@ -14,14 +14,16 @@ de-identified entries, U is computed one way: feed them to a
 UsefulnessAccumulator and take its report. usefulness_from_summary evaluates
 the same sum from aggregate (dominance, ratio) shares when only those are
 known. All arithmetic is exact rational; rendering rounds to 4 decimal places.
+The report computes and renders each distinct (f_p, ratio) once, when it is
+built, so its rows carry their decimal texts and the report holds no cache.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .encoder import EncoderConfig, hash_text
 from .model import DeidentifiedEntry
@@ -57,7 +59,10 @@ class PatternStats:
 
 @dataclass(frozen=True)
 class PatternRow:
-    """One pattern's line of a report; contribution = dominance * ratio."""
+    """One pattern's line of a report; contribution = dominance * ratio.
+
+    ``decimals`` holds (dominance, ratio, contribution) rendered to 4 places.
+    """
 
     category_key: str
     pattern_text: str
@@ -65,56 +70,34 @@ class PatternRow:
     dominance: Fraction
     ratio: Fraction
     contribution: Fraction
+    decimals: tuple[str, str, str]
 
 
 @dataclass(frozen=True)
 class UsefulnessReport:
-    """Per-pattern breakdown plus the aggregate usefulness U."""
+    """Per-pattern breakdown plus the aggregate usefulness U; an immutable value."""
 
     n_entries: int
     mode_label: str
     rows: tuple[PatternRow, ...]
     value: Fraction
-    # (f_p, ratio numerator, ratio denominator) -> rendered (D_p, ratio,
-    # contribution). Filled by the first csv_lines() or table_lines(), so each
-    # distinct row value is rendered once per report; rows repeat few values.
-    _decimals: dict[tuple[int, int, int], tuple[str, str, str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def _rendered_rows(self) -> Iterator[tuple[PatternRow, tuple[str, str, str]]]:
-        memo = self._decimals
-        n_entries = self.n_entries
-        for row in self.rows:
-            f_p, num, den = row.f_p, row.ratio.numerator, row.ratio.denominator
-            texts = memo.get((f_p, num, den))
-            if texts is None:
-                texts = memo[f_p, num, den] = (
-                    _decimal_text(f_p, n_entries),
-                    _decimal_text(num, den),
-                    _decimal_text(f_p * num, n_entries * den),
-                )
-            yield row, texts
 
     def csv_lines(self) -> list[str]:
         """CSV records; joined and ended by LF they are exactly csv.writer's output."""
         records = _Records()
         writer = csv.writer(records, lineterminator="\n")
         writer.writerow(["category", "pattern", "f_p", "D_p", "ratio", "contribution"])
-        writer.writerows(
-            (row.category_key, row.pattern_text, row.f_p, *texts)
-            for row, texts in self._rendered_rows()
-        )
+        writer.writerows((row.category_key, row.pattern_text, row.f_p, *row.decimals) for row in self.rows)
         writer.writerow(["TOTAL", "", self.n_entries, _decimal_text(1, 1), "", render_decimal(self.value)])
         return records
 
     def table_lines(self) -> list[str]:
         """The table for a terminal; pattern text is escaped where not printable."""
-        lines = [f"{'category':<12} {'f_p':>8} {'D_p':>8} {'ratio':>8} {'contrib':>8}  pattern"]
+        layout = "{:<12} {:>8} {:>8} {:>8} {:>8}  {}"
+        lines = [layout.format("category", "f_p", "D_p", "ratio", "contrib", "pattern")]
         lines.extend(
-            f"{row.category_key:<12} {row.f_p:>8} {share:>8} {ratio:>8} {contribution:>8}  "
-            f"{_printable(row.pattern_text)}"
-            for row, (share, ratio, contribution) in self._rendered_rows()
+            layout.format(row.category_key, row.f_p, *row.decimals, _printable(row.pattern_text))
+            for row in self.rows
         )
         lines.append(
             f"usefulness ({self.mode_label}): {render_decimal(self.value)} "
@@ -218,7 +201,8 @@ class UsefulnessAccumulator:
     """Streaming usefulness over de-identified entries; the report is U and its rows.
 
     Tracks, per pattern, the frequency and per significant-slot sets of
-    observed values and emitted symbols.
+    observed values and emitted symbols. report() turns them into rows in
+    one pass over the patterns, then sorts the rows by (-f_p, category key).
     """
 
     def __init__(self) -> None:
@@ -253,8 +237,13 @@ class UsefulnessAccumulator:
             raise DomainError("empty analysis window")
         if keys is None:
             keys = {}
-        # (category key, pattern, f_p, num, den); num/den is prod N_s / prod N_val, unreduced.
-        counts = []
+        # (f_p, num, den) -> (dominance, ratio, contribution) and their 4-place
+        # texts; num/den is prod N_s / prod N_val, unreduced, and rows repeat
+        # few values, so each distinct one is computed and rendered once.
+        memo: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction, tuple[str, str, str]]] = {}
+        # Ratio terms -> sum of f_p over the patterns with that ratio.
+        mass: dict[tuple[int, int], int] = {}
+        rows = []
         for pattern, (f_p, slots) in self._patterns.items():
             category_key = keys.get(pattern)
             if category_key is None:
@@ -269,21 +258,20 @@ class UsefulnessAccumulator:
                     )
                 num *= len(symbols)
                 den *= len(values)
-            counts.append((category_key, pattern, f_p, num, den))
-        # Rows with equal f_p and ratio terms share their (dominance, ratio,
-        # contribution), so each distinct value is computed once.
-        exact: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
-        # Ratio terms -> sum of f_p over the patterns with that ratio.
-        mass: dict[tuple[int, int], int] = {}
-        rows = []
-        for category_key, text, f_p, num, den in sorted(counts, key=lambda c: (-c[2], c[0])):
-            shares = exact.get((f_p, num, den))
-            if shares is None:
+            row_values = memo.get((f_p, num, den))
+            if row_values is None:
                 share = Fraction(f_p, n_entries)
                 ratio = Fraction(num, den)
-                shares = exact[f_p, num, den] = (share, ratio, share * ratio)
-            rows.append(PatternRow(category_key, text, f_p, *shares))
+                # _decimal_text(k*a, k*b) == _decimal_text(a, b), so the unreduced
+                # terms render as the reduced Fractions would.
+                row_values = memo[f_p, num, den] = (share, ratio, share * ratio, (
+                    _decimal_text(f_p, n_entries),
+                    _decimal_text(num, den),
+                    _decimal_text(f_p * num, n_entries * den),
+                ))
+            rows.append(PatternRow(category_key, pattern, f_p, *row_values))
             mass[num, den] = mass.get((num, den), 0) + f_p
+        rows.sort(key=lambda row: (-row.f_p, row.category_key))
         # U = sum over distinct ratios r of r * (sum of f_p) / N_e.
         value = sum((Fraction(num * f, den) for (num, den), f in mass.items()), Fraction(0)) / n_entries
         return UsefulnessReport(n_entries=n_entries, mode_label=mode_label, rows=tuple(rows), value=value)

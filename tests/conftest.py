@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,6 +22,7 @@ from loganon import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 # Rule-file keys given values they cannot take, each a configuration error.
 BAD_RULE_VALUES = [("mode", "bogus"), ("significant", "maybe")]
 # Rule files with a misspelt or unknown key, and the error each must give.
@@ -40,6 +42,15 @@ UNKNOWN_RULE_KEYS = [
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with PYTHONPATH naming this tree's src/.
+
+    For a child interpreter that runs `python -m loganon` or a demo, so it
+    imports the code under test and not an installed copy.
+    """
+    return dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def load_fixture_entries(name: str) -> list[RawLogEntry]:

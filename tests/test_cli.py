@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import loganon
-from conftest import BAD_RULE_VALUES, FIXTURES, UNKNOWN_RULE_KEYS
+from conftest import BAD_RULE_VALUES, FIXTURES, UNKNOWN_RULE_KEYS, child_env
 from loganon import UsefulnessAccumulator, cli, hash_text, parse_line
 from loganon.cli import main
 
@@ -589,8 +589,13 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
         (["compare", CRON_LOG, "T-1020", "T-1022", "--days", "3:1"],
          "--days must have FIRST <= LAST: 3:1"),
         (["compare", CRON_LOG, "T-1020", "T-1020"], "compare needs two different nodes, got 'T-1020' twice"),
+        # Node names become file names: these would write outside --out.
+        (["compare", CRON_LOG, "../x", "T-1022"],
+         "compare node names must not hold a path separator: '../x'"),
+        (["compare", CRON_LOG, "T-1020", "a/b"],
+         "compare node names must not hold a path separator: 'a/b'"),
     ],
-    ids=["top", "window", "days", "same-node"],
+    ids=["top", "window", "days", "same-node", "node-leaves-out", "node-in-subdirectory"],
 )
 def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "made" / "deep"
@@ -681,11 +686,10 @@ def test_gen_to_stdout(capsys):
 
 def test_gen_to_closed_stdout_exits_141_quietly():
     # `loganon gen ... | head -1`: the reader leaves after one line.
-    env = dict(os.environ, PYTHONPATH=str(Path(loganon.__file__).parent.parent))
     proc = subprocess.Popen(
         [sys.executable, "-m", "loganon", "gen", "--entries", "200000", "--patterns", "10",
          "--out", "-"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
         assert proc.stdout.readline()
@@ -705,6 +709,7 @@ def test_stdin_input(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "loganon", "anonymize", "-", "--out", str(tmp_path)],
         input="10 n hello world\n",
+        env=child_env(),
         capture_output=True,
         text=True,
         check=False,
@@ -777,12 +782,11 @@ def test_ctrl_c_with_worker_pool_leaves_no_output(tmp_path):
     assert main(["gen", "--entries", "50000", "--patterns", "20000", "--users", "300",
                  "--style", "cmd", "--seed", "3", "--out", str(corpus)]) == 0
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(loganon.__file__).parent.parent))
     proc = subprocess.Popen(
         [sys.executable, "-m", "loganon", "anonymize", str(corpus), "--workers", "2",
          "--mode", "individual", "--digest-bytes", "8", "--emit-dictionary", "--emit-meanings",
          "--out", str(out)],
-        env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=child_env(), start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     try:
         staged = out / "encoded.log.tmp"

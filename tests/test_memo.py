@@ -29,6 +29,7 @@ from loganon import _stream, cli
 from loganon.cli import main
 from loganon.rules import default_ruleset
 
+from conftest import child_env
 from test_cli import COLLIDING_MESSAGES
 
 CORPUS_LINES = 600
@@ -175,7 +176,7 @@ def test_runs_in_one_process_equal_fresh_runs(corpus, tmp_path, capsys):
         fresh = tmp_path / f"fresh{i}"
         proc = subprocess.run(
             [sys.executable, "-m", "loganon", *anonymize_argv(corpus, rules_path, mode, 1, fresh)],
-            capture_output=True, text=True, check=False,
+            env=child_env(), capture_output=True, text=True, check=False,
         )
         assert proc.returncode == 0, proc.stderr
         assert read_outputs(tmp_path / f"in-process{i}") == read_outputs(fresh)

@@ -56,6 +56,23 @@ def test_parse_line_rejects_embedded_newline():
         parse_line("5 n two\nlines")
 
 
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        ("5\r n msg", "non-integer timestamp: '5\\r'"),
+        ("5 n\r msg", "bad source field: 'n\\r'"),
+        ("5 n two\nlines", "line contains embedded line terminator"),
+        ("5 n msg\r", "line contains embedded line terminator"),
+    ],
+    ids=["timestamp", "source", "message-lf", "message-cr"],
+)
+def test_line_terminator_fails_the_check_of_its_field(line, reason):
+    # parse_line has no whole-line check: each field's own check catches it.
+    with pytest.raises(MalformedLine) as info:
+        parse_line(line)
+    assert str(info.value) == reason
+
+
 def test_render_raw_entry():
     entry = RawLogEntry(1515625713, "T-6201", "disabling lock debugging due to kernel taint")
     assert render_entry(entry) == "1515625713 T-6201 disabling lock debugging due to kernel taint"

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import loganon
-from conftest import FIXTURES
+from conftest import FIXTURES, child_env
 from loganon.synth import CorpusSpec, generate_lines
-
-SRC = str(Path(loganon.__file__).parent.parent)
 
 
 def _fresh_python(code: str, cwd: Path) -> str:
@@ -21,7 +17,7 @@ def _fresh_python(code: str, cwd: Path) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", code],
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,

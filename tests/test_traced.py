@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from loganon.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,11 +70,10 @@ def test_traced_run_equals_untraced(name, corpora, tmp_path, capsys):
     assert main(workload.argv(corpus, str(plain_dir))) == 0
     plain_stdout = capsys.readouterr().out.splitlines()
 
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     traced = subprocess.run(
         [sys.executable, str(TRACED), "--workload", name, "--corpus", corpus,
          "--out", str(traced_dir), "--src", str(ROOT / "src")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert traced.returncode == 0, traced.stderr
     *command_stdout, last = traced.stdout.splitlines()

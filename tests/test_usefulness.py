@@ -5,7 +5,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import accumulate_counts, brute_force_usefulness
@@ -23,6 +23,7 @@ from loganon import (
     top_k_coverage,
     usefulness_from_summary,
 )
+from loganon.usefulness import _decimal_text
 
 
 def test_row_ratio_values():
@@ -269,6 +270,18 @@ def test_render_decimal_equals_fraction_round(x):
 @given(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)))
 def test_render_decimal_int_and_float_inputs(x):
     assert render_decimal(x) == _reference_decimal(Fraction(repr(x)))
+
+
+@given(
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.one_of(st.sampled_from([2, 8, 20000]), st.integers(min_value=1, max_value=10**9)),
+    st.integers(min_value=1, max_value=10**6),
+)
+@example(1, 20000, 3)  # 0.00005: a tie, rounds to the even 0.0000
+@example(-3, 20000, 7)  # -0.00015: a tie, rounds to the even -0.0002
+def test_decimal_text_of_unreduced_terms(a, b, k):
+    # The report renders prod N_s / prod N_val without reducing it first.
+    assert _decimal_text(k * a, k * b) == _decimal_text(a, b) == render_decimal(Fraction(a, b))
 
 
 @st.composite
