@@ -69,8 +69,8 @@ for entry in entries:
     print(f"  {render_entry(encoded)}")
 
 print("\nhash key meanings:")
-for key, text, count in dicts.messages.items():
-    print(f"  {key} -> {text!r} (x{count})")
+for key, text in dicts.messages.items():
+    print(f"  {key} -> {text!r}")
 print("\ncategories:")
-for key, text, count in dicts.patterns.items():
-    print(f"  {key} -> {text!r} (x{count})")
+for key, text in dicts.patterns.items():
+    print(f"  {key} -> {text!r}")

@@ -135,6 +135,8 @@ def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None
     for path in args.inputs:
         if path != "-" and not Path(path).exists():
             raise ConfigError(f"input not found: {path}")
+        if path != "-" and Path(path).is_dir():
+            raise ConfigError(f"input is a directory: {path}")
     ruleset, encoder = read_options(args) if read_options else (RuleSet(()), EncoderConfig())
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
@@ -181,10 +183,11 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     dicts = EncodingDictionaries()
     tally = StorageTally()
     symbol_rows: dict[tuple[str, str], None] = {}
-    # Sanitized message -> (hash_key, category_key, deid_message, pattern).
-    # Exact: a repeated message gets the same rewrite in every mode, since
-    # individual-mode indices are fixed at a value's first occurrence.
-    # Hits still register both keys, so counts and collision checks hold.
+    # Sanitized message -> (hash_key, category_key). Exact: a repeated
+    # message gets the same rewrite in every mode, since individual-mode
+    # indices are fixed at a value's first occurrence. A message enters only
+    # after encode_entry registered both its pairs, so a hit registers nothing
+    # and cannot collide.
     memo = RunMemo()
     with _staged_outputs(cfg.out_dir) as create:
         with create("encoded.log") as out:
@@ -196,16 +199,12 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                     )
                     deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
                     encoded = encode_entry(deid, pattern, dicts, cfg.encoder)
-                    memo.admit(
-                        item.sanitized, (encoded.hash_key, encoded.category_key, deid_message, pattern)
-                    )
+                    memo.admit(item.sanitized, (encoded.hash_key, encoded.category_key))
                     if args.emit_dictionary:
                         for sig in significant:
                             symbol_rows.setdefault((sig.symbol, sig.original_value))
                 else:
-                    hash_key, category_key, deid_message, pattern = known
-                    dicts.register(hash_key, deid_message, category_key, pattern)
-                    encoded = _trusted_encoded_entry(item.timestamp, item.source, hash_key, category_key)
+                    encoded = _trusted_encoded_entry(item.timestamp, item.source, *known)
                 out.write(render_entry(encoded) + "\n")
                 # sanitize_message only swaps '#' for '?': same UTF-8 length as the raw message.
                 tally.add(item.sanitized, encoded)
@@ -215,7 +214,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                     f.write(f"{symbol}\t{value}\n")
         if args.emit_meanings:
             with create("meanings.tsv") as f:
-                for key, text, _ in dicts.messages.items():
+                for key, text in dicts.messages.items():
                     f.write(f"{key}\t{text}\n")
     for line in tally.report(dicts).lines():
         print(line)

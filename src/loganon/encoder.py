@@ -56,42 +56,34 @@ def _safe_digest_bytes(n: int) -> int:
 
 
 class PatternDictionary:
-    """One-to-one map from hash key to the text it encodes, with counts.
+    """One-to-one map from hash key to the text it encodes.
 
-    register() checks and inserts: a key seen again with the same text
-    increments its count, a key seen with different text raises
-    CollisionDetected. Counts therefore always sum to the number of
-    registrations. Not thread-safe: the streaming pipeline registers only
-    in its single ordered reduce step.
+    register() checks and inserts: a key seen again with the same text is
+    a no-op, a key seen with different text raises CollisionDetected. Not
+    thread-safe: the streaming pipeline registers only in its single
+    ordered reduce step.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[str, int]] = {}
+        self._texts: dict[str, str] = {}
 
-    def register(self, key: str, text: str) -> int:
-        known = self._entries.get(key)
-        if known is None:
-            self._entries[key] = (text, 1)
-            return 1
-        known_text, count = known
+    def register(self, key: str, text: str) -> None:
+        known_text = self._texts.setdefault(key, text)
         if known_text != text:
-            n = len(self._entries)
+            n = len(self._texts)
             raise CollisionDetected(
                 f"key {key} maps to both {known_text!r} and {text!r}; "
                 "increase the digest width and re-run "
                 f"(distinct keys so far: {n}, width: {len(key) // 2} bytes; smallest "
                 f"--digest-bytes with a birthday estimate below 1e-6: {_safe_digest_bytes(n)})"
             )
-        self._entries[key] = (known_text, count + 1)
-        return count + 1
 
-    def items(self) -> Iterator[tuple[str, str, int]]:
-        """(key, text, count) triples in first-registration order."""
-        for key, (text, count) in self._entries.items():
-            yield key, text, count
+    def items(self) -> Iterator[tuple[str, str]]:
+        """(key, text) pairs in first-registration order."""
+        return iter(self._texts.items())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._texts)
 
 
 @dataclass
@@ -100,11 +92,6 @@ class EncodingDictionaries:
 
     messages: PatternDictionary = field(default_factory=PatternDictionary)
     patterns: PatternDictionary = field(default_factory=PatternDictionary)
-
-    def register(self, hash_key: str, message: str, category_key: str, pattern: str) -> None:
-        """Count one entry under both keys; raises CollisionDetected on a clash."""
-        self.messages.register(hash_key, message)
-        self.patterns.register(category_key, pattern)
 
 
 def encode_entry(
@@ -120,7 +107,8 @@ def encode_entry(
     """
     hash_key = hash_text(deid.deid_message, cfg)
     category_key = hash_text(pattern, cfg)
-    dicts.register(hash_key, deid.deid_message, category_key, pattern)
+    dicts.messages.register(hash_key, deid.deid_message)
+    dicts.patterns.register(category_key, pattern)
     return _trusted_encoded_entry(deid.timestamp, deid.source, hash_key, category_key)
 
 
@@ -132,7 +120,7 @@ def dictionary_bytes(dicts: EncodingDictionaries) -> int:
     """Size of the meanings files for both dictionaries (`key<TAB>text<LF>` lines)."""
     total = 0
     for dictionary in (dicts.messages, dicts.patterns):
-        for key, text, _ in dictionary.items():
+        for key, text in dictionary.items():
             total += len(key) + 1 + _utf8_len(text) + 1
     return total
 

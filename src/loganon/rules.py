@@ -74,6 +74,9 @@ class ConfigError(ValueError):
 class GroupMapIncomplete(KeyError):
     """Group mode met a value that has no group label and no default."""
 
+    # KeyError's str() is the repr of its argument; print the plain message.
+    __str__ = Exception.__str__
+
 
 class Mode(str, Enum):
     INDIVIDUAL = "individual"

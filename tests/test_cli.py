@@ -594,8 +594,11 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
          "compare node names must not hold a path separator: '../x'"),
         (["compare", CRON_LOG, "T-1020", "a/b"],
          "compare node names must not hold a path separator: 'a/b'"),
+        # A directory outside tmp_path, which must stay empty.
+        (["anonymize", str(FIXTURES)], f"input is a directory: {FIXTURES}"),
     ],
-    ids=["top", "window", "days", "same-node", "node-leaves-out", "node-in-subdirectory"],
+    ids=["top", "window", "days", "same-node", "node-leaves-out", "node-in-subdirectory",
+         "input-directory"],
 )
 def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "made" / "deep"
@@ -773,6 +776,8 @@ def test_reduce_errors_identical_at_one_and_two_workers(tmp_path, capsys, monkey
         assert list(out.iterdir()) == []
     assert results[1] == results[2]
     assert results[1][2].startswith("error: ")
+    if failure == "group-map-incomplete":
+        assert results[1][2] == "error: rule USER: no group for value 'guest'\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")

@@ -17,6 +17,7 @@ from loganon import (
     EncoderConfig,
     EncodingDictionaries,
     Mode,
+    PatternDictionary,
     SymbolRegistry,
     encode_entry,
     hash_text,
@@ -110,7 +111,7 @@ def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[
     rows = {
         "encoded.log": encoded,
         "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],
-        "meanings.tsv": [f"{key}\t{text}" for key, text, _ in dicts.messages.items()],
+        "meanings.tsv": [f"{key}\t{text}" for key, text in dicts.messages.items()],
     }
     return {name: "".join(row + "\n" for row in lines).encode() for name, lines in rows.items()}
 
@@ -142,7 +143,7 @@ def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys,
     lines = corpus.read_text(encoding="utf-8").splitlines()
     messages = [line.split(" ", 2)[2] for line in lines]
     assert SMALL_CAP < len(set(messages)) < len(messages)
-    calls = {"scan": 0, "rewrite": 0}
+    calls = {"scan": 0, "rewrite": 0, "register": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -152,13 +153,15 @@ def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys,
 
     monkeypatch.setattr(_stream, "scan_message", counting("scan", _stream.scan_message))
     monkeypatch.setattr(cli, "rewrite_matches", counting("rewrite", cli.rewrite_matches))
+    monkeypatch.setattr(PatternDictionary, "register", counting("register", PatternDictionary.register))
     monkeypatch.setattr(_stream, "MEMO_ENTRIES", SMALL_CAP)
     assert main(["anonymize", str(corpus), "--mode", "individual", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     # The first SMALL_CAP distinct messages are computed once; every other line is computed.
+    # A computed line registers one pair in each dictionary; a memo hit registers nothing.
     admitted = set(list(dict.fromkeys(messages))[:SMALL_CAP])
     expected = len(admitted) + sum(1 for m in messages if m not in admitted)
-    assert calls == {"scan": expected, "rewrite": expected}
+    assert calls == {"scan": expected, "rewrite": expected, "register": 2 * expected}
 
 
 def test_runs_in_one_process_equal_fresh_runs(corpus, tmp_path, capsys):

@@ -95,7 +95,7 @@ def expected_outputs(lines: list[str], rules_path: Path) -> dict[str, list]:
     return {
         "encoded.log": encoded,
         "dictionary.tsv": [[symbol, value] for symbol, value in symbols],
-        "meanings.tsv": [[key, text] for key, text, _ in dicts.messages.items()],
+        "meanings.tsv": [[key, text] for key, text in dicts.messages.items()],
         "usefulness.csv": usefulness_rows,
         "coverage.csv": coverage_rows,
     }
