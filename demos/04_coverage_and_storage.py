@@ -35,7 +35,9 @@ for line in generate_lines(spec):
     entry = parse_line(line)
     deid, pattern = process_entry(entry, no_rules)
     encoded = encode_entry(deid, pattern, dicts)
-    tally.add(entry.message, encoded)
+    # Two key columns and the space between them.
+    encoded_bytes = len(encoded.hash_key) + 1 + len(encoded.category_key)
+    tally.add(len(entry.message.encode("utf-8")), encoded_bytes)
     counts[pattern] += 1
 
 stats = [PatternStats(hash_text(p), p, f_p) for p, f_p in counts.items()]

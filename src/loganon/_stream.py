@@ -9,8 +9,10 @@ input order. Results are therefore byte-identical for any worker count,
 and that one reduce process bounds what more workers can gain. The pool
 never has more processes than the CPUs this process may run on.
 
-Only built-in types cross the pipe: a worker returns each line's fields as
-a plain tuple, with the tuple of ``(start, end, rule_index)`` triples that
+No per-line object is built on the way: model.split_line checks a line and
+returns its three fields as plain values, without a RawLogEntry. Only
+built-in types cross the pipe: a worker returns each line's fields as a
+plain tuple, with the tuple of ``(start, end, rule_index)`` triples that
 scan_message returns, and the parent wraps the fields back into a
 ScannedLine or LineIssue. Named tuples would cost the parent a Python-level
 constructor call per object to unpickle, on the thread that competes with
@@ -38,7 +40,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .model import MalformedLine, parse_line
+# parse_line is not called here; perfbench/traced.py times line parsing under this name.
+from .model import MalformedLine, parse_line, split_line  # noqa: F401
 from .rules import Match, RuleSet, sanitize_message, scan_message
 
 BATCH_LINES = 4096
@@ -96,16 +99,16 @@ def _scan_one(
     except UnicodeDecodeError:
         return lineno, "not valid UTF-8"
     try:
-        entry = parse_line(text)
+        timestamp, source, message = split_line(text)
     except MalformedLine as exc:
         return lineno, str(exc)
-    sanitized = sanitize_message(entry.message)
+    sanitized = sanitize_message(message)
     matches = memo.get(sanitized) if memo is not None else None
     if matches is None:
         matches = scan_message(sanitized, ruleset)
         if memo is not None:
             memo.admit(sanitized, matches)
-    return entry.timestamp, entry.source, sanitized, matches
+    return timestamp, source, sanitized, matches
 
 
 def _new_memo(ruleset: RuleSet) -> Optional[RunMemo]:

@@ -36,7 +36,7 @@ from .grids import (
     emit_grid,
     similarity_grid,
 )
-from .model import DeidentifiedEntry, _trusted_encoded_entry, render_entry
+from .model import DeidentifiedEntry, render_entry
 from .rules import (
     ConfigError,
     GroupMapIncomplete,
@@ -183,31 +183,37 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     dicts = EncodingDictionaries()
     tally = StorageTally()
     symbol_rows: dict[tuple[str, str], None] = {}
-    # Sanitized message -> (hash_key, category_key). Exact: a repeated
-    # message gets the same rewrite in every mode, since individual-mode
-    # indices are fixed at a value's first occurrence. A message enters only
-    # after encode_entry registered both its pairs, so a hit registers nothing
-    # and cannot collide.
+    # Sanitized message -> (tail, message bytes): the encoded line after its
+    # timestamp and source, " <hash_key> <category_key>\n", and the message's
+    # UTF-8 length. Exact: a repeated message gets the same rewrite in every
+    # mode, since individual-mode indices are fixed at a value's first
+    # occurrence. A message enters only after encode_entry registered both its
+    # pairs, so a hit registers nothing and cannot collide.
     memo = RunMemo()
     with _staged_outputs(cfg.out_dir) as create:
         with create("encoded.log") as out:
-            for item in cfg.entries():
-                known = memo.get(item.sanitized)
+            for timestamp, source, sanitized, matches in cfg.entries():
+                known = memo.get(sanitized)
                 if known is None:
                     deid_message, significant, pattern = rewrite_matches(
-                        item.sanitized, item.matches, cfg.ruleset, registry
+                        sanitized, matches, cfg.ruleset, registry
                     )
-                    deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
-                    encoded = encode_entry(deid, pattern, dicts, cfg.encoder)
-                    memo.admit(item.sanitized, (encoded.hash_key, encoded.category_key))
+                    deid = DeidentifiedEntry(timestamp, source, deid_message, significant)
+                    line = render_entry(encode_entry(deid, pattern, dicts, cfg.encoder)) + "\n"
+                    # The line after its timestamp and source, neither of which holds a space.
+                    tail = " " + line.split(" ", 2)[2]
+                    # sanitize_message only swaps '#' for '?': same UTF-8 length as the raw message.
+                    message_bytes = len(sanitized.encode("utf-8"))
+                    memo.admit(sanitized, (tail, message_bytes))
                     if args.emit_dictionary:
                         for sig in significant:
                             symbol_rows.setdefault((sig.symbol, sig.original_value))
                 else:
-                    encoded = _trusted_encoded_entry(item.timestamp, item.source, *known)
-                out.write(render_entry(encoded) + "\n")
-                # sanitize_message only swaps '#' for '?': same UTF-8 length as the raw message.
-                tally.add(item.sanitized, encoded)
+                    tail, message_bytes = known
+                    line = f"{timestamp} {source}{tail}"
+                out.write(line)
+                # The tail without its leading space and LF: the two keys and the space between them.
+                tally.add(message_bytes, len(tail) - 2)
         if args.emit_dictionary:
             with create("dictionary.tsv") as f:
                 for symbol, value in symbol_rows:

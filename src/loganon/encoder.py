@@ -112,16 +112,12 @@ def encode_entry(
     return _trusted_encoded_entry(deid.timestamp, deid.source, hash_key, category_key)
 
 
-def _utf8_len(text: str) -> int:
-    return len(text.encode("utf-8"))
-
-
 def dictionary_bytes(dicts: EncodingDictionaries) -> int:
     """Size of the meanings files for both dictionaries (`key<TAB>text<LF>` lines)."""
     total = 0
     for dictionary in (dicts.messages, dicts.patterns):
         for key, text in dictionary.items():
-            total += len(key) + 1 + _utf8_len(text) + 1
+            total += len(key) + 1 + len(text.encode("utf-8")) + 1
     return total
 
 
@@ -162,18 +158,22 @@ class StorageReport:
 
 
 class StorageTally:
-    """Streaming byte accounting for one run; add each entry as it is encoded."""
+    """Streaming byte accounting for one run; add each entry's byte counts as it is encoded."""
 
     def __init__(self) -> None:
         self.entries = 0
         self.raw_message_bytes = 0
         self.encoded_message_bytes = 0
 
-    def add(self, raw_message: str, encoded: EncodedEntry) -> None:
+    def add(self, raw_message_bytes: int, encoded_message_bytes: int) -> None:
+        """Count one entry: its message's UTF-8 bytes, and its encoded message's.
+
+        An encoded message is the two key columns plus the single space
+        separating them.
+        """
         self.entries += 1
-        self.raw_message_bytes += _utf8_len(raw_message)
-        # The two key columns plus the single space separating them.
-        self.encoded_message_bytes += len(encoded.hash_key) + 1 + len(encoded.category_key)
+        self.raw_message_bytes += raw_message_bytes
+        self.encoded_message_bytes += encoded_message_bytes
 
     def report(self, dicts: EncodingDictionaries) -> StorageReport:
         return StorageReport(

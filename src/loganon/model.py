@@ -3,6 +3,11 @@
 Every entry has the layout ``<timestamp> <source> <message>``: an integer
 UNIX timestamp, a whitespace-free node identifier, and the free-text message
 (everything after the second space, verbatim).
+
+split_line checks a line and returns its three fields as plain values, for
+the scan stage, which reads every line and keeps no entry object;
+parse_line wraps the same fields in a RawLogEntry. Both run the one source
+check and the one line-terminator check that RawLogEntry runs.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
 
-_TIMESTAMP_RE = re.compile(r"[0-9]+")
 # One C call per check: \s is exactly str.isspace, and a key is one or
 # more pairs of lowercase hex digits.
 _SPACE_RE = re.compile(r"\s")
@@ -40,10 +44,15 @@ class RawLogEntry:
     def __post_init__(self) -> None:
         if self.timestamp < 0:
             raise ValueError("timestamp must be >= 0")
-        if not self.source or _SPACE_RE.search(self.source):
-            raise MalformedLine(f"bad source field: {self.source!r}")
-        if "\n" in self.message or "\r" in self.message:
-            raise MalformedLine("line contains embedded line terminator")
+        _check_fields(self.source, self.message)
+
+
+def _check_fields(source: str, message: str) -> None:
+    """Raise MalformedLine for an empty or whitespace-holding source, or a CR or LF in the message."""
+    if not source or _SPACE_RE.search(source):
+        raise MalformedLine(f"bad source field: {source!r}")
+    if "\n" in message or "\r" in message:
+        raise MalformedLine("line contains embedded line terminator")
 
 
 @dataclass(frozen=True)
@@ -111,23 +120,30 @@ def _trusted_encoded_entry(
     return entry
 
 
-def parse_line(line: str) -> RawLogEntry:
-    """Parse one flat-file line into a RawLogEntry.
+def split_line(line: str) -> tuple[int, str, str]:
+    """Split one flat-file line into (timestamp, source, message).
 
     The first two fields are split on single spaces; the message is the rest
     of the line verbatim (possibly empty). Raises MalformedLine for missing
-    fields, a non-integer timestamp, or (RawLogEntry's checks) an empty or
-    whitespace-holding source or a CR or LF in the message, leaving the
-    skip-vs-abort policy to the caller. Each fact is checked once: a CR or
-    LF in the first two fields fails the timestamp or the source check.
+    fields, a non-integer timestamp, an empty or whitespace-holding source,
+    or a CR or LF in the message, leaving the skip-vs-abort policy to the
+    caller. Each fact is checked once: a CR or LF in the first two fields
+    fails the timestamp or the source check.
     """
     ts_text, sep, rest = line.partition(" ")
     if not sep:
         raise MalformedLine(f"fewer than 2 fields: {line!r}")
-    if not _TIMESTAMP_RE.fullmatch(ts_text):
+    # One or more ASCII digits: isdigit() alone also takes other scripts' digits.
+    if not (ts_text.isascii() and ts_text.isdigit()):
         raise MalformedLine(f"non-integer timestamp: {ts_text!r}")
     source, _, message = rest.partition(" ")
-    return RawLogEntry(int(ts_text), source, message)
+    _check_fields(source, message)
+    return int(ts_text), source, message
+
+
+def parse_line(line: str) -> RawLogEntry:
+    """Parse one flat-file line into a RawLogEntry; split_line says what is checked."""
+    return RawLogEntry(*split_line(line))
 
 
 def render_entry(entry: Union[RawLogEntry, EncodedEntry]) -> str:

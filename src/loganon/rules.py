@@ -561,9 +561,16 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
     Comments go on lines of their own; a ``;`` after a value is part of it.
     A key not shown above in ``[ruleset]`` or ``[rule X]`` is an error;
     ``[groups X]`` keys are values and may be anything. A leading UTF-8
-    byte-order mark is skipped.
+    byte-order mark is skipped; a file that is not UTF-8, or a path that
+    names a directory, raises ConfigError.
     """
-    return loads_rules(Path(path).read_text(encoding="utf-8-sig"))
+    if Path(path).is_dir():
+        raise ConfigError(f"rule file is a directory: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"rule file {path} is not valid UTF-8: {exc}") from None
+    return loads_rules(text)
 
 
 # 14 daemon names; site-specific configuration, override per corpus as needed.
@@ -593,10 +600,12 @@ def default_ruleset(mode: Mode = Mode.GLOBAL) -> RuleSet:
     configurable daemon-name list.
     """
     daemon_alt = "|".join(re.escape(n) for n in sorted(DAEMON_NAMES, key=len, reverse=True))
+    # IPv4 and NUM begin with \d rather than \b, so re's search can skip ahead
+    # to the next digit; \d(?<=\b\d) matches at exactly the positions \b\d does.
     return RuleSet(
         (
             TermRule("DAEM", rf"\b(?:{daemon_alt})\b", significant=True),
-            TermRule("IPv4", r"\b(?:\d{1,3}\.){3}\d{1,3}\b", significant=False),
+            TermRule("IPv4", r"\d(?<=\b\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3}\b", significant=False),
             TermRule(
                 "TIME",
                 r"\b\d{4}-\d{2}-\d{2}(?:[ T]\d{2}:\d{2}(?::\d{2})?)?\b",
@@ -608,7 +617,7 @@ def default_ruleset(mode: Mode = Mode.GLOBAL) -> RuleSet:
                 significant=True,
             ),
             TermRule("PATH", r"/[^\s()]+", significant=False),
-            TermRule("NUM", r"\b\d+\b", significant=True),
+            TermRule("NUM", r"\d(?<=\b\d)\d*\b", significant=True),
         ),
         mode,
     )

@@ -414,7 +414,8 @@ def test_criterion_7_storage_saving():
             entry = parse_line(line)
             deid, pattern = process_entry(entry, RuleSet(()))
             encoded = encode_entry(deid, pattern, dicts, cfg)
-            tally.add(entry.message, encoded)
+            encoded_bytes = len(encoded.hash_key) + 1 + len(encoded.category_key)
+            tally.add(len(entry.message.encode("utf-8")), encoded_bytes)
             total_raw += len(entry.message.encode("utf-8"))
             n += 1
         report = tally.report(dicts)

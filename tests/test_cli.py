@@ -19,6 +19,7 @@ CRON_LOG = str(FIXTURES / "cron_sample.log")
 CRON_RULES = str(FIXTURES / "cron_sample.rules")
 MIXED_LOG = str(FIXTURES / "mixed_sample.log")
 MIXED_RULES = str(FIXTURES / "mixed_sample.rules")
+NOT_UTF8_RULES = str(FIXTURES / "not_utf8.rules")
 
 # Frozen pair of distinct texts sharing one 4-byte key (birthday-searched offline).
 COLLIDING_MESSAGES = ("probe message 14372", "probe message 70602")
@@ -596,9 +597,13 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
          "compare node names must not hold a path separator: 'a/b'"),
         # A directory outside tmp_path, which must stay empty.
         (["anonymize", str(FIXTURES)], f"input is a directory: {FIXTURES}"),
+        (["anonymize", CRON_LOG, "--rules", str(FIXTURES)], f"rule file is a directory: {FIXTURES}"),
+        (["usefulness", CRON_LOG, "--rules", NOT_UTF8_RULES],
+         f"rule file {NOT_UTF8_RULES} is not valid UTF-8: "
+         "'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"),
     ],
     ids=["top", "window", "days", "same-node", "node-leaves-out", "node-in-subdirectory",
-         "input-directory"],
+         "input-directory", "rules-directory", "rules-not-utf8"],
 )
 def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "made" / "deep"

@@ -198,7 +198,8 @@ def test_timestamp_and_source_pass_through():
 def _storage_report(raw_messages, encoded, dicts):
     tally = StorageTally()
     for message, enc in zip(raw_messages, encoded, strict=True):
-        tally.add(message, enc)
+        encoded_bytes = len(enc.hash_key) + 1 + len(enc.category_key)
+        tally.add(len(message.encode("utf-8")), encoded_bytes)
     return tally.report(dicts)
 
 

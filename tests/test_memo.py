@@ -18,6 +18,7 @@ from loganon import (
     EncodingDictionaries,
     Mode,
     PatternDictionary,
+    StorageTally,
     SymbolRegistry,
     encode_entry,
     hash_text,
@@ -58,7 +59,7 @@ pattern = \b(?:0anacron|rsyslogd|anacron|systemd|postfix|polkitd|audispd|munged|
 significant = yes
 
 [rule IPv4]
-pattern = \b(?:\d{1,3}\.){3}\d{1,3}\b
+pattern = \d(?<=\b\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3}\b
 significant = no
 
 [rule TIME]
@@ -74,7 +75,7 @@ pattern = /[^\s()]+
 significant = no
 
 [rule NUM]
-pattern = \b\d+\b
+pattern = \d(?<=\b\d)\d*\b
 significant = yes
 
 [groups USER]
@@ -96,22 +97,27 @@ def group_rules(tmp_path_factory) -> Path:
 
 
 def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[str, bytes]:
-    """encoded.log, dictionary.tsv and meanings.tsv from process_entry + encode_entry, no memo."""
+    """The output files, and the storage report on stdout, from process_entry + encode_entry, no memo."""
     ruleset = load_rules(rules_path) if rules_path else default_ruleset()
     ruleset = ruleset.with_mode(Mode(mode))
     registry = SymbolRegistry()
     dicts = EncodingDictionaries()
+    tally = StorageTally()
     encoded: list[str] = []
     symbol_rows: dict[tuple[str, str], None] = {}
     for line in corpus.read_text(encoding="utf-8").splitlines():
-        deid, pattern = process_entry(parse_line(line), ruleset, registry)
-        encoded.append(render_entry(encode_entry(deid, pattern, dicts, EncoderConfig())))
+        entry = parse_line(line)
+        deid, pattern = process_entry(entry, ruleset, registry)
+        enc = encode_entry(deid, pattern, dicts, EncoderConfig())
+        encoded.append(render_entry(enc))
+        tally.add(len(entry.message.encode("utf-8")), len(enc.hash_key) + 1 + len(enc.category_key))
         for sig in deid.significant_values:
             symbol_rows.setdefault((sig.symbol, sig.original_value))
     rows = {
         "encoded.log": encoded,
         "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],
         "meanings.tsv": [f"{key}\t{text}" for key, text in dicts.messages.items()],
+        "storage report": tally.report(dicts).lines(),
     }
     return {name: "".join(row + "\n" for row in lines).encode() for name, lines in rows.items()}
 
@@ -135,8 +141,10 @@ def test_anonymize_equals_memo_free_reference(
     monkeypatch.setattr(_stream, "MEMO_ENTRIES", cap)
     rules_path = group_rules if mode == "group" else None
     assert main(anonymize_argv(corpus, rules_path, mode, workers, tmp_path)) == 0
-    capsys.readouterr()
-    assert read_outputs(tmp_path) == reference_outputs(corpus, rules_path, mode)
+    # stdout opens with the six StorageReport lines.
+    report = capsys.readouterr().out.splitlines(keepends=True)[:6]
+    outputs = {**read_outputs(tmp_path), "storage report": "".join(report).encode()}
+    assert outputs == reference_outputs(corpus, rules_path, mode)
 
 
 def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loganon import EncodedEntry, MalformedLine, RawLogEntry, model, parse_line, render_entry
+from loganon import EncodedEntry, MalformedLine, RawLogEntry, RuleSet, model, parse_line, render_entry
+from loganon._stream import LineIssue, ScannedLine, scanned_stream
+from loganon.model import split_line
 
 
 def test_parse_line_basic():
@@ -138,3 +140,34 @@ def test_encoded_entry_key_check_matches_old_check(key):
         else:
             with pytest.raises(ValueError):
                 EncodedEntry(0, "n", hash_key, category_key)
+
+
+# Pieces of adversarial lines: line terminators, other whitespace, empty
+# fields (two spaces in a row), leading zeros and a non-ASCII digit.
+LINE_PIECES = st.sampled_from(
+    ["0", "007", "15", "٣", " ", "  ", "\t", "\x0b", "\u2028", "\r", "\n", "n", "T-1", "é", "#"]
+)
+
+
+@settings(max_examples=1000)
+@given(st.lists(LINE_PIECES, max_size=10).map("".join))
+def test_split_line_checks_what_the_entry_checks(line):
+    # parse_line adds RawLogEntry's own checks on top of split_line: the
+    # two agree only if split_line checks every fact the entry checks.
+    try:
+        entry = parse_line(line)
+    except MalformedLine as exc:
+        reason = str(exc)
+        with pytest.raises(MalformedLine) as info:
+            split_line(line)
+        assert str(info.value) == reason
+    else:
+        reason = None
+        assert split_line(line) == (entry.timestamp, entry.source, entry.message)
+    [item] = scanned_stream([(7, line.encode("utf-8"))], RuleSet(()))
+    if reason is None:
+        assert type(item) is ScannedLine
+        assert item[:2] == (entry.timestamp, entry.source)
+    else:
+        assert type(item) is LineIssue
+        assert item == (7, reason)

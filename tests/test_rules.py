@@ -323,6 +323,30 @@ def test_default_rule_prefilters():
     assert by_name["NUM"] == ()  # \d is Unicode: no literal is required
 
 
+# The word-boundary-first texts that the built-in NUM and IPv4 rules were
+# rewritten from; the rewritten texts begin with \d so that re's search can
+# skip ahead to a digit.
+WORD_BOUNDARY_FORMS = {"NUM": r"\b\d+\b", "IPv4": r"\b(?:\d{1,3}\.){3}\d{1,3}\b"}
+
+
+@settings(max_examples=1000)
+@given(
+    st.lists(
+        st.one_of(st.text("0123456789", min_size=1, max_size=4),
+                  st.sampled_from(["٣", "１", "é", "_", ".", "-", " "])),
+        max_size=12,
+    ).map("".join)
+)
+def test_builtin_digit_rules_equal_their_word_boundary_forms(text):
+    builtin = {rule.name: rule.pattern for rule in default_ruleset().rules}
+    for name, form in WORD_BOUNDARY_FORMS.items():
+        rewritten, original = builtin[name], re.compile(form)
+        assert [m.span() for m in rewritten.finditer(text)] == [m.span() for m in original.finditer(text)]
+        for pos in range(len(text) + 1):
+            got, want = rewritten.search(text, pos), original.search(text, pos)
+            assert (got and got.span()) == (want and want.span())
+
+
 PAIRS_16 = "".join(f"(?:a{i:x}|b{i:x})" for i in range(16))
 
 
@@ -396,7 +420,7 @@ def regex_strategy() -> st.SearchStrategy[str]:
     return st.recursive(atoms, compound, max_leaves=8)
 
 
-MESSAGE_PIECES = ("a", "b", "A", "B", "1", "\u0663", "\u0967", " ", "-", "ab", "ba", "x")
+MESSAGE_PIECES = ("a", "b", "A", "B", "1", "٣", "\u0967", " ", "-", "ab", "ba", "x")
 
 
 @settings(max_examples=2000)
