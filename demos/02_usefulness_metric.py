@@ -85,7 +85,8 @@ for mode in (Mode.GLOBAL, Mode.GROUP, Mode.INDIVIDUAL):
     acc = UsefulnessAccumulator()
     for entry in entries:
         deid, pattern = process_entry(entry, RULES.with_mode(mode), registry)
-        acc.add(deid, pattern)
+        # The metric needs only the (value, symbol) pairs and the event pattern.
+        acc.add(deid.significant_values, pattern)
     report = acc.report(mode.value)
     print(f"=== {mode.value} ===")
     for line in report.table_lines():

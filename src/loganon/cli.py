@@ -112,7 +112,7 @@ def _rule_options(args: argparse.Namespace) -> tuple[RuleSet, EncoderConfig]:
     """--rules, --mode and --digest-bytes, which the rewriting commands share."""
     ruleset = load_rules(args.rules) if args.rules else default_ruleset()
     if args.mode:
-        ruleset = RuleSet(ruleset.rules, Mode(args.mode))
+        ruleset = ruleset.with_mode(Mode(args.mode))
     if not 4 <= args.digest_bytes <= 32:
         raise ConfigError(f"--digest-bytes must be in [4, 32], got {args.digest_bytes}")
     return ruleset, EncoderConfig(digest_length_bytes=args.digest_bytes)
@@ -234,13 +234,10 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
     cfg = _run_config(args, _rule_options)
     registry = SymbolRegistry()
     accumulators: dict[Optional[int], UsefulnessAccumulator] = defaultdict(UsefulnessAccumulator)
-    for item in cfg.entries():
-        deid_message, significant, pattern = rewrite_matches(
-            item.sanitized, item.matches, cfg.ruleset, registry
-        )
-        deid = DeidentifiedEntry(item.timestamp, item.source, deid_message, significant)
-        key = day_index(item.timestamp, args.epoch_day0) if args.per_day else None
-        accumulators[key].add(deid, pattern)
+    for timestamp, _, sanitized, matches in cfg.entries():
+        _, significant, pattern = rewrite_matches(sanitized, matches, cfg.ruleset, registry)
+        key = day_index(timestamp, args.epoch_day0) if args.per_day else None
+        accumulators[key].add(significant, pattern)
     if not accumulators:
         print("no entries", file=sys.stderr)
         return EXIT_OK
@@ -276,13 +273,10 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     # so each match's rule index still points at the rule that made it.
     ruleset = RuleSet(tuple(replace(r, mode=None) if r.mode is not None else r for r in cfg.ruleset.rules))
     counts: Counter[str] = Counter()
-    for item in cfg.entries():
-        _, _, pattern = rewrite_matches(item.sanitized, item.matches, ruleset, None)
+    for _, _, sanitized, matches in cfg.entries():
+        _, _, pattern = rewrite_matches(sanitized, matches, ruleset, None)
         counts[pattern] += 1
-    stats = [
-        PatternStats(hash_text(pattern, cfg.encoder), pattern, f_p)
-        for pattern, f_p in counts.items()
-    ]
+    stats = [PatternStats(hash_text(text, cfg.encoder), text, f_p) for text, f_p in counts.items()]
     table = top_k_coverage(stats, ks) if stats else CoverageTable(0, 0, ())
     lines = table.csv_lines()
     with _staged_outputs(cfg.out_dir) as create, create("coverage.csv") as f:
@@ -374,6 +368,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(out.parent))
     with _staged_outputs(out.parent) as create, create(out.name) as f:
         for line in generate_lines(spec):
             f.write(line + "\n")
@@ -387,14 +384,13 @@ WORKERS_HELP = (
 )
 
 
-def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(
+    sub: argparse.ArgumentParser,
+    mode_help: str = "granularity for significant terms (default: rule-file setting or global)",
+) -> None:
     sub.add_argument("inputs", nargs="+", help="input log files, or - for stdin")
     sub.add_argument("--rules", help="rule file (INI); omit for the built-in ruleset")
-    sub.add_argument(
-        "--mode",
-        choices=[m.value for m in Mode],
-        help="granularity for significant terms (default: rule-file setting or global)",
-    )
+    sub.add_argument("--mode", choices=[m.value for m in Mode], help=mode_help)
     sub.add_argument("--digest-bytes", type=int, default=4, help="hash key width in bytes (4-32)")
     sub.add_argument("--strict", action="store_true", help="abort on the first malformed line")
     sub.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
@@ -424,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_usefulness)
 
     p = sub.add_parser("patterns", help="top-K event-pattern coverage table")
-    _add_pipeline_flags(p)
+    _add_pipeline_flags(p, "ignored: an event pattern does not depend on the mode")
     p.add_argument("--top", default="5,25,50", help="comma-separated K values")
     p.set_defaults(func=cmd_patterns)
 

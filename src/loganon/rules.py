@@ -561,8 +561,8 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
     Comments go on lines of their own; a ``;`` after a value is part of it.
     A key not shown above in ``[ruleset]`` or ``[rule X]`` is an error;
     ``[groups X]`` keys are values and may be anything. A leading UTF-8
-    byte-order mark is skipped; a file that is not UTF-8, or a path that
-    names a directory, raises ConfigError.
+    byte-order mark is skipped; a file that is missing, unreadable or not
+    UTF-8, or a path that names a directory, raises ConfigError.
     """
     if Path(path).is_dir():
         raise ConfigError(f"rule file is a directory: {path}")
@@ -570,6 +570,10 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"rule file {path} is not valid UTF-8: {exc}") from None
+    except FileNotFoundError:
+        raise ConfigError(f"rule file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read rule file {path}: {exc.strerror}") from None
     return loads_rules(text)
 
 

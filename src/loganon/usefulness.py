@@ -9,13 +9,13 @@ corpus is
     U = sum over patterns of  dominance * (product of N_s / product of N_val)
 
 so U = 1 means no generalization loss for the intended analysis and values
-near 0 mean the significant distinctions were generalized away. From
-de-identified entries, U is computed one way: feed them to a
-UsefulnessAccumulator and take its report. usefulness_from_summary evaluates
-the same sum from aggregate (dominance, ratio) shares when only those are
-known. All arithmetic is exact rational; rendering rounds to 4 decimal places.
-The report computes and renders each distinct (f_p, ratio) once, when it is
-built, so its rows carry their decimal texts and the report holds no cache.
+near 0 mean the significant distinctions were generalized away. U is computed
+one way: feed a UsefulnessAccumulator each entry's (value, symbol) pairs and
+pattern, as rules.rewrite_matches returns them, and take its report.
+usefulness_from_summary evaluates the same sum from aggregate (dominance,
+ratio) shares when only those are known. All arithmetic is exact rational;
+rendering rounds to 4 decimal places. The report renders each distinct
+(f_p, ratio) once, when built; its rows carry their decimal texts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .encoder import EncoderConfig, hash_text
-from .model import DeidentifiedEntry
 
 Rational = Union[int, float, str, Fraction]
 
@@ -198,32 +197,30 @@ PatternKeys = dict[str, str]
 
 
 class UsefulnessAccumulator:
-    """Streaming usefulness over de-identified entries; the report is U and its rows.
+    """Streaming usefulness over rewritten entries; the report is U and its rows.
 
-    Tracks, per pattern, the frequency and per significant-slot sets of
-    observed values and emitted symbols. report() turns them into rows in
+    Tracks, per pattern, f_p (N_e is their sum) and per significant-slot sets
+    of observed values and emitted symbols. report() turns them into rows in
     one pass over the patterns, then sorts the rows by (-f_p, category key).
     """
 
     def __init__(self) -> None:
-        self.n_entries = 0
         # pattern text -> [f_p, list per slot of (value set, symbol set)]
         self._patterns: dict[str, list] = {}
 
-    def add(self, deid: DeidentifiedEntry, pattern: str) -> None:
-        self.n_entries += 1
+    def add(self, significant: Iterable[tuple[str, str]], pattern: str) -> None:
+        """Count one entry: its (value, symbol) pairs in slot order and its event pattern."""
         state = self._patterns.get(pattern)
         if state is None:
-            state = [0, []]
-            self._patterns[pattern] = state
+            state = self._patterns[pattern] = [0, []]
         state[0] += 1
         slots = state[1]
-        for i, sig in enumerate(deid.significant_values):
+        for i, (value, symbol) in enumerate(significant):
             if i == len(slots):
                 slots.append((set(), set()))
             values, symbols = slots[i]
-            values.add(sig.original_value)
-            symbols.add(sig.symbol)
+            values.add(value)
+            symbols.add(symbol)
 
     def report(
         self,
@@ -232,7 +229,7 @@ class UsefulnessAccumulator:
         keys: Optional[PatternKeys] = None,
     ) -> UsefulnessReport:
         """The report over the entries so far; ``keys`` may be shared by one run's accumulators."""
-        n_entries = self.n_entries
+        n_entries = sum(f_p for f_p, _ in self._patterns.values())
         if n_entries == 0:
             raise DomainError("empty analysis window")
         if keys is None:

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import settings
 
 from loganon import (
-    DeidentifiedEntry,
     Mode,
     RawLogEntry,
     RuleSet,
-    SignificantValue,
     SymbolRegistry,
     UsefulnessAccumulator,
     load_rules,
@@ -113,7 +111,7 @@ def brute_force_usefulness(entries: list[RawLogEntry], ruleset: RuleSet) -> Frac
 def accumulate_counts(
     patterns: Iterable[tuple[str, int, Sequence[tuple[int, int]]]],
 ) -> UsefulnessAccumulator:
-    """An accumulator fed entries that realize each pattern's counts exactly.
+    """An accumulator fed (value, symbol) pairs that realize each pattern's counts exactly.
 
     ``patterns`` holds (text, f_p, [(n_values, n_symbols), ...]) with
     distinct texts and 1 <= n_symbols <= n_values <= f_p in every slot.
@@ -124,11 +122,10 @@ def accumulate_counts(
     acc = UsefulnessAccumulator()
     for text, f_p, slots in patterns:
         for k in range(f_p):
-            significant = tuple(
-                SignificantValue(f"v{k % n_values}", f"#S{k % n_values % n_symbols}#")
-                for n_values, n_symbols in slots
-            )
-            acc.add(DeidentifiedEntry(k, "n", text, significant), text)
+            significant = [
+                (f"v{k % n_values}", f"#S{k % n_values % n_symbols}#") for n_values, n_symbols in slots
+            ]
+            acc.add(significant, text)
     return acc
 
 

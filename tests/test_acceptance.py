@@ -77,7 +77,7 @@ def _cron_reports():
         acc = UsefulnessAccumulator()
         for e in entries:
             deid, pattern = process_entry(e, ruleset.with_mode(mode), registry)
-            acc.add(deid, pattern)
+            acc.add(deid.significant_values, pattern)
         reports[mode] = acc.report(mode.value)
     return reports
 
@@ -306,7 +306,7 @@ def test_criterion_5e_streaming_equals_brute_force():
         acc = UsefulnessAccumulator()
         for e in entries:
             deid, pattern = process_entry(e, ruleset, registry)
-            acc.add(deid, pattern)
+            acc.add(deid.significant_values, pattern)
         report = acc.report(ruleset.mode.value)
         rows = sorted((row.pattern_text, row.f_p, row.ratio) for row in report.rows)
         assert rows == brute_force_rows(entries, ruleset)

@@ -20,6 +20,7 @@ CRON_RULES = str(FIXTURES / "cron_sample.rules")
 MIXED_LOG = str(FIXTURES / "mixed_sample.log")
 MIXED_RULES = str(FIXTURES / "mixed_sample.rules")
 NOT_UTF8_RULES = str(FIXTURES / "not_utf8.rules")
+MISSING_RULES = str(FIXTURES / "no_such.rules")
 
 # Frozen pair of distinct texts sharing one 4-byte key (birthday-searched offline).
 COLLIDING_MESSAGES = ("probe message 14372", "probe message 70602")
@@ -325,7 +326,7 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
     days = [UsefulnessAccumulator() for _ in range(3)]
     for ts, message in lines:
         deid, pattern = loganon.process_entry(loganon.RawLogEntry(ts, "n", message), rules, registry)
-        days[ts // 86400].add(deid, pattern)
+        days[ts // 86400].add(deid.significant_values, pattern)
     for day, accumulator in enumerate(days):
         expected = "\n".join(accumulator.report("individual").csv_lines()) + "\n"
         assert (tmp_path / "out" / f"usefulness_d{day}.csv").read_text() == expected
@@ -486,6 +487,20 @@ def test_patterns_ignores_mode_and_group_tables(tmp_path, capsys, monkeypatch, c
         assert patterns(rules, *mode) == expected
 
 
+def test_patterns_help_says_mode_is_ignored(capsys):
+    def mode_help(command):
+        code, out, _ = run([command, "-h"], capsys)
+        assert code == 0
+        # The --mode entry of the option list, after the usage line, up to the next option.
+        text = " ".join(out.split())
+        return text[text.rindex("--mode {individual,group,global}"):text.rindex("--digest-bytes")]
+
+    assert "ignored: an event pattern does not depend on the mode" in mode_help("patterns")
+    assert "granularity" not in mode_help("patterns")
+    for command in ("anonymize", "usefulness"):
+        assert "granularity for significant terms" in mode_help(command)
+
+
 def test_compare_command(tmp_path, capsys):
     code, out, err = run(
         [
@@ -601,9 +616,10 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
         (["usefulness", CRON_LOG, "--rules", NOT_UTF8_RULES],
          f"rule file {NOT_UTF8_RULES} is not valid UTF-8: "
          "'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"),
+        (["anonymize", CRON_LOG, "--rules", MISSING_RULES], f"rule file not found: {MISSING_RULES}"),
     ],
     ids=["top", "window", "days", "same-node", "node-leaves-out", "node-in-subdirectory",
-         "input-directory", "rules-directory", "rules-not-utf8"],
+         "input-directory", "rules-directory", "rules-not-utf8", "rules-missing"],
 )
 def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "made" / "deep"
@@ -662,6 +678,22 @@ def test_gen_out_naming_a_directory_rejected(tmp_path, capsys):
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "parent_is_file,reason",
+    [(False, "[Errno 2] No such file or directory"), (True, "[Errno 20] Not a directory")],
+    ids=["missing", "file"],
+)
+def test_gen_out_under_a_non_directory_names_the_parent(tmp_path, capsys, parent_is_file, reason):
+    parent = tmp_path / "nodir"
+    if parent_is_file:
+        parent.write_text("")
+    code, out, err = run(["gen", "--entries", "3", "--patterns", "2", "--out", str(parent / "x.log")], capsys)
+    assert code == 2
+    assert err == f"error: {reason}: '{parent}'\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == ([parent] if parent_is_file else [])
 
 
 @pytest.mark.parametrize(

@@ -78,7 +78,7 @@ def expected_outputs(lines: list[str], rules_path: Path) -> dict[str, list]:
         encoded.append(render_entry(encode_entry(deid, pattern, dicts, EncoderConfig())))
         for sig in deid.significant_values:
             symbols.setdefault((sig.symbol, sig.original_value))
-        acc.add(deid, pattern)
+        acc.add(deid.significant_values, pattern)
         patterns[pattern] += 1
     report = acc.report()
     usefulness_rows = [["category", "pattern", "f_p", "D_p", "ratio", "contribution"]]

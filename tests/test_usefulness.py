@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import accumulate_counts, brute_force_usefulness
 from loganon import (
-    DeidentifiedEntry,
     DomainError,
     Mode,
     PatternStats,
@@ -41,7 +40,7 @@ def _accumulate(entries, ruleset):
     acc = UsefulnessAccumulator()
     for e in entries:
         deid, pattern = process_entry(e, ruleset, registry)
-        acc.add(deid, pattern)
+        acc.add(deid.significant_values, pattern)
     return acc
 
 
@@ -77,7 +76,7 @@ def test_usefulness_cron_breakdown(cron_entries, cron_ruleset):
 def test_accumulator_rejects_more_symbols_than_values():
     acc = UsefulnessAccumulator()
     for symbol in ("#NUM_#", "#X_#"):
-        acc.add(DeidentifiedEntry(1, "n", "#NUM_# #X_#", (SignificantValue("5", symbol),)), "#NUM_# #X_#")
+        acc.add((SignificantValue("5", symbol),), "#NUM_# #X_#")
     with pytest.raises(DomainError, match=r": slot 0 has more symbols \(2\) than values \(1\)$"):
         acc.report()
 
