@@ -85,7 +85,7 @@ for mode in (Mode.GLOBAL, Mode.GROUP, Mode.INDIVIDUAL):
     acc = UsefulnessAccumulator()
     for entry in entries:
         deid, pattern = process_entry(entry, RULES.with_mode(mode), registry)
-        # The metric needs only the (value, symbol) pairs and the event pattern.
+        # The metric needs only the (value, symbol, slot) triples and the event pattern.
         acc.add(deid.significant_values, pattern)
     report = acc.report(mode.value)
     print(f"=== {mode.value} ===")

@@ -199,19 +199,16 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                         sanitized, matches, cfg.ruleset, registry
                     )
                     deid = DeidentifiedEntry(timestamp, source, deid_message, significant)
-                    line = render_entry(encode_entry(deid, pattern, dicts, cfg.encoder)) + "\n"
-                    # The line after its timestamp and source, neither of which holds a space.
-                    tail = " " + line.split(" ", 2)[2]
-                    # sanitize_message only swaps '#' for '?': same UTF-8 length as the raw message.
-                    message_bytes = len(sanitized.encode("utf-8"))
-                    memo.admit(sanitized, (tail, message_bytes))
+                    line = render_entry(encode_entry(deid, pattern, dicts, cfg.encoder))
+                    # Timestamp and source hold no space; sanitize_message only swaps '#'
+                    # for '?', so the sanitized text has the raw message's UTF-8 length.
+                    known = (f" {line.split(' ', 2)[2]}\n", len(sanitized.encode("utf-8")))
+                    memo.admit(sanitized, known)
                     if args.emit_dictionary:
                         for sig in significant:
                             symbol_rows.setdefault((sig.symbol, sig.original_value))
-                else:
-                    tail, message_bytes = known
-                    line = f"{timestamp} {source}{tail}"
-                out.write(line)
+                tail, message_bytes = known
+                out.write(f"{timestamp} {source}{tail}")
                 # The tail without its leading space and LF: the two keys and the space between them.
                 tally.add(message_bytes, len(tail) - 2)
         if args.emit_dictionary:
@@ -387,11 +384,12 @@ WORKERS_HELP = (
 def _add_pipeline_flags(
     sub: argparse.ArgumentParser,
     mode_help: str = "granularity for significant terms (default: rule-file setting or global)",
+    digest_help: str = "hash key width in bytes (4-32)",
 ) -> None:
     sub.add_argument("inputs", nargs="+", help="input log files, or - for stdin")
     sub.add_argument("--rules", help="rule file (INI); omit for the built-in ruleset")
     sub.add_argument("--mode", choices=[m.value for m in Mode], help=mode_help)
-    sub.add_argument("--digest-bytes", type=int, default=4, help="hash key width in bytes (4-32)")
+    sub.add_argument("--digest-bytes", type=int, default=4, help=digest_help)
     sub.add_argument("--strict", action="store_true", help="abort on the first malformed line")
     sub.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sub.add_argument("--out", default=".", help="output directory")
@@ -420,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_usefulness)
 
     p = sub.add_parser("patterns", help="top-K event-pattern coverage table")
-    _add_pipeline_flags(p, "ignored: an event pattern does not depend on the mode")
+    _add_pipeline_flags(p, "ignored: an event pattern does not depend on the mode",
+                        "hash key width in bytes (4-32); changes no output: coverage.csv holds no keys")
     p.add_argument("--top", default="5,25,50", help="comma-separated K values")
     p.set_defaults(func=cmd_patterns)
 

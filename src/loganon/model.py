@@ -68,10 +68,11 @@ class Term:
 
 
 class SignificantValue(NamedTuple):
-    """One significant-term replacement: the value it held and the symbol it got."""
+    """One significant-term replacement: the value, its symbol, and its slot (see rules.rewrite_matches)."""
 
     original_value: str
     symbol: str
+    slot: int
 
 
 @dataclass(frozen=True)

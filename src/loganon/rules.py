@@ -40,10 +40,7 @@ from .model import (
 try:
     from re import _parser as _sre_parse
 except ImportError:  # Python 3.10 names the regex parser sre_parse
-    try:
-        import sre_parse as _sre_parse
-    except ImportError:
-        _sre_parse = None
+    import sre_parse as _sre_parse
 
 _NAME_RE = re.compile(r"[A-Z][A-Za-z0-9]{0,7}")
 # Group labels are restricted to the symbol tail alphabet below, so every
@@ -96,12 +93,13 @@ def _as_mode(mode: Union[Mode, str], context: str = "") -> Mode:
 class TermRule:
     """One substitution rule.
 
-    ``pattern`` may be a regex string or a precompiled pattern; it must never
-    match the empty string. ``mode``, a Mode or its value, overrides the
-    RuleSet mode for this rule only. ``group_map`` maps matched values to
-    group labels; a missing value falls back to ``group_default`` when set.
-    ``prefilter`` is derived from the pattern: a message that fails it
-    cannot match (see _prefilter_of).
+    ``pattern`` may be a regex string or a precompiled pattern; its shortest
+    match must be at least one character, so ``\\b``, ``x*``, ``(?<=a)`` and
+    ``(?<= )x*`` are ConfigErrors (write ``x+``). ``mode``, a Mode or its
+    value, overrides the RuleSet mode for this rule only. ``group_map`` maps
+    matched values to group labels; a missing value falls back to
+    ``group_default`` when set. ``prefilter`` is derived from the pattern's
+    parse: a message that fails it cannot match (see _prefilter_of).
     """
 
     name: str
@@ -124,9 +122,10 @@ class TermRule:
             except re.error as exc:
                 raise ConfigError(f"rule {self.name}: bad pattern: {exc}") from exc
             object.__setattr__(self, "pattern", pat)
-        if pat.search("") is not None:
+        parsed = _sre_parse.parse(pat.pattern, pat.flags)
+        if parsed.getwidth()[0] == 0:
             raise ConfigError(f"rule {self.name}: pattern must not match the empty string")
-        object.__setattr__(self, "prefilter", _prefilter_of(pat))
+        object.__setattr__(self, "prefilter", _prefilter_of(parsed))
         if self.mode is not None:
             object.__setattr__(self, "mode", _as_mode(self.mode, f"rule {self.name}: "))
         labels = list(self.group_map.values()) if self.group_map is not None else []
@@ -202,21 +201,18 @@ class RuleSet:
         return replace(self, mode=mode)
 
 
-def _prefilter_of(pattern: re.Pattern) -> Prefilter:
-    """A necessary condition, over literal substrings, for ``pattern`` to match.
+def _prefilter_of(parsed: _sre_parse.SubPattern) -> Prefilter:
+    """A necessary condition, over literal substrings, for a pattern to match.
 
-    Derived from the parse tree: a run of literal characters is one required
-    string; a sequence needs all its parts, an alternation one of its
-    branches. Groups, atomic groups, positive lookarounds and repeats with
-    a minimum of at least one are entered. Everything else (classes,
-    categories, negative lookarounds, back references, conditionals, a
-    scoped ``(?i:...)``) requires nothing. Any global IGNORECASE, a
-    condition of more than _PREFILTER_MAX_STRINGS strings, or a Python
-    without the parser give _ALWAYS.
+    Derived from the pattern's parse tree ``parsed``: a run of literal
+    characters is one required string; a sequence needs all its parts, an
+    alternation one of its branches. Groups, atomic groups, positive
+    lookarounds and repeats with a minimum of at least one are entered.
+    Everything else (classes, categories, negative lookarounds, back
+    references, conditionals, a scoped ``(?i:...)``) requires nothing. Any
+    global IGNORECASE, or a condition of more than _PREFILTER_MAX_STRINGS
+    strings, gives _ALWAYS.
     """
-    if _sre_parse is None:
-        return _ALWAYS
-    parsed = _sre_parse.parse(pattern.pattern, pattern.flags)
     if parsed.state.flags & re.IGNORECASE:
         return _ALWAYS
     cnf = _sequence_cnf(parsed)
@@ -334,10 +330,11 @@ def sanitize_message(message: str) -> str:
 def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
     """Find all variable-term matches, leftmost-longest, ties by rule order.
 
-    Matches never overlap: after a match is taken, scanning resumes at its
-    end. Character offsets refer to ``message`` as given. A rule runs only
-    if its prefilter holds, and leaves the scan once a search finds
-    nothing: a search from a later position cannot match either.
+    Matches are never empty (see TermRule) and never overlap: after a match
+    is taken, scanning resumes at its end, from where a candidate behind it
+    is searched once more. Character offsets refer to ``message`` as given.
+    A rule runs only if its prefilter holds, and leaves the scan once a
+    search finds nothing: a search from a later position cannot match either.
     """
     rules = ruleset.rules
     if not rules or not message:
@@ -355,14 +352,12 @@ def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
     while candidates and pos < n:
         best: Optional[tuple[int, int, int]] = None  # (start, -length, rule_index)
         for i, m in list(candidates.items()):
-            while m is not None and (m.start() < pos or m.end() <= m.start()):
-                # Re-seek past the cursor; skip degenerate empty matches.
-                next_from = max(pos, m.start() + 1) if m.end() <= m.start() else pos
-                m = rules[i].pattern.search(message, next_from)
-            if m is None:
-                del candidates[i]
-                continue
-            candidates[i] = m
+            if m.start() < pos:
+                m = rules[i].pattern.search(message, pos)
+                if m is None:
+                    del candidates[i]
+                    continue
+                candidates[i] = m
             key = (m.start(), -(m.end() - m.start()), i)
             if best is None or key < best:
                 best = key
@@ -407,7 +402,9 @@ def rewrite_matches(
     computed on, and ``matches`` what scan_message returned for it. The
     event pattern is derived from the same matches with every rule forced
     to its global symbol, so it never depends on the configured mode or
-    per-rule overrides.
+    per-rule overrides. A significant value's slot is the number of symbols
+    before it in the pattern: one per match, and one per well-formed symbol
+    wholly inside a constant (the input held it).
 
     Individual-mode indices come from ``registry``. Without one, a registry
     scoped to this call is created at the first individual-mode significant
@@ -419,11 +416,14 @@ def rewrite_matches(
     pattern_parts: list[str] = []
     significant: list[SignificantValue] = []
     cursor = 0
+    slot = 0
     for start, end, rule_index in matches:
         if start > cursor:
             constant = sanitized[cursor:start]
             deid_parts.append(constant)
             pattern_parts.append(constant)
+            if "#" in constant:
+                slot += len(_SYMBOL_RE.findall(constant))
         pattern_symbol, symbol, is_significant, rule, by_group = plan[rule_index]
         if is_significant:
             value = sanitized[start:end]
@@ -434,7 +434,8 @@ def rewrite_matches(
                     if registry is None:
                         registry = SymbolRegistry()
                     symbol = f"#{rule.name}{registry.index(rule.name, value)}#"
-            significant.append(SignificantValue(value, symbol))
+            significant.append(SignificantValue(value, symbol, slot))
+        slot += 1
         deid_parts.append(symbol)
         pattern_parts.append(pattern_symbol)
         cursor = end

@@ -1,21 +1,21 @@
 """Dominance-weighted data-usefulness metric and pattern-coverage tables.
 
 For each event pattern p with frequency f_p among N_e entries, the dominance
-is f_p/N_e. Each significant term slot of the pattern has a practical value
-domain (distinct values observed in the corpus for that slot) of size N_val
-and a set of emitted symbols of size N_s. The usefulness of a de-identified
-corpus is
+is f_p/N_e. Each significant term slot (a symbol position in the pattern)
+has a practical value domain (distinct values observed in the corpus for
+that slot) of size N_val and a set of emitted symbols of size N_s. The
+usefulness of a de-identified corpus is
 
     U = sum over patterns of  dominance * (product of N_s / product of N_val)
 
 so U = 1 means no generalization loss for the intended analysis and values
 near 0 mean the significant distinctions were generalized away. U is computed
-one way: feed a UsefulnessAccumulator each entry's (value, symbol) pairs and
-pattern, as rules.rewrite_matches returns them, and take its report.
-usefulness_from_summary evaluates the same sum from aggregate (dominance,
-ratio) shares when only those are known. All arithmetic is exact rational;
-rendering rounds to 4 decimal places. The report renders each distinct
-(f_p, ratio) once, when built; its rows carry their decimal texts.
+one way: feed a UsefulnessAccumulator each entry's (value, symbol, slot)
+triples and pattern, as rules.rewrite_matches returns them, and take its
+report. usefulness_from_summary evaluates the same sum from aggregate
+(dominance, ratio) shares when only those are known. All arithmetic is exact
+rational; rendering rounds to 4 decimal places. The report renders each
+distinct (f_p, ratio) once, when built; its rows carry their decimal texts.
 """
 
 from __future__ import annotations
@@ -205,20 +205,18 @@ class UsefulnessAccumulator:
     """
 
     def __init__(self) -> None:
-        # pattern text -> [f_p, list per slot of (value set, symbol set)]
+        # pattern text -> [f_p, {slot: (value set, symbol set)}]
         self._patterns: dict[str, list] = {}
 
-    def add(self, significant: Iterable[tuple[str, str]], pattern: str) -> None:
-        """Count one entry: its (value, symbol) pairs in slot order and its event pattern."""
+    def add(self, significant: Iterable[tuple[str, str, int]], pattern: str) -> None:
+        """Count one entry: its (value, symbol, slot) triples and its event pattern."""
         state = self._patterns.get(pattern)
         if state is None:
-            state = self._patterns[pattern] = [0, []]
+            state = self._patterns[pattern] = [0, {}]
         state[0] += 1
         slots = state[1]
-        for i, (value, symbol) in enumerate(significant):
-            if i == len(slots):
-                slots.append((set(), set()))
-            values, symbols = slots[i]
+        for value, symbol, slot in significant:
+            values, symbols = slots.get(slot) or slots.setdefault(slot, (set(), set()))
             values.add(value)
             symbols.add(symbol)
 
@@ -246,8 +244,8 @@ class UsefulnessAccumulator:
             if category_key is None:
                 category_key = keys[pattern] = hash_text(pattern, cfg)
             num = den = 1
-            for i, (values, symbols) in enumerate(slots):
-                # Two rules' symbols in one slot can outnumber its values.
+            for i, (values, symbols) in slots.items():
+                # A caller's own triples can put two rules' symbols in one slot.
                 if len(symbols) > len(values):
                     raise DomainError(
                         f"pattern {category_key}: slot {i} has more symbols ({len(symbols)}) "

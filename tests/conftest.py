@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -13,13 +14,18 @@ from loganon import (
     RawLogEntry,
     RuleSet,
     SymbolRegistry,
+    TermClass,
     UsefulnessAccumulator,
     load_rules,
     parse_line,
     process_entry,
+    sanitize_message,
+    tokenize,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# A well-formed symbol: #NAME#, #NAME_#, #NAMEk# or #NAME<label>#.
+SYMBOL_RE = re.compile(r"#[A-Z][A-Za-z0-9]{0,7}[A-Za-z0-9_]*#")
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Rule-file keys given values they cannot take, each a configuration error.
 BAD_RULE_VALUES = [("mode", "bogus"), ("significant", "maybe")]
@@ -80,23 +86,35 @@ def brute_force_rows(entries: list[RawLogEntry], ruleset: RuleSet) -> list[tuple
     """Reference report rows: (pattern, f_p, ratio) per event pattern, sorted.
 
     Deliberately simple and non-streaming: materialize every de-identified
-    entry, bucket them by event pattern, and count distinct values/symbols
-    per significant slot with plain set comprehensions.
+    entry, bucket them by event pattern, and place each significant value at
+    its position in the pattern, found by walking tokenize() of the
+    sanitized message: each well-formed symbol in a constant term is one
+    position, and so is each variable term. Distinct values and symbols per
+    position are counted with plain set comprehensions.
     """
     registry = SymbolRegistry()
-    by_pattern: dict[str, list] = {}
+    by_pattern: dict[str, list[dict[int, tuple[str, str]]]] = {}
     for e in entries:
         deid, pattern = process_entry(e, ruleset, registry)
-        by_pattern.setdefault(pattern, []).append(deid)
+        symbols = iter(deid.significant_values)
+        placed: dict[int, tuple[str, str]] = {}
+        position = 0
+        for term in tokenize(sanitize_message(e.message), ruleset):
+            if term.klass is TermClass.CONSTANT:
+                position += len(SYMBOL_RE.findall(term.text))
+                continue
+            if term.klass is TermClass.VARIABLE_SIGNIFICANT:
+                placed[position] = (term.text, next(symbols).symbol)
+            position += 1
+        by_pattern.setdefault(pattern, []).append(placed)
     rows = []
-    for pattern, deids in by_pattern.items():
+    for pattern, entries_placed in by_pattern.items():
         ratio = Fraction(1)
-        n_slots = len(deids[0].significant_values)
-        for i in range(n_slots):
-            values = {d.significant_values[i].original_value for d in deids}
-            symbols = {d.significant_values[i].symbol for d in deids}
+        for position in set().union(*entries_placed):
+            values = {p[position][0] for p in entries_placed if position in p}
+            symbols = {p[position][1] for p in entries_placed if position in p}
             ratio *= Fraction(len(symbols), len(values))
-        rows.append((pattern, len(deids), ratio))
+        rows.append((pattern, len(entries_placed), ratio))
     return sorted(rows)
 
 
@@ -111,7 +129,7 @@ def brute_force_usefulness(entries: list[RawLogEntry], ruleset: RuleSet) -> Frac
 def accumulate_counts(
     patterns: Iterable[tuple[str, int, Sequence[tuple[int, int]]]],
 ) -> UsefulnessAccumulator:
-    """An accumulator fed (value, symbol) pairs that realize each pattern's counts exactly.
+    """An accumulator fed (value, symbol, slot) triples that realize each pattern's counts exactly.
 
     ``patterns`` holds (text, f_p, [(n_values, n_symbols), ...]) with
     distinct texts and 1 <= n_symbols <= n_values <= f_p in every slot.
@@ -123,7 +141,8 @@ def accumulate_counts(
     for text, f_p, slots in patterns:
         for k in range(f_p):
             significant = [
-                (f"v{k % n_values}", f"#S{k % n_values % n_symbols}#") for n_values, n_symbols in slots
+                (f"v{k % n_values}", f"#S{k % n_values % n_symbols}#", slot)
+                for slot, (n_values, n_symbols) in enumerate(slots)
             ]
             acc.add(significant, text)
     return acc

@@ -21,6 +21,8 @@ MIXED_LOG = str(FIXTURES / "mixed_sample.log")
 MIXED_RULES = str(FIXTURES / "mixed_sample.rules")
 NOT_UTF8_RULES = str(FIXTURES / "not_utf8.rules")
 MISSING_RULES = str(FIXTURES / "no_such.rules")
+# (?=b)a? matches the empty string before each "b".
+EMPTY_MATCH_RULES = str(FIXTURES / "empty_match.rules")
 
 # Frozen pair of distinct texts sharing one 4-byte key (birthday-searched offline).
 COLLIDING_MESSAGES = ("probe message 14372", "probe message 70602")
@@ -333,9 +335,10 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_usefulness_slot_with_two_rules_symbols_exits_config(tmp_path, capsys, workers):
-    # Both lines de-identify to "#NUM_# #X_#", so slot 0 holds the value 5
-    # under #NUM_# (first line) and under #X_# (second line).
+def test_usefulness_slots_are_pattern_positions(tmp_path, capsys, workers):
+    # Both lines have the pattern "#NUM_# #X_#". Each has one significant
+    # value, 5, but at different positions: slot 0 holds it under #NUM_#
+    # (first line) and slot 1 under #X_# (second line), so U = 1.
     rules = tmp_path / "two.rules"
     rules.write_text(
         "[rule X]\npattern = (?<=# )\\d\nsignificant = yes\n\n"
@@ -346,11 +349,24 @@ def test_usefulness_slot_with_two_rules_symbols_exits_config(tmp_path, capsys, w
     out_dir = tmp_path / "out"
     argv = ["usefulness", str(corpus), "--rules", str(rules), "--workers", workers, "--out", str(out_dir)]
     code, out, err = run(argv, capsys)
-    assert code == 2
+    assert (code, err) == (0, "")
     key = hash_text("#NUM_# #X_#")
-    assert err == f"error: pattern {key}: slot 0 has more symbols (2) than values (1)\n"
-    assert out == ""
-    assert list(out_dir.iterdir()) == []
+    assert out.splitlines()[1:] == [
+        f"{key:<12}        2   1.0000   1.0000   1.0000  #NUM_# #X_#",
+        "usefulness (global): 1.0000 (exact 1/1) over 2 entries",
+    ]
+    csv_row = (out_dir / "usefulness.csv").read_text().splitlines()[1]
+    assert csv_row == f"{key},#NUM_# #X_#,2,1.0000,1.0000,1.0000"
+
+
+def test_usefulness_symbols_in_input_keep_slots_apart(tmp_path, capsys):
+    # The built-in rules give both lines the pattern "#NUM_# #NUM_#"; each
+    # position holds one value under one symbol.
+    corpus = tmp_path / "in.log"
+    corpus.write_text("1 n 5 #NUM_#\n2 n #NUM_# 6\n")
+    code, out, err = run(["usefulness", str(corpus), "--out", str(tmp_path / "out")], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "usefulness (global): 1.0000 (exact 1/1) over 2 entries"
 
 
 def test_usefulness_interrupt_leaves_no_output(tmp_path, monkeypatch):
@@ -487,18 +503,32 @@ def test_patterns_ignores_mode_and_group_tables(tmp_path, capsys, monkeypatch, c
         assert patterns(rules, *mode) == expected
 
 
+def option_help(capsys, command, option, next_option):
+    """The entry of ``option`` in the option list of ``command -h``, up to ``next_option``."""
+    code, out, _ = run([command, "-h"], capsys)
+    assert code == 0
+    # The last occurrences: the option list comes after the usage line.
+    text = " ".join(out.split())
+    return text[text.rindex(option):text.rindex(next_option)]
+
+
 def test_patterns_help_says_mode_is_ignored(capsys):
     def mode_help(command):
-        code, out, _ = run([command, "-h"], capsys)
-        assert code == 0
-        # The --mode entry of the option list, after the usage line, up to the next option.
-        text = " ".join(out.split())
-        return text[text.rindex("--mode {individual,group,global}"):text.rindex("--digest-bytes")]
+        return option_help(capsys, command, "--mode {individual,group,global}", "--digest-bytes")
 
     assert "ignored: an event pattern does not depend on the mode" in mode_help("patterns")
     assert "granularity" not in mode_help("patterns")
     for command in ("anonymize", "usefulness"):
         assert "granularity for significant terms" in mode_help(command)
+
+
+def test_patterns_help_says_digest_bytes_changes_no_output(capsys):
+    def digest_help(command):
+        return option_help(capsys, command, "--digest-bytes DIGEST_BYTES", "--strict")
+
+    assert "changes no output: coverage.csv holds no keys" in digest_help("patterns")
+    for command in ("anonymize", "usefulness"):
+        assert "changes no output" not in digest_help(command)
 
 
 def test_compare_command(tmp_path, capsys):
@@ -617,9 +647,11 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
          f"rule file {NOT_UTF8_RULES} is not valid UTF-8: "
          "'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"),
         (["anonymize", CRON_LOG, "--rules", MISSING_RULES], f"rule file not found: {MISSING_RULES}"),
+        (["anonymize", CRON_LOG, "--rules", EMPTY_MATCH_RULES],
+         "rule X: pattern must not match the empty string"),
     ],
     ids=["top", "window", "days", "same-node", "node-leaves-out", "node-in-subdirectory",
-         "input-directory", "rules-directory", "rules-not-utf8", "rules-missing"],
+         "input-directory", "rules-directory", "rules-not-utf8", "rules-missing", "rules-empty-match"],
 )
 def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "made" / "deep"

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_RULE_VALUES, FIXTURES, SHELL_CMD_A, SHELL_CMD_B, UNKNOWN_RULE_KEYS, shell_cmd_rulesets
+from conftest import (
+    BAD_RULE_VALUES,
+    FIXTURES,
+    SHELL_CMD_A,
+    SHELL_CMD_B,
+    SYMBOL_RE,
+    UNKNOWN_RULE_KEYS,
+    shell_cmd_rulesets,
+)
 from loganon import (
     ConfigError,
     GroupMapIncomplete,
@@ -256,7 +264,8 @@ def test_group_label_outside_symbol_alphabet_rejected(label):
 # --- scan semantics ---------------------------------------------------------
 
 # Rule patterns over a tiny alphabet, chosen so that random rulesets overlap,
-# tie on length, look around the cursor, and offer empty matches mid-message.
+# tie on length and look around the cursor. None can match the empty string:
+# TermRule rejects such patterns.
 # The second group exercises what the rule prefilter models or falls back
 # on: classes, alternations, lookarounds, repeats, case folding, \b and \d.
 SCAN_PATTERNS = (
@@ -388,13 +397,6 @@ def test_rule_prefilter_atomic_and_possessive():
     assert TermRule("R", r"(?:ab)++c").prefilter == (("ab",), ("c",))
 
 
-def test_rule_prefilter_without_regex_parser(monkeypatch):
-    monkeypatch.setattr(rules_module, "_sre_parse", None)
-    rule = TermRule("R", r"abc")
-    assert rule.prefilter == ()
-    assert scan_message("xabc", RuleSet((rule,))) == ((1, 4, 0),)
-
-
 LOOKBEHINDS = (r"(?<=a)", r"(?<=ab)", r"(?<=a|b)", r"(?<!b)", r"(?<=\d)", r"(?<=(?i:a)b)", r"(?<=\bA)")
 
 
@@ -431,11 +433,14 @@ MESSAGE_PIECES = ("a", "b", "A", "B", "1", "٣", "\u0967", " ", "-", "ab", "ba",
 )
 def test_prefilter_false_means_no_match(regex, ignorecase, message):
     try:
-        rule = TermRule("R", f"(?i){regex}" if ignorecase else regex)
-    except ConfigError:
-        return  # invalid regex, or one that matches the empty string
-    if not holds(rule.prefilter, message):
-        assert rule.pattern.search(message) is None
+        pattern = re.compile(f"(?i){regex}" if ignorecase else regex)
+    except re.error:
+        return  # invalid regex
+    # From the parse directly, not through TermRule, so that patterns whose
+    # shortest match is empty, which TermRule rejects, are checked too.
+    prefilter = rules_module._prefilter_of(rules_module._sre_parse.parse(pattern.pattern, pattern.flags))
+    if not holds(prefilter, message):
+        assert pattern.search(message) is None
 
 
 # --- event patterns ---------------------------------------------------------
@@ -578,6 +583,8 @@ def reference_rewrite(sanitized, matches, ruleset, registry):
         constant = sanitized[cursor:start]
         deid.append(constant)
         pattern.append(constant)
+        # The slot of a value is the number of symbols before it in the pattern.
+        slot = len(SYMBOL_RE.findall("".join(pattern)))
         rule = ruleset.rules[rule_index]
         value = sanitized[start:end]
         mode = rule.mode if rule.mode is not None else ruleset.mode
@@ -587,7 +594,7 @@ def reference_rewrite(sanitized, matches, ruleset, registry):
         deid.append(symbol)
         pattern.append(f"#{rule.name}_#" if rule.significant else f"#{rule.name}#")
         if rule.significant:
-            significant.append((value, symbol))
+            significant.append((value, symbol, slot))
         cursor = end
     deid.append(sanitized[cursor:])
     pattern.append(sanitized[cursor:])
@@ -652,9 +659,11 @@ def test_bad_rule_names_rejected(name):
         TermRule(name, r"x")
 
 
-def test_empty_matching_pattern_rejected():
-    with pytest.raises(ConfigError):
-        TermRule("AAA", r"x*")
+# Each can match the empty string somewhere, though only x* matches "".
+@pytest.mark.parametrize("pattern", [r"x*", r"\b", r"(?<=a)", r"(?<=a)b*", r"(?<= )x*", r"(?=b)a?"])
+def test_empty_matching_pattern_rejected(pattern):
+    with pytest.raises(ConfigError, match="^rule AAA: pattern must not match the empty string$"):
+        TermRule("AAA", pattern)
 
 
 def test_bad_regex_rejected():

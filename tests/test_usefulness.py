@@ -5,16 +5,19 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import accumulate_counts, brute_force_usefulness
+from conftest import accumulate_counts, brute_force_rows, brute_force_usefulness
 from loganon import (
     DomainError,
     Mode,
     PatternStats,
+    RawLogEntry,
+    RuleSet,
     SignificantValue,
     SymbolRegistry,
+    TermRule,
     UsefulnessAccumulator,
     hash_text,
     process_entry,
@@ -76,7 +79,7 @@ def test_usefulness_cron_breakdown(cron_entries, cron_ruleset):
 def test_accumulator_rejects_more_symbols_than_values():
     acc = UsefulnessAccumulator()
     for symbol in ("#NUM_#", "#X_#"):
-        acc.add((SignificantValue("5", symbol),), "#NUM_# #X_#")
+        acc.add((SignificantValue("5", symbol, 0),), "#NUM_# #X_#")
     with pytest.raises(DomainError, match=r": slot 0 has more symbols \(2\) than values \(1\)$"):
         acc.report()
 
@@ -175,6 +178,45 @@ def test_streaming_matches_brute_force_on_fixture(cron_entries, cron_ruleset, mo
     ruleset = cron_ruleset.with_mode(mode)
     acc = _accumulate(cron_entries, ruleset)
     assert acc.report(mode.value).value == brute_force_usefulness(cron_entries, ruleset)
+
+
+# Significant rules whose matches land next to symbols the input already
+# holds; Z also matches the name inside #Z_#, cutting that symbol.
+SLOT_RULES = (
+    TermRule("X", r"(?<=# )\d", significant=True),
+    TermRule("NUM", r"\b\d+\b", significant=True),
+    TermRule("P", r"x+"),
+    TermRule("Z", r"Z+", significant=True),
+)
+SLOT_SYMBOLS = ("#NUM_#", "#X_#", "#NUM1#", "#P#", "#Z_#", "#Q#")
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.text("56 x", max_size=8),
+            st.lists(st.tuples(st.integers(0, 8), st.sampled_from(SLOT_SYMBOLS)), max_size=3),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from(list(Mode)),
+)
+@example([("5", [(1, "#NUM_#")]), ("6", [(0, "#NUM_#")])], Mode.GLOBAL)
+@example([("5 ", [(2, "#X_#")]), (" 5", [(0, "#NUM_#")])], Mode.INDIVIDUAL)
+def test_symbols_in_input_leave_ratios_equal_to_reference(drawn, mode):
+    """Well-formed symbols inserted into random messages: every row's ratio is the positional reference's."""
+    entries = []
+    for i, (message, inserts) in enumerate(drawn):
+        for position, symbol in inserts:
+            message = message[:position] + symbol + message[position:]
+        entries.append(RawLogEntry(i + 1, "n", message))
+    ruleset = RuleSet(SLOT_RULES, mode)
+    report = _accumulate(entries, ruleset).report(mode.value)
+    assert sorted((row.pattern_text, row.f_p, row.ratio) for row in report.rows) == brute_force_rows(
+        entries, ruleset
+    )
 
 
 # --- bounds and monotonicity --------------------------------------------------
