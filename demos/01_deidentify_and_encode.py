@@ -17,7 +17,6 @@ from loganon import (
     encode_entry,
     parse_line,
     process_entry,
-    render_entry,
     tokenize,
 )
 
@@ -53,20 +52,22 @@ for mode in (Mode.GLOBAL, Mode.GROUP, Mode.INDIVIDUAL):
     registry = SymbolRegistry()
     print(f"\n{mode.value} de-identification:")
     for entry in entries:
-        deid, _ = process_entry(entry, RULES.with_mode(mode), registry)
-        print(f"  {deid.deid_message}")
+        deid_message, _, _ = process_entry(entry.message, RULES.with_mode(mode), registry)
+        print(f"  {deid_message}")
 
 # --- 3. encoding --------------------------------------------------------------
 # The hash key identifies the rewritten message; the category key identifies
 # the fully generalized pattern, so the three command lines land in one
 # category even when their hash keys differ.
 print("\nencoded (individual mode):")
+individual = RULES.with_mode(Mode.INDIVIDUAL)
 registry = SymbolRegistry()
 dicts = EncodingDictionaries()
 for entry in entries:
-    deid, pattern = process_entry(entry, RULES.with_mode(Mode.INDIVIDUAL), registry)
-    encoded = encode_entry(deid, pattern, dicts)
-    print(f"  {render_entry(encoded)}")
+    deid_message, _, pattern = process_entry(entry.message, individual, registry)
+    hash_key, category_key = encode_entry(deid_message, pattern, dicts)
+    # Timestamp and source pass through; the message becomes the two keys.
+    print(f"  {entry.timestamp} {entry.source} {hash_key} {category_key}")
 
 print("\nhash key meanings:")
 for key, text in dicts.messages.items():

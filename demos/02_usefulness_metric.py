@@ -84,9 +84,9 @@ for mode in (Mode.GLOBAL, Mode.GROUP, Mode.INDIVIDUAL):
     registry = SymbolRegistry()
     acc = UsefulnessAccumulator()
     for entry in entries:
-        deid, pattern = process_entry(entry, RULES.with_mode(mode), registry)
+        _, significant, pattern = process_entry(entry.message, RULES.with_mode(mode), registry)
         # The metric needs only the (value, symbol, slot) triples and the event pattern.
-        acc.add(deid.significant_values, pattern)
+        acc.add(significant, pattern)
     report = acc.report(mode.value)
     print(f"=== {mode.value} ===")
     for line in report.table_lines():

@@ -33,10 +33,10 @@ dicts = EncodingDictionaries()
 tally = StorageTally()
 for line in generate_lines(spec):
     entry = parse_line(line)
-    deid, pattern = process_entry(entry, no_rules)
-    encoded = encode_entry(deid, pattern, dicts)
+    deid_message, _, pattern = process_entry(entry.message, no_rules)
+    hash_key, category_key = encode_entry(deid_message, pattern, dicts)
     # Two key columns and the space between them.
-    encoded_bytes = len(encoded.hash_key) + 1 + len(encoded.category_key)
+    encoded_bytes = len(hash_key) + 1 + len(category_key)
     tally.add(len(entry.message.encode("utf-8")), encoded_bytes)
     counts[pattern] += 1
 

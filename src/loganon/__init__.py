@@ -12,11 +12,8 @@ aggregate shares. ``loganon.usefulness`` is the module that holds both.
 """
 
 from .model import (
-    DeidentifiedEntry,
-    EncodedEntry,
     MalformedLine,
     RawLogEntry,
-    SignificantValue,
     Term,
     TermClass,
     parse_line,
@@ -73,10 +70,8 @@ __all__ = [
     "ConfigError",
     "CorpusSpec",
     "CoverageTable",
-    "DeidentifiedEntry",
     "DimensionMismatch",
     "DomainError",
-    "EncodedEntry",
     "EncoderConfig",
     "EncodingDictionaries",
     "GroupMapIncomplete",
@@ -87,7 +82,6 @@ __all__ = [
     "PatternStats",
     "RawLogEntry",
     "RuleSet",
-    "SignificantValue",
     "StorageReport",
     "StorageTally",
     "SymbolRegistry",

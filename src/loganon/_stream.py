@@ -122,8 +122,10 @@ _worker_memo: Optional[RunMemo] = None
 
 def _init_worker(ruleset: RuleSet) -> None:
     global _worker_ruleset, _worker_memo
-    # Ctrl-C signals the whole process group; only the parent acts on it.
+    # Ctrl-C and a group-wide SIGTERM reach the workers too; only the parent acts on them.
+    # A worker killed mid-batch would lose it, and the pool's join() would wait for it forever.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     _worker_ruleset = ruleset
     _worker_memo = _new_memo(ruleset)
 
@@ -162,8 +164,8 @@ def scanned_stream(
     at most _usable_cpus() processes, and a pool of one is the sequential
     path. Workers return plain tuples (see _scan_one), which this
     generator wraps back into ScannedLine and LineIssue. When the stream
-    ends or is closed early (an error, Ctrl-C), the pool takes no more
-    input and the workers finish the batches already queued; terminating
+    ends or is closed early (an error, Ctrl-C, SIGTERM), the pool takes no
+    more input and the workers finish the batches already queued; terminating
     them could leave the pool's feeder thread blocked on a half-written
     batch.
     """

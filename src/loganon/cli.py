@@ -4,7 +4,8 @@ Wires the streaming pipeline end to end: parse -> de-identify -> encode,
 plus the analysis commands over the same scan stage. Exit codes: 0 success,
 2 configuration error or input outside the metric's domain, 3 hash
 collision detected, 4 parse failure in strict mode, 141 stdout closed by
-its reader (128 + SIGPIPE, as a shell reports a filter killed by SIGPIPE).
+its reader (128 + SIGPIPE, as a shell reports a filter killed by SIGPIPE),
+143 SIGTERM (128 + SIGTERM; staged outputs are removed first).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import signal
 import sys
+import threading
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -36,7 +39,8 @@ from .grids import (
     emit_grid,
     similarity_grid,
 )
-from .model import DeidentifiedEntry, render_entry
+# render_entry is not called here; perfbench/traced.py times entry rendering under this name.
+from .model import render_entry  # noqa: F401
 from .rules import (
     ConfigError,
     GroupMapIncomplete,
@@ -198,15 +202,14 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                     deid_message, significant, pattern = rewrite_matches(
                         sanitized, matches, cfg.ruleset, registry
                     )
-                    deid = DeidentifiedEntry(timestamp, source, deid_message, significant)
-                    line = render_entry(encode_entry(deid, pattern, dicts, cfg.encoder))
-                    # Timestamp and source hold no space; sanitize_message only swaps '#'
-                    # for '?', so the sanitized text has the raw message's UTF-8 length.
-                    known = (f" {line.split(' ', 2)[2]}\n", len(sanitized.encode("utf-8")))
+                    hash_key, category_key = encode_entry(deid_message, pattern, dicts, cfg.encoder)
+                    # sanitize_message only swaps '#' for '?', so the sanitized
+                    # text has the raw message's UTF-8 length.
+                    known = (f" {hash_key} {category_key}\n", len(sanitized.encode("utf-8")))
                     memo.admit(sanitized, known)
                     if args.emit_dictionary:
-                        for sig in significant:
-                            symbol_rows.setdefault((sig.symbol, sig.original_value))
+                        for value, symbol, _ in significant:
+                            symbol_rows.setdefault((symbol, value))
                 tail, message_bytes = known
                 out.write(f"{timestamp} {source}{tail}")
                 # The tail without its leading space and LF: the two keys and the space between them.
@@ -237,7 +240,6 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
         accumulators[key].add(significant, pattern)
     if not accumulators:
         print("no entries", file=sys.stderr)
-        return EXIT_OK
     mode_label = cfg.ruleset.mode.value
     pattern_keys: PatternKeys = {}
     with _staged_outputs(cfg.out_dir) as create:
@@ -278,11 +280,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     lines = table.csv_lines()
     with _staged_outputs(cfg.out_dir) as create, create("coverage.csv") as f:
         f.write("\n".join(lines) + "\n")
-    if not stats:
-        print("no entries")
-        return EXIT_OK
-    for line in lines:
-        print(line)
+    print("\n".join(lines) if stats else "no entries")
     if cfg.skipped:
         print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK
@@ -453,12 +451,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame) -> None:
+    """SIGTERM exits 143 (128 + SIGTERM, as a shell reports it); Ctrl-C raises KeyboardInterrupt.
+
+    Both unwind, so staged outputs are removed. Later ones are ignored: one that cut short
+    the wait for a worker pool could leave the run waiting for it forever.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise SystemExit(143) if signum == signal.SIGTERM else KeyboardInterrupt
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    # Only the main thread may set a handler (a program that calls main() from another
+    # thread keeps its own), and a signal that is ignored stays ignored.
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            if signal.getsignal(signum) is not signal.SIG_IGN:
+                previous[signum] = signal.signal(signum, _interrupt)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -474,6 +490,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Messages are hashed with the SHAKE-128 extendable-output function and
 truncated to a configurable byte width; the same function applied to the
-event pattern yields the category key. Hash-to-text dictionaries detect
-truncation collisions instead of silently merging distinct messages, and a
-storage report quantifies how much smaller the encoded corpus is.
+event pattern yields the category key. encode_entry returns the two keys
+as plain strings of lowercase hex; an encoded line is ``<timestamp>
+<source> <hash_key> <category_key>``. Hash-to-text dictionaries detect
+truncation collisions instead of silently merging distinct messages, and
+a storage report quantifies how much smaller the encoded corpus is.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
-
-from .model import DeidentifiedEntry, EncodedEntry, _trusted_encoded_entry
 
 
 class CollisionDetected(RuntimeError):
@@ -95,21 +95,21 @@ class EncodingDictionaries:
 
 
 def encode_entry(
-    deid: DeidentifiedEntry,
+    deid_message: str,
     pattern: str,
     dicts: EncodingDictionaries,
     cfg: EncoderConfig = EncoderConfig(),
-) -> EncodedEntry:
-    """Encode one de-identified entry; timestamp and source pass through unchanged.
+) -> tuple[str, str]:
+    """Hash a de-identified message and its event pattern; return (hash_key, category_key).
 
-    ``pattern`` must be the event pattern of the entry the de-identification
+    ``pattern`` must be the event pattern of the message the de-identification
     came from. Both keys are registered so collisions surface immediately.
     """
-    hash_key = hash_text(deid.deid_message, cfg)
+    hash_key = hash_text(deid_message, cfg)
     category_key = hash_text(pattern, cfg)
-    dicts.messages.register(hash_key, deid.deid_message)
+    dicts.messages.register(hash_key, deid_message)
     dicts.patterns.register(category_key, pattern)
-    return _trusted_encoded_entry(deid.timestamp, deid.source, hash_key, category_key)
+    return hash_key, category_key
 
 
 def dictionary_bytes(dicts: EncodingDictionaries) -> int:

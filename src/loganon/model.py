@@ -1,4 +1,4 @@
-"""Core domain types and line-level parsing for three-field syslog entries.
+"""Raw syslog entries, message terms, and line-level parsing.
 
 Every entry has the layout ``<timestamp> <source> <message>``: an integer
 UNIX timestamp, a whitespace-free node identifier, and the free-text message
@@ -8,6 +8,10 @@ split_line checks a line and returns its three fields as plain values, for
 the scan stage, which reads every line and keeps no entry object;
 parse_line wraps the same fields in a RawLogEntry. Both run the one source
 check and the one line-terminator check that RawLogEntry runs.
+
+Only raw entries have a type: de-identifying and encoding a message give
+plain tuples (see rules.process_entry and encoder.encode_entry), and the
+timestamp and source pass through both steps untouched.
 """
 
 from __future__ import annotations
@@ -15,12 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
 
-# One C call per check: \s is exactly str.isspace, and a key is one or
-# more pairs of lowercase hex digits.
+# One C call per check: \s is exactly str.isspace.
 _SPACE_RE = re.compile(r"\s")
-_HEX_KEY_RE = re.compile(r"(?:[0-9a-f]{2})+")
 
 
 class MalformedLine(ValueError):
@@ -67,60 +68,6 @@ class Term:
     klass: TermClass
 
 
-class SignificantValue(NamedTuple):
-    """One significant-term replacement: the value, its symbol, and its slot (see rules.rewrite_matches)."""
-
-    original_value: str
-    symbol: str
-    slot: int
-
-
-@dataclass(frozen=True)
-class DeidentifiedEntry:
-    """Entry after rule substitution; timestamp and source are untouched."""
-
-    timestamp: int
-    source: str
-    deid_message: str
-    significant_values: tuple[SignificantValue, ...] = ()
-
-
-@dataclass(frozen=True)
-class EncodedEntry:
-    """Entry after irreversible encoding: message replaced by two hex keys.
-
-    ``hash_key`` identifies the de-identified message, ``category_key`` the
-    fully generalized event pattern; both have the same fixed width.
-    """
-
-    timestamp: int
-    source: str
-    hash_key: str
-    category_key: str
-
-    def __post_init__(self) -> None:
-        for key in (self.hash_key, self.category_key):
-            if not _HEX_KEY_RE.fullmatch(key):
-                raise ValueError(f"key {key!r} is not lowercase hex of even length")
-
-
-def _trusted_encoded_entry(
-    timestamp: int, source: str, hash_key: str, category_key: str
-) -> EncodedEntry:
-    """An EncodedEntry built without the key check, for keys ``hash_text`` just made.
-
-    Equal to ``EncodedEntry(timestamp, source, hash_key, category_key)``;
-    the public constructor stays the check for every other caller.
-    """
-    entry = object.__new__(EncodedEntry)
-    fields = entry.__dict__
-    fields["timestamp"] = timestamp
-    fields["source"] = source
-    fields["hash_key"] = hash_key
-    fields["category_key"] = category_key
-    return entry
-
-
 def split_line(line: str) -> tuple[int, str, str]:
     """Split one flat-file line into (timestamp, source, message).
 
@@ -147,12 +94,9 @@ def parse_line(line: str) -> RawLogEntry:
     return RawLogEntry(*split_line(line))
 
 
-def render_entry(entry: Union[RawLogEntry, EncodedEntry]) -> str:
-    """Render an entry back to its single-line flat-file form.
+def render_entry(entry: RawLogEntry) -> str:
+    """Render an entry back to its single-line flat-file form, the inverse of parse_line.
 
-    For raw entries this is the inverse of parse_line:
     ``parse_line(render_entry(e)) == e``.
     """
-    if isinstance(entry, EncodedEntry):
-        return f"{entry.timestamp} {entry.source} {entry.hash_key} {entry.category_key}"
     return f"{entry.timestamp} {entry.source} {entry.message}"

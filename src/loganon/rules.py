@@ -13,6 +13,11 @@ The fully generalized rewrite of a message (every variable term replaced by
 its global symbol) is its *event pattern*; entries sharing an event pattern
 form one event category.
 
+De-identification works on messages and returns plain tuples: Match
+triples from scan_message, and ``(deid_message, significant, pattern)``
+from rewrite_matches and process_entry, ``significant`` holding one
+``(value, symbol, slot)`` triple (Significant) per significant match.
+
 Scanning skips a rule whose prefilter rules it out. The prefilter is a
 necessary condition for the rule's pattern to match anywhere in a message,
 derived once from the pattern's parse tree and written over literal
@@ -29,13 +34,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .model import (
-    DeidentifiedEntry,
-    RawLogEntry,
-    SignificantValue,
-    Term,
-    TermClass,
-)
+from .model import Term, TermClass
 
 try:
     from re import _parser as _sre_parse
@@ -62,6 +61,8 @@ _PREFILTER_MAX_STRINGS = 32
 
 # One variable-term match: (start, end, rule index), in character offsets.
 Match = tuple[int, int, int]
+# One significant-term replacement: (original value, symbol, slot); see rewrite_matches.
+Significant = tuple[str, str, int]
 
 
 class ConfigError(ValueError):
@@ -395,8 +396,8 @@ def rewrite_matches(
     matches: Sequence[Match],
     ruleset: RuleSet,
     registry: Optional[SymbolRegistry] = None,
-) -> tuple[str, tuple[SignificantValue, ...], str]:
-    """Build (deid_message, significant_values, event_pattern) from one scan.
+) -> tuple[str, tuple[Significant, ...], str]:
+    """Build (deid_message, significant, event_pattern) from one scan.
 
     ``sanitized`` must be the sanitize_message() form the matches were
     computed on, and ``matches`` what scan_message returned for it. The
@@ -414,7 +415,7 @@ def rewrite_matches(
     plan = ruleset.symbols
     deid_parts: list[str] = []
     pattern_parts: list[str] = []
-    significant: list[SignificantValue] = []
+    significant: list[Significant] = []
     cursor = 0
     slot = 0
     for start, end, rule_index in matches:
@@ -434,7 +435,7 @@ def rewrite_matches(
                     if registry is None:
                         registry = SymbolRegistry()
                     symbol = f"#{rule.name}{registry.index(rule.name, value)}#"
-            significant.append(SignificantValue(value, symbol, slot))
+            significant.append((value, symbol, slot))
         slot += 1
         deid_parts.append(symbol)
         pattern_parts.append(pattern_symbol)
@@ -447,23 +448,22 @@ def rewrite_matches(
 
 
 def process_entry(
-    entry: RawLogEntry,
+    message: str,
     ruleset: RuleSet,
     registry: Optional[SymbolRegistry] = None,
-) -> tuple[DeidentifiedEntry, str]:
-    """De-identify one entry and return it with its event pattern.
+) -> tuple[str, tuple[Significant, ...], str]:
+    """De-identify one message: (deid_message, significant, event_pattern).
 
-    Scans the message once and derives both rewrites from the same matches,
-    which guarantees the pattern is exactly the fully-global rewrite of the
-    entry the de-identification was computed from. Without ``registry``,
-    individual-mode indices are scoped to this one call (see
-    rewrite_matches); pass one registry to number values across a corpus.
+    Sanitizes and scans the message once and derives both rewrites from the
+    same matches (see rewrite_matches), which guarantees the pattern is
+    exactly the fully-global rewrite of the message the de-identification
+    was computed from. An entry's timestamp and source are not rewritten,
+    so only its message is taken. Without ``registry``, individual-mode
+    indices are scoped to this one call; pass one registry to number values
+    across a corpus.
     """
-    sanitized = sanitize_message(entry.message)
-    matches = scan_message(sanitized, ruleset)
-    deid_message, significant, pattern = rewrite_matches(sanitized, matches, ruleset, registry)
-    deid = DeidentifiedEntry(entry.timestamp, entry.source, deid_message, significant)
-    return deid, pattern
+    sanitized = sanitize_message(message)
+    return rewrite_matches(sanitized, scan_message(sanitized, ruleset), ruleset, registry)
 
 
 # --- rule files -------------------------------------------------------------

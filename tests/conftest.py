@@ -95,8 +95,8 @@ def brute_force_rows(entries: list[RawLogEntry], ruleset: RuleSet) -> list[tuple
     registry = SymbolRegistry()
     by_pattern: dict[str, list[dict[int, tuple[str, str]]]] = {}
     for e in entries:
-        deid, pattern = process_entry(e, ruleset, registry)
-        symbols = iter(deid.significant_values)
+        _, significant, pattern = process_entry(e.message, ruleset, registry)
+        symbols = iter(significant)
         placed: dict[int, tuple[str, str]] = {}
         position = 0
         for term in tokenize(sanitize_message(e.message), ruleset):
@@ -104,7 +104,7 @@ def brute_force_rows(entries: list[RawLogEntry], ruleset: RuleSet) -> list[tuple
                 position += len(SYMBOL_RE.findall(term.text))
                 continue
             if term.klass is TermClass.VARIABLE_SIGNIFICANT:
-                placed[position] = (term.text, next(symbols).symbol)
+                placed[position] = (term.text, next(symbols)[1])
             position += 1
         by_pattern.setdefault(pattern, []).append(placed)
     rows = []

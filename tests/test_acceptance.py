@@ -76,8 +76,8 @@ def _cron_reports():
         registry = SymbolRegistry()
         acc = UsefulnessAccumulator()
         for e in entries:
-            deid, pattern = process_entry(e, ruleset.with_mode(mode), registry)
-            acc.add(deid.significant_values, pattern)
+            _, significant, pattern = process_entry(e.message, ruleset.with_mode(mode), registry)
+            acc.add(significant, pattern)
         reports[mode] = acc.report(mode.value)
     return reports
 
@@ -148,9 +148,9 @@ def test_criterion_4_deidentification_equality_structure():
         }
         for name, ruleset in shell_cmd_rulesets().items():
             registry = SymbolRegistry()
-            d1 = process_entry(RawLogEntry(1, "T-1", SHELL_CMD_A), ruleset, registry)[0]
-            d2 = process_entry(RawLogEntry(2, "T-2", SHELL_CMD_B), ruleset, registry)[0]
-            k1, k2 = hash_text(d1.deid_message), hash_text(d2.deid_message)
+            d1 = process_entry(SHELL_CMD_A, ruleset, registry)[0]
+            d2 = process_entry(SHELL_CMD_B, ruleset, registry)[0]
+            k1, k2 = hash_text(d1), hash_text(d2)
             assert (k1 == k2) is expected_identical[name], name
 
     _report("C4 equality structure across de-identification degrees (Y/N column)", check)
@@ -230,8 +230,7 @@ def test_criterion_5b_granularity_monotonicity():
     def distinct(messages, mode):
         ruleset = RuleSet(_granularity_rules(), mode)
         registry = SymbolRegistry()
-        deids = [process_entry(RawLogEntry(1, "n", m), ruleset, registry)[0] for m in messages]
-        return len({d.deid_message for d in deids})
+        return len({process_entry(m, ruleset, registry)[0] for m in messages})
 
     @BIG
     @given(_corpus())
@@ -305,8 +304,8 @@ def test_criterion_5e_streaming_equals_brute_force():
         registry = SymbolRegistry()
         acc = UsefulnessAccumulator()
         for e in entries:
-            deid, pattern = process_entry(e, ruleset, registry)
-            acc.add(deid.significant_values, pattern)
+            _, significant, pattern = process_entry(e.message, ruleset, registry)
+            acc.add(significant, pattern)
         report = acc.report(ruleset.mode.value)
         rows = sorted((row.pattern_text, row.f_p, row.ratio) for row in report.rows)
         assert rows == brute_force_rows(entries, ruleset)
@@ -352,11 +351,11 @@ def test_criterion_5f_collision_behavior():
         fixture_dict = PatternDictionary()
         ruleset = load_rules(FIXTURES / "cron_sample.rules")
         for e in load_fixture_entries("cron_sample.log"):
-            _, pattern = process_entry(e, ruleset)
+            pattern = process_entry(e.message, ruleset)[2]
             fixture_dict.register(hash_text(pattern), pattern)
         mixed_rules = load_rules(FIXTURES / "mixed_sample.rules")
         for e in load_fixture_entries("mixed_sample.log"):
-            _, pattern = process_entry(e, mixed_rules)
+            pattern = process_entry(e.message, mixed_rules)[2]
             fixture_dict.register(hash_text(pattern), pattern)
         # forcing it: a 1-byte key space cannot hold 257 distinct texts
         cfg = EncoderConfig(digest_length_bytes=1)
@@ -380,7 +379,7 @@ def test_criterion_6_coverage_at_scale():
         counts: Counter[str] = Counter()
         for line in generate_lines(spec):
             entry = parse_line(line)
-            _, pattern = process_entry(entry, empty_rules)
+            pattern = process_entry(entry.message, empty_rules)[2]
             counts[pattern] += 1
         stats = [PatternStats(hash_text(p), p, f_p) for p, f_p in counts.items()]
         ks = [5, 25, 50, 500, 5_000, 50_000]
@@ -412,9 +411,9 @@ def test_criterion_7_storage_saving():
         n = 0
         for line in generate_lines(spec):
             entry = parse_line(line)
-            deid, pattern = process_entry(entry, RuleSet(()))
-            encoded = encode_entry(deid, pattern, dicts, cfg)
-            encoded_bytes = len(encoded.hash_key) + 1 + len(encoded.category_key)
+            deid_message, _, pattern = process_entry(entry.message, RuleSet(()))
+            hash_key, category_key = encode_entry(deid_message, pattern, dicts, cfg)
+            encoded_bytes = len(hash_key) + 1 + len(category_key)
             tally.add(len(entry.message.encode("utf-8")), encoded_bytes)
             total_raw += len(entry.message.encode("utf-8"))
             n += 1

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -254,6 +255,24 @@ def test_lenient_skips_and_counts(tmp_path, capsys, command):
     assert "skipped lines: 1" in out
 
 
+# What usefulness and patterns print when every line is skipped: (stdout, stderr, files in --out).
+ALL_SKIPPED = {
+    "usefulness": ("skipped lines: 2\n", "no entries\n", []),
+    "patterns": ("no entries\nskipped lines: 2\n", "", ["coverage.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ALL_SKIPPED))
+def test_every_line_skipped_still_counts(tmp_path, capsys, command):
+    corpus = tmp_path / "in.log"
+    corpus.write_text("not a log line\nnor this\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run([command, str(corpus), "--out", str(out_dir)], capsys)
+    stdout, stderr, files = ALL_SKIPPED[command]
+    assert (code, out, err) == (0, stdout, stderr)
+    assert sorted(p.name for p in out_dir.iterdir()) == files
+
+
 @pytest.mark.parametrize("command", sorted(ANALYSIS_ARGV))
 def test_strict_aborts(tmp_path, capsys, command):
     corpus = tmp_path / "in.log"
@@ -327,8 +346,8 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
     registry = loganon.SymbolRegistry()
     days = [UsefulnessAccumulator() for _ in range(3)]
     for ts, message in lines:
-        deid, pattern = loganon.process_entry(loganon.RawLogEntry(ts, "n", message), rules, registry)
-        days[ts // 86400].add(deid.significant_values, pattern)
+        _, significant, pattern = loganon.process_entry(message, rules, registry)
+        days[ts // 86400].add(significant, pattern)
     for day, accumulator in enumerate(days):
         expected = "\n".join(accumulator.report("individual").csv_lines()) + "\n"
         assert (tmp_path / "out" / f"usefulness_d{day}.csv").read_text() == expected
@@ -554,6 +573,22 @@ def test_compare_command(tmp_path, capsys):
     b = set((tmp_path / "T-1022_occurrence.csv").read_text().splitlines()[1:])
     assert sim == a & b
     assert diff == a ^ b
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pgm"])
+def test_compare_reads_encoded_log_like_raw(tmp_path, capsys, fmt):
+    # An encoded line keeps the raw timestamp and source, which are all a grid reads.
+    code, _, _ = run(["anonymize", CRON_LOG, "--rules", CRON_RULES, "--out", str(tmp_path / "enc")], capsys)
+    assert code == 0
+    grids = {}
+    for name, log in (("raw", CRON_LOG), ("encoded", str(tmp_path / "enc" / "encoded.log"))):
+        out_dir = tmp_path / name
+        argv = ["compare", log, "T-1020", "T-1022", "--epoch-day0", "1517270400",
+                "--window", "0:240", "--format", fmt, "--out", str(out_dir)]
+        assert run(argv, capsys)[::2] == (0, "")  # no warning: both nodes have entries
+        grids[name] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(grids["raw"]) == 4
+    assert grids["encoded"] == grids["raw"]
 
 
 def test_compare_pgm_and_missing_node_warning(tmp_path, capsys):
@@ -849,9 +884,17 @@ def test_reduce_errors_identical_at_one_and_two_workers(tmp_path, capsys, monkey
         assert results[1][2] == "error: rule USER: no group for value 'guest'\n"
 
 
-@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
-def test_ctrl_c_with_worker_pool_leaves_no_output(tmp_path):
-    """A real SIGINT to the process group of `anonymize --workers 2` while it writes."""
+# How a run ends on each signal: (exit code as Popen reports it, what stderr ends with).
+SIGNAL_EXITS = {
+    signal.SIGINT: (-signal.SIGINT, b"KeyboardInterrupt"),
+    signal.SIGTERM: (143, b""),
+}
+
+
+def signal_worker_pool_run(tmp_path, signum, times):
+    """Send ``signum`` ``times`` times, 20 ms apart, to the process group of
+    `anonymize --workers 2` while it writes; check its exit and that nothing is left."""
+    exit_code, err_tail = SIGNAL_EXITS[signum]
     corpus = tmp_path / "cmd.log"
     assert main(["gen", "--entries", "50000", "--patterns", "20000", "--users", "300",
                  "--style", "cmd", "--seed", "3", "--out", str(corpus)]) == 0
@@ -869,14 +912,20 @@ def test_ctrl_c_with_worker_pool_leaves_no_output(tmp_path):
             assert proc.poll() is None, "the run ended before it was interrupted"
             assert time.monotonic() < deadline, "encoded.log.tmp stayed empty"
             time.sleep(0.002)
-        os.killpg(proc.pid, signal.SIGINT)
+        for i in range(times):
+            if i:
+                time.sleep(0.02)
+            try:
+                os.killpg(proc.pid, signum)
+            except ProcessLookupError:  # the run already ended
+                break
         _, err = proc.communicate(timeout=30)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-    assert proc.returncode == -signal.SIGINT
-    assert err.rstrip().endswith(b"KeyboardInterrupt")
+    assert proc.returncode == exit_code
+    assert err.rstrip().endswith(err_tail)
     assert list(out.iterdir()) == []
     while True:
         try:
@@ -885,3 +934,90 @@ def test_ctrl_c_with_worker_pool_leaves_no_output(tmp_path):
             break
         assert time.monotonic() < deadline, "a process of the group outlived the run"
         time.sleep(0.01)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_ctrl_c_with_worker_pool_leaves_no_output(tmp_path):
+    """A real SIGINT to the process group of `anonymize --workers 2` while it writes."""
+    signal_worker_pool_run(tmp_path, signal.SIGINT, 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("name, times", [("SIGINT", 2), ("SIGTERM", 1), ("SIGTERM", 2)])
+def test_group_signal_with_worker_pool_leaves_no_output(tmp_path, name, times):
+    """The workers get a group-wide signal too.
+
+    They must finish their batches, not die with them: the pool never notices a lost
+    batch, and its join() would wait for it forever. A second signal, 20 ms later, lands
+    while the parent waits for them and must be ignored: cut short, that wait ends in the
+    pool's terminate(), which cannot end workers that ignore SIGTERM.
+    """
+    signal_worker_pool_run(tmp_path, getattr(signal, name), times)
+
+
+def handlers_during_gen(monkeypatch, tmp_path):
+    """The SIGINT and SIGTERM handlers while `gen` runs, and its exit code."""
+    seen = {}
+    generate_lines = cli.generate_lines
+
+    def spy(spec):
+        seen.update({sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)})
+        return generate_lines(spec)
+
+    monkeypatch.setattr(cli, "generate_lines", spy)
+    code = main(["gen", "--entries", "3", "--patterns", "2", "--out", str(tmp_path / "g.log")])
+    return seen, code
+
+
+def test_main_off_the_main_thread_leaves_signals_alone(tmp_path, monkeypatch):
+    """Only the main thread may set a signal handler; main() elsewhere runs without one."""
+    before = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+    result = []
+    thread = threading.Thread(
+        target=lambda: result.append(handlers_during_gen(monkeypatch, tmp_path))
+    )
+    thread.start()
+    thread.join()
+    assert result == [(before, 0)]
+
+
+def test_main_keeps_an_ignored_signal_ignored(tmp_path, monkeypatch):
+    """A run started with SIGINT ignored (a background job of a script) stays deaf to it."""
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        seen, code = handlers_during_gen(monkeypatch, tmp_path)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert code == 0
+    assert seen == {signal.SIGINT: signal.SIG_IGN, signal.SIGTERM: cli._interrupt}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_with_open_stdin_leaves_no_output(tmp_path, workers):
+    """SIGTERM while `anonymize -` waits on a pipe that is still open: exit 143, empty --out."""
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loganon", "anonymize", "-", "--workers", str(workers),
+         "--out", str(out)],
+        env=child_env(), stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        proc.stdin.write(b"10 n hello world\n")
+        proc.stdin.flush()
+        deadline = time.monotonic() + 30
+        while not (out / "encoded.log.tmp").exists():
+            assert proc.poll() is None, "the run ended before it was signalled"
+            assert time.monotonic() < deadline, "encoded.log.tmp never appeared"
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGTERM)
+        # A worker pool's reading thread is blocked in a read, so that run ends only at end
+        # of input; communicate() closes stdin.
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 143
+    assert err == b""
+    assert list(out.iterdir()) == []

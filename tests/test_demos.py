@@ -1,4 +1,4 @@
-"""Smoke test: every script under demos/ runs to completion against src/."""
+"""Every script under demos/ runs to completion against src/ and prints its pinned stdout."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# One file per demo, <name>.out: its stdout, which is deterministic and holds no absolute path.
+EXPECTED = Path(__file__).resolve().parent / "fixtures" / "demos"
 
 
 def test_demos_found():
@@ -31,3 +33,4 @@ def test_demo_runs(demo, tmp_path):
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.out").read_text(encoding="utf-8")

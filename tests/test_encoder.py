@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import SHELL_CMD_A, SHELL_CMD_B, shell_cmd_rulesets
 from loganon import (
     CollisionDetected,
-    DeidentifiedEntry,
     EncoderConfig,
     EncodingDictionaries,
     Mode,
@@ -18,6 +17,7 @@ from loganon import (
     RawLogEntry,
     StorageTally,
     SymbolRegistry,
+    cli,
     encode_entry,
     hash_text,
     process_entry,
@@ -127,8 +127,8 @@ def test_collision_error_names_a_safe_width(n, width):
 
 
 def _encode(message: str, rules, dicts, registry, cfg=EncoderConfig()):
-    deid, pattern = process_entry(RawLogEntry(1, "n", message), rules, registry)
-    return encode_entry(deid, pattern, dicts, cfg)
+    deid_message, _, pattern = process_entry(message, rules, registry)
+    return encode_entry(deid_message, pattern, dicts, cfg)
 
 
 def test_encode_same_partial_rewrite_same_keys():
@@ -136,21 +136,20 @@ def test_encode_same_partial_rewrite_same_keys():
     rules = shell_cmd_rulesets()["type2"]
     dicts = EncodingDictionaries()
     registry = SymbolRegistry()
-    a = _encode(SHELL_CMD_A, rules, dicts, registry)
-    b = _encode(SHELL_CMD_A, rules, dicts, registry)
-    assert (a.hash_key, a.category_key) == (b.hash_key, b.category_key)
-    assert list(dicts.messages.items()) == [(a.hash_key, "(#USR1#) cmd (#PATH1# > #PATH2#)")]
-    assert list(dicts.patterns.items()) == [(a.category_key, "(#USR_#) cmd (#PATH_# > #PATH_#)")]
+    a_hash, a_category = _encode(SHELL_CMD_A, rules, dicts, registry)
+    assert _encode(SHELL_CMD_A, rules, dicts, registry) == (a_hash, a_category)
+    assert list(dicts.messages.items()) == [(a_hash, "(#USR1#) cmd (#PATH1# > #PATH2#)")]
+    assert list(dicts.patterns.items()) == [(a_category, "(#USR_#) cmd (#PATH_# > #PATH_#)")]
 
 
 def test_encode_category_groups_different_users():
     rules = shell_cmd_rulesets()["type2"]
     dicts = EncodingDictionaries()
     registry = SymbolRegistry()
-    a = _encode(SHELL_CMD_A, rules, dicts, registry)
-    b = _encode(SHELL_CMD_B, rules, dicts, registry)
-    assert a.hash_key != b.hash_key
-    assert a.category_key == b.category_key
+    a_hash, a_category = _encode(SHELL_CMD_A, rules, dicts, registry)
+    b_hash, b_category = _encode(SHELL_CMD_B, rules, dicts, registry)
+    assert a_hash != b_hash
+    assert a_category == b_category
 
 
 def test_hash_equality_implies_category_equality_on_fixture(cron_entries, cron_ruleset):
@@ -158,9 +157,9 @@ def test_hash_equality_implies_category_equality_on_fixture(cron_entries, cron_r
     registry = SymbolRegistry()
     by_hash = {}
     for e in cron_entries:
-        deid, pattern = process_entry(e, cron_ruleset, registry)
-        enc = encode_entry(deid, pattern, dicts)
-        by_hash.setdefault(enc.hash_key, set()).add(enc.category_key)
+        deid_message, _, pattern = process_entry(e.message, cron_ruleset, registry)
+        hash_key, category_key = encode_entry(deid_message, pattern, dicts)
+        by_hash.setdefault(hash_key, set()).add(category_key)
     assert all(len(cats) == 1 for cats in by_hash.values())
 
 
@@ -172,33 +171,35 @@ def test_same_user_different_commands_share_keys(cron_entries, cron_ruleset):
     registry = SymbolRegistry()
     encoded = {}
     for i, e in enumerate(cron_entries, start=1):
-        deid, pattern = process_entry(e, rules, registry)
-        encoded[i] = encode_entry(deid, pattern, dicts)
-    assert encoded[1].hash_key == encoded[3].hash_key
-    assert encoded[1].category_key == encoded[3].category_key
-    assert encoded[1].hash_key != encoded[2].hash_key  # different user
-    assert encoded[1].category_key == encoded[2].category_key
+        deid_message, _, pattern = process_entry(e.message, rules, registry)
+        encoded[i] = encode_entry(deid_message, pattern, dicts)
+    assert encoded[1] == encoded[3]  # hash and category keys
+    assert encoded[1][0] != encoded[2][0]  # different user: different hash key
+    assert encoded[1][1] == encoded[2][1]
 
 
 def test_encoded_key_width_follows_config():
     cfg = EncoderConfig(digest_length_bytes=8)
     rules = shell_cmd_rulesets()["global"]
-    enc = _encode(SHELL_CMD_A, rules, EncodingDictionaries(), SymbolRegistry(), cfg)
-    assert len(enc.hash_key) == len(enc.category_key) == 16
+    hash_key, category_key = _encode(SHELL_CMD_A, rules, EncodingDictionaries(), SymbolRegistry(), cfg)
+    assert len(hash_key) == len(category_key) == 16
 
 
-def test_timestamp_and_source_pass_through():
-    deid = DeidentifiedEntry(123, "T-9", "hello")
-    enc = encode_entry(deid, "hello", EncodingDictionaries())
-    assert (enc.timestamp, enc.source) == (123, "T-9")
+def test_timestamp_and_source_pass_through(tmp_path):
+    # encode_entry sees only the message; the encoded line keeps the raw timestamp and source.
+    log = tmp_path / "in.log"
+    log.write_text("123 T-9 hello\n", encoding="utf-8")
+    assert cli.main(["anonymize", str(log), "--out", str(tmp_path / "out")]) == 0
+    key = hash_text("hello")
+    assert (tmp_path / "out" / "encoded.log").read_text(encoding="utf-8") == f"123 T-9 {key} {key}\n"
 
 
 # --- storage accounting ------------------------------------------------------
 
 def _storage_report(raw_messages, encoded, dicts):
     tally = StorageTally()
-    for message, enc in zip(raw_messages, encoded, strict=True):
-        encoded_bytes = len(enc.hash_key) + 1 + len(enc.category_key)
+    for message, (hash_key, category_key) in zip(raw_messages, encoded, strict=True):
+        encoded_bytes = len(hash_key) + 1 + len(category_key)
         tally.add(len(message.encode("utf-8")), encoded_bytes)
     return tally.report(dicts)
 
@@ -216,8 +217,8 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
     registry = SymbolRegistry()
     encoded = []
     for e in cron_entries:
-        deid, pattern = process_entry(e, cron_ruleset, registry)
-        encoded.append(encode_entry(deid, pattern, dicts))
+        deid_message, _, pattern = process_entry(e.message, cron_ruleset, registry)
+        encoded.append(encode_entry(deid_message, pattern, dicts))
     report = _storage_report([e.message for e in cron_entries], encoded, dicts)
     # independent byte count straight off the fixture contents
     raw_bytes = sum(len(e.message.encode("utf-8")) for e in cron_entries)
@@ -236,9 +237,6 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
 def test_storage_long_messages_high_saving():
     raw = [RawLogEntry(1, "n", "x" * 100 + f" tail {i}") for i in range(50)]
     dicts = EncodingDictionaries()
-    encoded = [
-        encode_entry(DeidentifiedEntry(e.timestamp, e.source, e.message), e.message, dicts)
-        for e in raw
-    ]
+    encoded = [encode_entry(e.message, e.message, dicts) for e in raw]
     report = _storage_report([e.message for e in raw], encoded, dicts)
     assert report.saving_excluding_dictionary > Fraction(80, 100)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from loganon import (
     DimensionMismatch,
-    EncodedEntry,
     OccurrenceGrid,
     RawLogEntry,
     build_grid,
@@ -80,14 +79,6 @@ def test_build_grid_bad_window():
         build_grid([], "n", (0, 0), (10, 5), EPOCH)
     with pytest.raises(ValueError):
         build_grid([], "n", (0, 0), (0, 2000), EPOCH)
-
-
-def test_raw_and_encoded_corpora_give_same_grid():
-    raw = [_entry(d, m) for d in range(2) for m in (1, 4)]
-    encoded = [EncodedEntry(e.timestamp, e.source, "aa" * 4, "bb" * 4) for e in raw]
-    g_raw = build_grid(raw, "nodeA", (0, 1), (0, 10), EPOCH)
-    g_enc = build_grid(encoded, "nodeA", (0, 1), (0, 10), EPOCH)
-    assert g_raw.cells == g_enc.cells
 
 
 def test_day_index_floors_around_epoch():

@@ -25,7 +25,6 @@ from loganon import (
     load_rules,
     parse_line,
     process_entry,
-    render_entry,
 )
 from loganon import _stream, cli
 from loganon.cli import main
@@ -107,12 +106,12 @@ def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[
     symbol_rows: dict[tuple[str, str], None] = {}
     for line in corpus.read_text(encoding="utf-8").splitlines():
         entry = parse_line(line)
-        deid, pattern = process_entry(entry, ruleset, registry)
-        enc = encode_entry(deid, pattern, dicts, EncoderConfig())
-        encoded.append(render_entry(enc))
-        tally.add(len(entry.message.encode("utf-8")), len(enc.hash_key) + 1 + len(enc.category_key))
-        for sig in deid.significant_values:
-            symbol_rows.setdefault((sig.symbol, sig.original_value))
+        deid_message, significant, pattern = process_entry(entry.message, ruleset, registry)
+        hash_key, category_key = encode_entry(deid_message, pattern, dicts, EncoderConfig())
+        encoded.append(f"{entry.timestamp} {entry.source} {hash_key} {category_key}")
+        tally.add(len(entry.message.encode("utf-8")), len(hash_key) + 1 + len(category_key))
+        for value, symbol, _ in significant:
+            symbol_rows.setdefault((symbol, value))
     rows = {
         "encoded.log": encoded,
         "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loganon import EncodedEntry, MalformedLine, RawLogEntry, RuleSet, model, parse_line, render_entry
+from loganon import MalformedLine, RawLogEntry, RuleSet, model, parse_line, render_entry
 from loganon._stream import LineIssue, ScannedLine, scanned_stream
 from loganon.model import split_line
 
@@ -80,11 +80,6 @@ def test_render_raw_entry():
     assert render_entry(entry) == "1515625713 T-6201 disabling lock debugging due to kernel taint"
 
 
-def test_render_encoded_entry_four_columns():
-    encoded = EncodedEntry(1515625713, "T-6201", "1808e388", "66dc2742")
-    assert render_entry(encoded) == "1515625713 T-6201 1808e388 66dc2742"
-
-
 def test_entry_validation():
     with pytest.raises(ValueError):
         RawLogEntry(-1, "n", "x")
@@ -94,8 +89,6 @@ def test_entry_validation():
         RawLogEntry(0, "a b", "x")
     with pytest.raises(ValueError):
         RawLogEntry(0, "n", "x\ny")
-    with pytest.raises(ValueError):
-        EncodedEntry(0, "n", "XYZ", "0abc")
 
 
 source_strategy = st.text(
@@ -125,21 +118,6 @@ def test_source_whitespace_check_is_str_isspace_on_every_code_point():
     for c in (c for c in everything if c.isspace()):
         with pytest.raises(MalformedLine):
             RawLogEntry(0, f"a{c}b", "x")
-
-
-def old_hex_key_check(key: str) -> bool:
-    """The key check as written before it became one regex: even-length lowercase hex."""
-    return bool(key) and len(key) % 2 == 0 and all(c in "0123456789abcdef" for c in key)
-
-
-@given(key=st.one_of(st.text(alphabet="0123456789abcdefABCDEF\n g٣", max_size=9), st.text(max_size=9)))
-def test_encoded_entry_key_check_matches_old_check(key):
-    for hash_key, category_key in ((key, "00"), ("00", key)):
-        if old_hex_key_check(key):
-            EncodedEntry(0, "n", hash_key, category_key)
-        else:
-            with pytest.raises(ValueError):
-                EncodedEntry(0, "n", hash_key, category_key)
 
 
 # Pieces of adversarial lines: line terminators, other whitespace, empty

@@ -32,7 +32,6 @@ from loganon import (
     parse_line,
     process_entry,
     render_decimal,
-    render_entry,
 )
 from loganon.cli import main
 
@@ -74,11 +73,13 @@ def expected_outputs(lines: list[str], rules_path: Path) -> dict[str, list]:
     acc = UsefulnessAccumulator()
     encoded, symbols, patterns = [], {}, Counter()
     for line in lines:
-        deid, pattern = process_entry(parse_line(line), ruleset, registry)
-        encoded.append(render_entry(encode_entry(deid, pattern, dicts, EncoderConfig())))
-        for sig in deid.significant_values:
-            symbols.setdefault((sig.symbol, sig.original_value))
-        acc.add(deid.significant_values, pattern)
+        entry = parse_line(line)
+        deid_message, significant, pattern = process_entry(entry.message, ruleset, registry)
+        hash_key, category_key = encode_entry(deid_message, pattern, dicts, EncoderConfig())
+        encoded.append(f"{entry.timestamp} {entry.source} {hash_key} {category_key}")
+        for value, symbol, _ in significant:
+            symbols.setdefault((symbol, value))
+        acc.add(significant, pattern)
         patterns[pattern] += 1
     report = acc.report()
     usefulness_rows = [["category", "pattern", "f_p", "D_p", "ratio", "contribution"]]

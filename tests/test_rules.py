@@ -21,7 +21,6 @@ from loganon import (
     ConfigError,
     GroupMapIncomplete,
     Mode,
-    RawLogEntry,
     RuleSet,
     SymbolRegistry,
     TermClass,
@@ -33,12 +32,9 @@ from loganon import (
     sanitize_message,
     tokenize,
 )
+from loganon import cli, hash_text
 from loganon import rules as rules_module
 from loganon.rules import DAEMON_NAMES, Match, scan_message
-
-
-def entry(message: str, ts: int = 1, source: str = "T-1") -> RawLogEntry:
-    return RawLogEntry(ts, source, message)
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -103,50 +99,51 @@ def test_tie_at_same_span_goes_to_earlier_rule():
             TermRule("BBB", r"\bcat\b", significant=True),
         )
     )
-    d = process_entry(entry("a cat sat"), rules.with_mode(Mode.GLOBAL))[0]
-    assert d.deid_message == "a #AAA_# sat"
+    assert process_entry("a cat sat", rules.with_mode(Mode.GLOBAL))[0] == "a #AAA_# sat"
 
 
 # --- de-identification ----------------------------------------------------
 
 def test_deidentify_global_shell_cmd():
-    d = process_entry(entry(SHELL_CMD_A), shell_cmd_rulesets()["global"])[0]
-    assert d.deid_message == "(#USR_#) cmd (#PATH# > #PATH#)"
-    assert [(s.original_value, s.symbol) for s in d.significant_values] == [
-        ("siavash", "#USR_#")
-    ]
+    deid_message, significant, _ = process_entry(SHELL_CMD_A, shell_cmd_rulesets()["global"])
+    assert deid_message == "(#USR_#) cmd (#PATH# > #PATH#)"
+    assert [(value, symbol) for value, symbol, _ in significant] == [("siavash", "#USR_#")]
 
 
 def test_deidentify_individual_user_only():
-    d = process_entry(entry(SHELL_CMD_A), shell_cmd_rulesets()["type3"])[0]
-    assert d.deid_message == "(#USR1#) cmd (#PATH# > #PATH#)"
+    deid_message = process_entry(SHELL_CMD_A, shell_cmd_rulesets()["type3"])[0]
+    assert deid_message == "(#USR1#) cmd (#PATH# > #PATH#)"
 
 
 def test_deidentify_fixed_point_without_variables():
     msg = "nothing variable here"
-    d = process_entry(entry(msg), shell_cmd_rulesets()["global"])[0]
-    assert d.deid_message == msg
-    assert d.significant_values == ()
+    deid_message, significant, _ = process_entry(msg, shell_cmd_rulesets()["global"])
+    assert deid_message == msg
+    assert significant == ()
 
 
-def test_deidentify_keeps_timestamp_and_source():
-    d = process_entry(entry(SHELL_CMD_A, ts=99, source="T-77"), shell_cmd_rulesets()["global"])[0]
-    assert (d.timestamp, d.source) == (99, "T-77")
+def test_deidentify_keeps_timestamp_and_source(tmp_path):
+    # process_entry takes only the message; anonymize writes the line's own timestamp and source.
+    log = tmp_path / "in.log"
+    log.write_text(f"99 T-77 {SHELL_CMD_A}\n", encoding="utf-8")
+    assert cli.main(["anonymize", str(log), "--out", str(tmp_path)]) == 0
+    deid_message, _, pattern = process_entry(SHELL_CMD_A, default_ruleset())
+    encoded = (tmp_path / "encoded.log").read_text(encoding="utf-8")
+    assert encoded == f"99 T-77 {hash_text(deid_message)} {hash_text(pattern)}\n"
 
 
 def test_individual_indices_first_occurrence_across_corpus():
     rules = RuleSet((TermRule("USER", r"\b[a-z]+\b", significant=True),), Mode.INDIVIDUAL)
     registry = SymbolRegistry()
     messages = ["alice", "bob", "alice", "carol bob"]
-    out = [process_entry(entry(m), rules, registry)[0].deid_message for m in messages]
+    out = [process_entry(m, rules, registry)[0] for m in messages]
     assert out == ["#USER1#", "#USER2#", "#USER1#", "#USER3# #USER2#"]
 
 
 def test_individual_indices_without_registry_are_per_call():
     rules = RuleSet((TermRule("USER", r"\b[a-z]+\b", significant=True),), Mode.INDIVIDUAL)
-    d = process_entry(entry("alice bob alice"), rules)[0]
-    assert d.deid_message == "#USER1# #USER2# #USER1#"
-    assert process_entry(entry("bob"), rules)[0].deid_message == "#USER1#"
+    assert process_entry("alice bob alice", rules)[0] == "#USER1# #USER2# #USER1#"
+    assert process_entry("bob", rules)[0] == "#USER1#"
 
 
 def test_group_mode_labels_and_default():
@@ -162,13 +159,13 @@ def test_group_mode_labels_and_default():
         ),
         Mode.GROUP,
     )
-    assert process_entry(entry("root"), rules)[0].deid_message == "#USERp#"
-    assert process_entry(entry("guest"), rules)[0].deid_message == "#USERn#"
+    assert process_entry("root", rules)[0] == "#USERp#"
+    assert process_entry("guest", rules)[0] == "#USERn#"
 
 
 def test_group_mode_without_map_falls_back_to_global():
     rules = RuleSet((TermRule("DAEM", r"\bcrond\b", significant=True),), Mode.GROUP)
-    assert process_entry(entry("crond started"), rules)[0].deid_message == "#DAEM_# started"
+    assert process_entry("crond started", rules)[0] == "#DAEM_# started"
 
 
 def test_group_mode_incomplete_map_raises():
@@ -177,7 +174,7 @@ def test_group_mode_incomplete_map_raises():
         Mode.GROUP,
     )
     with pytest.raises(GroupMapIncomplete):
-        process_entry(entry("guest"), rules)[0]
+        process_entry("guest", rules)
 
 
 USER_RULE = dict(name="USER", pattern=r"\b[a-z]+\b", significant=True)
@@ -186,14 +183,14 @@ USER_RULE = dict(name="USER", pattern=r"\b[a-z]+\b", significant=True)
 def test_ruleset_string_mode_is_coerced():
     rules = RuleSet((TermRule(**USER_RULE),), "global")
     assert rules.mode is Mode.GLOBAL
-    assert process_entry(entry("alice bob"), rules)[0].deid_message == "#USER_# #USER_#"
+    assert process_entry("alice bob", rules)[0] == "#USER_# #USER_#"
 
 
 def test_rule_string_mode_is_coerced():
     rule = TermRule(**USER_RULE, mode="global")
     assert rule.mode is Mode.GLOBAL
     rules = RuleSet((rule,), Mode.INDIVIDUAL)
-    assert process_entry(entry("alice bob"), rules)[0].deid_message == "#USER_# #USER_#"
+    assert process_entry("alice bob", rules)[0] == "#USER_# #USER_#"
 
 
 def test_ruleset_unknown_mode_rejected():
@@ -208,17 +205,17 @@ def test_rule_unknown_mode_rejected():
 
 def test_insignificant_terms_ignore_mode():
     rules = RuleSet((TermRule("PATH", r"/[^\s()]+"),), Mode.INDIVIDUAL)
-    d = process_entry(entry("run /bin/a then /bin/b"), rules)[0]
-    assert d.deid_message == "run #PATH# then #PATH#"
-    assert d.significant_values == ()
+    deid_message, significant, _ = process_entry("run /bin/a then /bin/b", rules)
+    assert deid_message == "run #PATH# then #PATH#"
+    assert significant == ()
 
 
 def _assert_idempotent(rules: RuleSet, message: str) -> None:
     registry = SymbolRegistry()
-    d1 = process_entry(entry(message), rules, registry)[0]
-    d2 = process_entry(entry(d1.deid_message), rules, registry)[0]
-    assert d2.deid_message == d1.deid_message
-    assert d2.significant_values == ()
+    d1 = process_entry(message, rules, registry)[0]
+    d2, significant, _ = process_entry(d1, rules, registry)
+    assert d2 == d1
+    assert significant == ()
 
 
 GROUP_LABELS = st.from_regex(r"[A-Za-z0-9_]{1,6}", fullmatch=True)
@@ -446,40 +443,40 @@ def test_prefilter_false_means_no_match(regex, ignorecase, message):
 # --- event patterns ---------------------------------------------------------
 
 def test_event_pattern_global_form():
-    e = entry("(siavash) CMD (run-parts /etc/cron.hourly)")
+    e = "(siavash) CMD (run-parts /etc/cron.hourly)"
     rules = RuleSet(
         (
             TermRule("USER", r"(?<=\()[a-z]+(?=\) CMD \()", significant=True),
             TermRule("PATH", r"(?<=CMD \()[^()]+(?=\))"),
         )
     )
-    assert process_entry(e, rules)[1] == "(#USER_#) CMD (#PATH#)"
+    assert process_entry(e, rules)[2] == "(#USER_#) CMD (#PATH#)"
 
 
 def test_event_pattern_equal_for_same_shape_messages():
     rules = shell_cmd_rulesets()["global"]
-    pattern_a = process_entry(entry(SHELL_CMD_A), rules)[1]
-    assert pattern_a == process_entry(entry(SHELL_CMD_B), rules)[1]
+    pattern_a = process_entry(SHELL_CMD_A, rules)[2]
+    assert pattern_a == process_entry(SHELL_CMD_B, rules)[2]
 
 
 def test_event_pattern_mode_invariant():
     rules = shell_cmd_rulesets()["type2"]  # individual everywhere
     expected = "(#USR_#) cmd (#PATH_# > #PATH_#)"
     for mode in Mode:
-        assert process_entry(entry(SHELL_CMD_A), rules.with_mode(mode))[1] == expected
+        assert process_entry(SHELL_CMD_A, rules.with_mode(mode))[2] == expected
 
 
 def test_event_pattern_constant_only_message():
     msg = "disabling lock debugging due to kernel taint"
-    assert process_entry(entry(msg), default_ruleset())[1] == msg
+    assert process_entry(msg, default_ruleset())[2] == msg
 
 
 def test_equal_messages_equal_rewrites():
     rules = default_ruleset(Mode.INDIVIDUAL)
     registry = SymbolRegistry()
-    a = process_entry(entry("(u) CMD (/x) 5", ts=1), rules, registry)[0]
-    b = process_entry(entry("(u) CMD (/x) 5", ts=2), rules, registry)[0]
-    assert a.deid_message == b.deid_message
+    a = process_entry("(u) CMD (/x) 5", rules, registry)[0]
+    b = process_entry("(u) CMD (/x) 5", rules, registry)[0]
+    assert a == b
 
 
 # --- sanitization -----------------------------------------------------------
@@ -509,8 +506,8 @@ def test_sanitize_keeps_utf8_length(message):
 
 def test_deidentify_sanitizes_values():
     rules = RuleSet((TermRule("TAG", r"\bid=\S+", significant=True),), Mode.INDIVIDUAL)
-    d = process_entry(entry("seen id=a#b here"), rules)[0]
-    assert d.significant_values[0].original_value == "id=a?b"
+    significant = process_entry("seen id=a#b here", rules)[1]
+    assert significant[0][0] == "id=a?b"
 
 
 # --- granularity ordering ---------------------------------------------------
@@ -550,7 +547,7 @@ GRANULARITY_RULES = (
 def distinct_rewrites(messages: list[str], mode: Mode) -> int:
     rules = RuleSet(GRANULARITY_RULES, mode)
     registry = SymbolRegistry()
-    return len({process_entry(entry(m), rules, registry)[0].deid_message for m in messages})
+    return len({process_entry(m, rules, registry)[0] for m in messages})
 
 
 @given(small_corpus())

@@ -12,17 +12,8 @@ import signal
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from loganon import (
-    DeidentifiedEntry,
-    EncodedEntry,
-    EncoderConfig,
-    EncodingDictionaries,
-    default_ruleset,
-    encode_entry,
-)
+from loganon import default_ruleset
 from loganon import _stream
 from loganon.cli import main
 
@@ -77,12 +68,13 @@ def shape(obj):
 def test_worker_results_are_builtin_types(corpus, monkeypatch):
     monkeypatch.setattr(_stream, "_worker_ruleset", None)
     monkeypatch.setattr(_stream, "_worker_memo", None)
-    previous = signal.getsignal(signal.SIGINT)
+    previous = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         _stream._init_worker(default_ruleset())
         results = _stream._scan_batch(raw_lines(corpus))
     finally:
-        signal.signal(signal.SIGINT, previous)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     assert type(results) is list
     assert len(results) == 5 * len(LINE_KINDS)
     for fields in results:
@@ -102,17 +94,6 @@ def test_pool_stream_equals_sequential(corpus, monkeypatch):
     assert [shape(item) for item in pooled] == [shape(item) for item in sequential]
     kinds = {type(item) for item in sequential}
     assert kinds == {_stream.ScannedLine, _stream.LineIssue}
-
-
-@given(st.text(max_size=40), st.text(max_size=40), st.integers(1, 32))
-def test_encode_entry_equals_public_constructor(message, pattern, width):
-    deid = DeidentifiedEntry(7, "n1", message)
-    encoded = encode_entry(deid, pattern, EncodingDictionaries(), EncoderConfig(width))
-    public = EncodedEntry(7, "n1", encoded.hash_key, encoded.category_key)
-    assert type(encoded) is EncodedEntry
-    assert encoded == public
-    assert hash(encoded) == hash(public)
-    assert vars(encoded) == vars(public)
 
 
 # --- pool size -----------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_plain_message_injective_prefix():
 def test_cmd_style_pattern_under_default_rules():
     msg = cmd_message(17, 5)
     e = parse_line(f"100 n000 {msg}")
-    assert process_entry(e, default_ruleset())[1] == cmd_pattern_text(17)
+    assert process_entry(e.message, default_ruleset())[2] == cmd_pattern_text(17)
 
 
 def test_cmd_style_users_vary():

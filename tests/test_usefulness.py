@@ -15,7 +15,6 @@ from loganon import (
     PatternStats,
     RawLogEntry,
     RuleSet,
-    SignificantValue,
     SymbolRegistry,
     TermRule,
     UsefulnessAccumulator,
@@ -42,8 +41,8 @@ def _accumulate(entries, ruleset):
     registry = SymbolRegistry()
     acc = UsefulnessAccumulator()
     for e in entries:
-        deid, pattern = process_entry(e, ruleset, registry)
-        acc.add(deid.significant_values, pattern)
+        _, significant, pattern = process_entry(e.message, ruleset, registry)
+        acc.add(significant, pattern)
     return acc
 
 
@@ -79,7 +78,7 @@ def test_usefulness_cron_breakdown(cron_entries, cron_ruleset):
 def test_accumulator_rejects_more_symbols_than_values():
     acc = UsefulnessAccumulator()
     for symbol in ("#NUM_#", "#X_#"):
-        acc.add((SignificantValue("5", symbol, 0),), "#NUM_# #X_#")
+        acc.add((("5", symbol, 0),), "#NUM_# #X_#")
     with pytest.raises(DomainError, match=r": slot 0 has more symbols \(2\) than values \(1\)$"):
         acc.report()
 
