@@ -42,8 +42,9 @@ entries = [parse_line(line) for line in LINES]
 # --- 1. tokenization --------------------------------------------------------
 # The first message splits into constant text and two kinds of variable term.
 print("terms of the first message:")
-for term in tokenize(entries[0].message, RULES):
-    print(f"  {term.klass.value:24s} {term.text!r}")
+_, _, first_message = entries[0]
+for text, klass in tokenize(first_message, RULES):
+    print(f"  {klass.value:24s} {text!r}")
 
 # --- 2. three degrees of generalization --------------------------------------
 # global: every username becomes one symbol; group: one symbol per user
@@ -51,8 +52,8 @@ for term in tokenize(entries[0].message, RULES):
 for mode in (Mode.GLOBAL, Mode.GROUP, Mode.INDIVIDUAL):
     registry = SymbolRegistry()
     print(f"\n{mode.value} de-identification:")
-    for entry in entries:
-        deid_message, _, _ = process_entry(entry.message, RULES.with_mode(mode), registry)
+    for _, _, message in entries:
+        deid_message, _, _ = process_entry(message, RULES.with_mode(mode), registry)
         print(f"  {deid_message}")
 
 # --- 3. encoding --------------------------------------------------------------
@@ -63,11 +64,11 @@ print("\nencoded (individual mode):")
 individual = RULES.with_mode(Mode.INDIVIDUAL)
 registry = SymbolRegistry()
 dicts = EncodingDictionaries()
-for entry in entries:
-    deid_message, _, pattern = process_entry(entry.message, individual, registry)
+for timestamp, source, message in entries:
+    deid_message, _, pattern = process_entry(message, individual, registry)
     hash_key, category_key = encode_entry(deid_message, pattern, dicts)
     # Timestamp and source pass through; the message becomes the two keys.
-    print(f"  {entry.timestamp} {entry.source} {hash_key} {category_key}")
+    print(f"  {timestamp} {source} {hash_key} {category_key}")
 
 print("\nhash key meanings:")
 for key, text in dicts.messages.items():

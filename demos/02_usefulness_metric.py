@@ -83,8 +83,8 @@ entries = [parse_line(line) for line in CORPUS.splitlines()]
 for mode in (Mode.GLOBAL, Mode.GROUP, Mode.INDIVIDUAL):
     registry = SymbolRegistry()
     acc = UsefulnessAccumulator()
-    for entry in entries:
-        _, significant, pattern = process_entry(entry.message, RULES.with_mode(mode), registry)
+    for _, _, message in entries:
+        _, significant, pattern = process_entry(message, RULES.with_mode(mode), registry)
         # The metric needs only the (value, symbol, slot) triples and the event pattern.
         acc.add(significant, pattern)
     report = acc.report(mode.value)

@@ -32,12 +32,12 @@ counts: Counter[str] = Counter()
 dicts = EncodingDictionaries()
 tally = StorageTally()
 for line in generate_lines(spec):
-    entry = parse_line(line)
-    deid_message, _, pattern = process_entry(entry.message, no_rules)
+    _, _, message = parse_line(line)
+    deid_message, _, pattern = process_entry(message, no_rules)
     hash_key, category_key = encode_entry(deid_message, pattern, dicts)
     # Two key columns and the space between them.
     encoded_bytes = len(hash_key) + 1 + len(category_key)
-    tally.add(len(entry.message.encode("utf-8")), encoded_bytes)
+    tally.add(len(message.encode("utf-8")), encoded_bytes)
     counts[pattern] += 1
 
 stats = [PatternStats(hash_text(p), p, f_p) for p, f_p in counts.items()]

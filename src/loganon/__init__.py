@@ -13,8 +13,6 @@ aggregate shares. ``loganon.usefulness`` is the module that holds both.
 
 from .model import (
     MalformedLine,
-    RawLogEntry,
-    Term,
     TermClass,
     parse_line,
     render_entry,
@@ -80,12 +78,10 @@ __all__ = [
     "OccurrenceGrid",
     "PatternDictionary",
     "PatternStats",
-    "RawLogEntry",
     "RuleSet",
     "StorageReport",
     "StorageTally",
     "SymbolRegistry",
-    "Term",
     "TermClass",
     "TermRule",
     "UsefulnessAccumulator",

@@ -9,14 +9,13 @@ input order. Results are therefore byte-identical for any worker count,
 and that one reduce process bounds what more workers can gain. The pool
 never has more processes than the CPUs this process may run on.
 
-No per-line object is built on the way: model.split_line checks a line and
-returns its three fields as plain values, without a RawLogEntry. Only
-built-in types cross the pipe: a worker returns each line's fields as a
-plain tuple, with the tuple of ``(start, end, rule_index)`` triples that
-scan_message returns, and the parent wraps the fields back into a
-ScannedLine or LineIssue. Named tuples would cost the parent a Python-level
-constructor call per object to unpickle, on the thread that competes with
-the reduce.
+No per-line object is built on the way: model.parse_line checks a line and
+returns its three fields as a plain tuple. Only built-in types cross the
+pipe: a worker returns each line's fields as a plain tuple, with the tuple
+of ``(start, end, rule_index)`` triples that scan_message returns, and the
+parent wraps the fields back into a ScannedLine or LineIssue. Named tuples
+would cost the parent a Python-level constructor call per object to
+unpickle, on the thread that competes with the reduce.
 
 Real logs repeat: most lines carry a message already seen. Each run keeps
 an exact memo from sanitized message to its rule matches, so a repeated
@@ -34,14 +33,13 @@ import multiprocessing
 import os
 import signal
 import sys
-import threading
+from collections import deque
 from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-# parse_line is not called here; perfbench/traced.py times line parsing under this name.
-from .model import MalformedLine, parse_line, split_line  # noqa: F401
+from .model import MalformedLine, parse_line
 from .rules import Match, RuleSet, sanitize_message, scan_message
 
 BATCH_LINES = 4096
@@ -99,7 +97,7 @@ def _scan_one(
     except UnicodeDecodeError:
         return lineno, "not valid UTF-8"
     try:
-        timestamp, source, message = split_line(text)
+        timestamp, source, message = parse_line(text)
     except MalformedLine as exc:
         return lineno, str(exc)
     sanitized = sanitize_message(message)
@@ -143,15 +141,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _batches(
-    lines: Iterable[tuple[int, bytes]], stop: threading.Event
-) -> Iterator[list[tuple[int, bytes]]]:
-    """Batches of BATCH_LINES lines until the input ends or ``stop`` is set."""
-    lines = iter(lines)
-    while not stop.is_set() and (batch := list(islice(lines, BATCH_LINES))):
-        yield batch
-
-
 def scanned_stream(
     lines: Iterable[tuple[int, bytes]],
     ruleset: RuleSet,
@@ -159,15 +148,18 @@ def scanned_stream(
 ) -> Iterator[Union[ScannedLine, LineIssue]]:
     """Scan lines against the ruleset, preserving input order.
 
-    ``workers > 1`` fans batches out to a process pool; the ordered imap
-    merge keeps the stream identical to the sequential one. The pool has
-    at most _usable_cpus() processes, and a pool of one is the sequential
-    path. Workers return plain tuples (see _scan_one), which this
-    generator wraps back into ScannedLine and LineIssue. When the stream
-    ends or is closed early (an error, Ctrl-C, SIGTERM), the pool takes no
-    more input and the workers finish the batches already queued; terminating
-    them could leave the pool's feeder thread blocked on a half-written
-    batch.
+    ``workers > 1`` fans batches out to a process pool. This generator
+    reads the input itself, on the calling thread, and keeps at most
+    ``2 * workers`` batches in flight; it yields their results in the
+    order it submitted them, so the stream is identical to the sequential
+    one. The pool has at most _usable_cpus() processes, and a pool of one
+    is the sequential path. Workers return plain tuples (see _scan_one),
+    which this generator wraps back into ScannedLine and LineIssue. When
+    the stream ends or is closed early (an error, Ctrl-C, SIGTERM), nothing
+    more is read or submitted, and the workers finish the batches already
+    in flight before the pool is joined. No pool thread reads the input,
+    so a signal that arrives while the read waits on an open pipe stops
+    the run at once.
     """
     workers = min(workers, _usable_cpus())
     if workers <= 1:
@@ -178,13 +170,17 @@ def scanned_stream(
             yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
         return
     ctx = multiprocessing.get_context("fork")
-    stop = threading.Event()
+    lines = iter(lines)
+    in_flight: deque = deque()
     with ctx.Pool(workers, initializer=_init_worker, initargs=(ruleset,)) as pool:
         try:
-            for batch_result in pool.imap(_scan_batch, _batches(lines, stop)):
-                for fields in batch_result:
+            while True:
+                while len(in_flight) < 2 * workers and (batch := list(islice(lines, BATCH_LINES))):
+                    in_flight.append(pool.apply_async(_scan_batch, (batch,)))
+                if not in_flight:
+                    break
+                for fields in in_flight.popleft().get():
                     yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
         finally:
-            stop.set()
             pool.close()
             pool.join()

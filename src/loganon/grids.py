@@ -14,7 +14,7 @@ timezone interpretation ever happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, TextIO
+from typing import Iterable, TextIO
 
 SECONDS_PER_DAY = 86400
 DEFAULT_MINUTE_WINDOW = (0, 240)
@@ -27,11 +27,6 @@ def day_index(timestamp: int, epoch_day0: int = 0) -> int:
 
 class DimensionMismatch(ValueError):
     """Grids with different day ranges or minute windows cannot be combined."""
-
-
-class _HasTimeAndSource(Protocol):
-    timestamp: int
-    source: str
 
 
 @dataclass
@@ -68,7 +63,7 @@ class OccurrenceGrid:
 
 
 def build_grid(
-    entries: Iterable[_HasTimeAndSource],
+    entries: Iterable[tuple],
     node: str,
     day_range: tuple[int, int],
     minute_window: tuple[int, int] = DEFAULT_MINUTE_WINDOW,
@@ -76,8 +71,10 @@ def build_grid(
 ) -> OccurrenceGrid:
     """Mark each (day, minute) cell in which ``node`` has an entry.
 
-    Entries outside the node, day range, or minute window are ignored. Works
-    on raw and encoded entries alike since only timestamp and source matter.
+    Each entry is a tuple that starts with the timestamp and the source,
+    such as parse_line's triple or a ScannedLine; nothing after them is
+    read, so raw and encoded lines work alike. Entries outside the node,
+    day range, or minute window are ignored.
     """
     if not 0 <= minute_window[0] < minute_window[1] <= 1440:
         raise ValueError(f"minute window must lie within [0, 1440): {minute_window}")
@@ -85,10 +82,11 @@ def build_grid(
     start, end = minute_window
     cells = set()
     for entry in entries:
-        if entry.source != node:
+        if entry[1] != node:
             continue
-        day = day_index(entry.timestamp, epoch_day0)
-        minute = (entry.timestamp - epoch_day0) % SECONDS_PER_DAY // 60
+        timestamp = entry[0]
+        day = day_index(timestamp, epoch_day0)
+        minute = (timestamp - epoch_day0) % SECONDS_PER_DAY // 60
         if first_day <= day <= last_day and start <= minute < end:
             cells.add((day, minute))
     return OccurrenceGrid(node, tuple(day_range), tuple(minute_window), frozenset(cells))

@@ -34,7 +34,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .model import Term, TermClass
+from .model import TermClass
 
 try:
     from re import _parser as _sre_parse
@@ -371,23 +371,24 @@ def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
     return tuple(matches)
 
 
-def tokenize(message: str, ruleset: RuleSet) -> list[Term]:
-    """Split a message into constant and variable terms.
+def tokenize(message: str, ruleset: RuleSet) -> list[tuple[str, TermClass]]:
+    """Split a message into (text, TermClass) pairs of constant and variable terms.
 
-    The terms cover the message completely, in order; gaps between rule
-    matches become constant terms. An empty message yields no terms.
+    The terms cover the message completely, in order, so joining their
+    texts reproduces it; gaps between rule matches become constant terms.
+    An empty message yields no terms.
     """
-    terms: list[Term] = []
+    terms: list[tuple[str, TermClass]] = []
     cursor = 0
     for start, end, rule_index in scan_message(message, ruleset):
         if start > cursor:
-            terms.append(Term(message[cursor:start], TermClass.CONSTANT))
+            terms.append((message[cursor:start], TermClass.CONSTANT))
         rule = ruleset.rules[rule_index]
         klass = TermClass.VARIABLE_SIGNIFICANT if rule.significant else TermClass.VARIABLE_INSIGNIFICANT
-        terms.append(Term(message[start:end], klass))
+        terms.append((message[start:end], klass))
         cursor = end
     if cursor < len(message):
-        terms.append(Term(message[cursor:], TermClass.CONSTANT))
+        terms.append((message[cursor:], TermClass.CONSTANT))
     return terms
 
 

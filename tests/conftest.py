@@ -11,7 +11,6 @@ from hypothesis import settings
 
 from loganon import (
     Mode,
-    RawLogEntry,
     RuleSet,
     SymbolRegistry,
     TermClass,
@@ -57,7 +56,7 @@ def child_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=str(SRC))
 
 
-def load_fixture_entries(name: str) -> list[RawLogEntry]:
+def load_fixture_entries(name: str) -> list[tuple[int, str, str]]:
     lines = (FIXTURES / name).read_text(encoding="utf-8").splitlines()
     return [parse_line(line) for line in lines]
 
@@ -68,7 +67,7 @@ def cron_ruleset() -> RuleSet:
 
 
 @pytest.fixture(scope="session")
-def cron_entries() -> list[RawLogEntry]:
+def cron_entries() -> list[tuple[int, str, str]]:
     return load_fixture_entries("cron_sample.log")
 
 
@@ -78,11 +77,11 @@ def mixed_ruleset() -> RuleSet:
 
 
 @pytest.fixture(scope="session")
-def mixed_entries() -> list[RawLogEntry]:
+def mixed_entries() -> list[tuple[int, str, str]]:
     return load_fixture_entries("mixed_sample.log")
 
 
-def brute_force_rows(entries: list[RawLogEntry], ruleset: RuleSet) -> list[tuple[str, int, Fraction]]:
+def brute_force_rows(entries: list[tuple[int, str, str]], ruleset: RuleSet) -> list[tuple[str, int, Fraction]]:
     """Reference report rows: (pattern, f_p, ratio) per event pattern, sorted.
 
     Deliberately simple and non-streaming: materialize every de-identified
@@ -94,17 +93,17 @@ def brute_force_rows(entries: list[RawLogEntry], ruleset: RuleSet) -> list[tuple
     """
     registry = SymbolRegistry()
     by_pattern: dict[str, list[dict[int, tuple[str, str]]]] = {}
-    for e in entries:
-        _, significant, pattern = process_entry(e.message, ruleset, registry)
+    for _, _, message in entries:
+        _, significant, pattern = process_entry(message, ruleset, registry)
         symbols = iter(significant)
         placed: dict[int, tuple[str, str]] = {}
         position = 0
-        for term in tokenize(sanitize_message(e.message), ruleset):
-            if term.klass is TermClass.CONSTANT:
-                position += len(SYMBOL_RE.findall(term.text))
+        for text, klass in tokenize(sanitize_message(message), ruleset):
+            if klass is TermClass.CONSTANT:
+                position += len(SYMBOL_RE.findall(text))
                 continue
-            if term.klass is TermClass.VARIABLE_SIGNIFICANT:
-                placed[position] = (term.text, next(symbols)[1])
+            if klass is TermClass.VARIABLE_SIGNIFICANT:
+                placed[position] = (text, next(symbols)[1])
             position += 1
         by_pattern.setdefault(pattern, []).append(placed)
     rows = []
@@ -118,7 +117,7 @@ def brute_force_rows(entries: list[RawLogEntry], ruleset: RuleSet) -> list[tuple
     return sorted(rows)
 
 
-def brute_force_usefulness(entries: list[RawLogEntry], ruleset: RuleSet) -> Fraction:
+def brute_force_usefulness(entries: list[tuple[int, str, str]], ruleset: RuleSet) -> Fraction:
     """Reference usefulness: the dominance-weighted sum of brute_force_rows."""
     return sum(
         (Fraction(f_p, len(entries)) * ratio for _, f_p, ratio in brute_force_rows(entries, ruleset)),

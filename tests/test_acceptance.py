@@ -36,7 +36,6 @@ from loganon import (
     OccurrenceGrid,
     PatternDictionary,
     PatternStats,
-    RawLogEntry,
     StorageTally,
     SymbolRegistry,
     UsefulnessAccumulator,
@@ -75,8 +74,8 @@ def _cron_reports():
     for mode in Mode:
         registry = SymbolRegistry()
         acc = UsefulnessAccumulator()
-        for e in entries:
-            _, significant, pattern = process_entry(e.message, ruleset.with_mode(mode), registry)
+        for _, _, message in entries:
+            _, significant, pattern = process_entry(message, ruleset.with_mode(mode), registry)
             acc.add(significant, pattern)
         reports[mode] = acc.report(mode.value)
     return reports
@@ -171,8 +170,7 @@ def test_criterion_5a_parse_render_round_trip():
     @BIG
     @given(strategy)
     def check(triple):
-        entry = RawLogEntry(*triple)
-        assert parse_line(render_entry(entry)) == entry
+        assert parse_line(render_entry(triple)) == triple
 
     _report("C5a parse/render round-trip (1000 cases)", check)
 
@@ -303,8 +301,8 @@ def test_criterion_5e_streaming_equals_brute_force():
     def check_report(entries, ruleset):
         registry = SymbolRegistry()
         acc = UsefulnessAccumulator()
-        for e in entries:
-            _, significant, pattern = process_entry(e.message, ruleset, registry)
+        for _, _, message in entries:
+            _, significant, pattern = process_entry(message, ruleset, registry)
             acc.add(significant, pattern)
         report = acc.report(ruleset.mode.value)
         rows = sorted((row.pattern_text, row.f_p, row.ratio) for row in report.rows)
@@ -314,7 +312,7 @@ def test_criterion_5e_streaming_equals_brute_force():
     @BIG
     @given(_corpus(max_entries=25), st.sampled_from(list(Mode)))
     def check(messages, mode):
-        entries = [RawLogEntry(i + 1, "n", m) for i, m in enumerate(messages)]
+        entries = [(i + 1, "n", m) for i, m in enumerate(messages)]
         check_report(entries, RuleSet(_granularity_rules(), mode))
 
     def deterministic_large_case():
@@ -350,12 +348,12 @@ def test_criterion_5f_collision_behavior():
             cmd_dict.register(hash_text(text), text)
         fixture_dict = PatternDictionary()
         ruleset = load_rules(FIXTURES / "cron_sample.rules")
-        for e in load_fixture_entries("cron_sample.log"):
-            pattern = process_entry(e.message, ruleset)[2]
+        for _, _, message in load_fixture_entries("cron_sample.log"):
+            pattern = process_entry(message, ruleset)[2]
             fixture_dict.register(hash_text(pattern), pattern)
         mixed_rules = load_rules(FIXTURES / "mixed_sample.rules")
-        for e in load_fixture_entries("mixed_sample.log"):
-            pattern = process_entry(e.message, mixed_rules)[2]
+        for _, _, message in load_fixture_entries("mixed_sample.log"):
+            pattern = process_entry(message, mixed_rules)[2]
             fixture_dict.register(hash_text(pattern), pattern)
         # forcing it: a 1-byte key space cannot hold 257 distinct texts
         cfg = EncoderConfig(digest_length_bytes=1)
@@ -378,8 +376,8 @@ def test_criterion_6_coverage_at_scale():
         t0 = time.monotonic()
         counts: Counter[str] = Counter()
         for line in generate_lines(spec):
-            entry = parse_line(line)
-            pattern = process_entry(entry.message, empty_rules)[2]
+            _, _, message = parse_line(line)
+            pattern = process_entry(message, empty_rules)[2]
             counts[pattern] += 1
         stats = [PatternStats(hash_text(p), p, f_p) for p, f_p in counts.items()]
         ks = [5, 25, 50, 500, 5_000, 50_000]
@@ -410,12 +408,12 @@ def test_criterion_7_storage_saving():
         total_raw = 0
         n = 0
         for line in generate_lines(spec):
-            entry = parse_line(line)
-            deid_message, _, pattern = process_entry(entry.message, RuleSet(()))
+            _, _, message = parse_line(line)
+            deid_message, _, pattern = process_entry(message, RuleSet(()))
             hash_key, category_key = encode_entry(deid_message, pattern, dicts, cfg)
             encoded_bytes = len(hash_key) + 1 + len(category_key)
-            tally.add(len(entry.message.encode("utf-8")), encoded_bytes)
-            total_raw += len(entry.message.encode("utf-8"))
+            tally.add(len(message.encode("utf-8")), encoded_bytes)
+            total_raw += len(message.encode("utf-8"))
             n += 1
         report = tally.report(dicts)
         mean_len = total_raw / n

@@ -993,9 +993,15 @@ def test_main_keeps_an_ignored_signal_ignored(tmp_path, monkeypatch):
     assert seen == {signal.SIGINT: signal.SIG_IGN, signal.SIGTERM: cli._interrupt}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sigterm_with_open_stdin_leaves_no_output(tmp_path, workers):
-    """SIGTERM while `anonymize -` waits on a pipe that is still open: exit 143, empty --out."""
+def signal_open_stdin_run(tmp_path, workers, signum, close_stdin):
+    """Signal `anonymize -` once it has staged its output, with its input pipe still open.
+
+    With ``close_stdin`` the pipe is closed after the signal and the run gets
+    30 s to end. Without it the signal comes 0.5 s after the output is staged,
+    once a worker pool has had time to start reading, and the run gets 10 s
+    with the pipe still open. Returns the exit code, stderr and the --out
+    directory.
+    """
     out = tmp_path / "out"
     proc = subprocess.Popen(
         [sys.executable, "-m", "loganon", "anonymize", "-", "--workers", str(workers),
@@ -1010,14 +1016,35 @@ def test_sigterm_with_open_stdin_leaves_no_output(tmp_path, workers):
             assert proc.poll() is None, "the run ended before it was signalled"
             assert time.monotonic() < deadline, "encoded.log.tmp never appeared"
             time.sleep(0.002)
-        proc.send_signal(signal.SIGTERM)
-        # A worker pool's reading thread is blocked in a read, so that run ends only at end
-        # of input; communicate() closes stdin.
+        if not close_stdin:
+            time.sleep(0.5)
+        proc.send_signal(signum)
+        if not close_stdin:
+            proc.wait(timeout=10)
         _, err = proc.communicate(timeout=30)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    assert proc.returncode == 143
+    return proc.returncode, err, out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_with_open_stdin_leaves_no_output(tmp_path, workers):
+    """SIGTERM while `anonymize -` waits on a pipe that is still open: exit 143, empty --out."""
+    code, err, out = signal_open_stdin_run(tmp_path, workers, signal.SIGTERM, close_stdin=True)
+    assert code == 143
     assert err == b""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.skipif(loganon._stream._usable_cpus() < 2, reason="a worker pool needs 2 CPUs")
+@pytest.mark.parametrize("name", ["SIGINT", "SIGTERM"])
+def test_signal_with_open_stdin_and_worker_pool_exits_at_once(tmp_path, name):
+    """No pool thread reads the input, so a signal ends the run while the pipe is still open."""
+    signum = getattr(signal, name)
+    exit_code, err_tail = SIGNAL_EXITS[signum]
+    code, err, out = signal_open_stdin_run(tmp_path, 2, signum, close_stdin=False)
+    assert code == exit_code
+    assert err.rstrip().endswith(err_tail)
     assert list(out.iterdir()) == []

@@ -14,7 +14,6 @@ from loganon import (
     EncodingDictionaries,
     Mode,
     PatternDictionary,
-    RawLogEntry,
     StorageTally,
     SymbolRegistry,
     cli,
@@ -156,8 +155,8 @@ def test_hash_equality_implies_category_equality_on_fixture(cron_entries, cron_r
     dicts = EncodingDictionaries()
     registry = SymbolRegistry()
     by_hash = {}
-    for e in cron_entries:
-        deid_message, _, pattern = process_entry(e.message, cron_ruleset, registry)
+    for _, _, message in cron_entries:
+        deid_message, _, pattern = process_entry(message, cron_ruleset, registry)
         hash_key, category_key = encode_entry(deid_message, pattern, dicts)
         by_hash.setdefault(hash_key, set()).add(category_key)
     assert all(len(cats) == 1 for cats in by_hash.values())
@@ -170,8 +169,8 @@ def test_same_user_different_commands_share_keys(cron_entries, cron_ruleset):
     dicts = EncodingDictionaries()
     registry = SymbolRegistry()
     encoded = {}
-    for i, e in enumerate(cron_entries, start=1):
-        deid_message, _, pattern = process_entry(e.message, rules, registry)
+    for i, (_, _, message) in enumerate(cron_entries, start=1):
+        deid_message, _, pattern = process_entry(message, rules, registry)
         encoded[i] = encode_entry(deid_message, pattern, dicts)
     assert encoded[1] == encoded[3]  # hash and category keys
     assert encoded[1][0] != encoded[2][0]  # different user: different hash key
@@ -216,12 +215,13 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
     dicts = EncodingDictionaries()
     registry = SymbolRegistry()
     encoded = []
-    for e in cron_entries:
-        deid_message, _, pattern = process_entry(e.message, cron_ruleset, registry)
+    messages = [message for _, _, message in cron_entries]
+    for message in messages:
+        deid_message, _, pattern = process_entry(message, cron_ruleset, registry)
         encoded.append(encode_entry(deid_message, pattern, dicts))
-    report = _storage_report([e.message for e in cron_entries], encoded, dicts)
+    report = _storage_report(messages, encoded, dicts)
     # independent byte count straight off the fixture contents
-    raw_bytes = sum(len(e.message.encode("utf-8")) for e in cron_entries)
+    raw_bytes = sum(len(message.encode("utf-8")) for message in messages)
     assert report.entries == 20
     assert report.raw_message_bytes == raw_bytes
     assert report.encoded_message_bytes == 20 * (8 + 1 + 8)
@@ -235,8 +235,8 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
 
 
 def test_storage_long_messages_high_saving():
-    raw = [RawLogEntry(1, "n", "x" * 100 + f" tail {i}") for i in range(50)]
+    messages = ["x" * 100 + f" tail {i}" for i in range(50)]
     dicts = EncodingDictionaries()
-    encoded = [encode_entry(e.message, e.message, dicts) for e in raw]
-    report = _storage_report([e.message for e in raw], encoded, dicts)
+    encoded = [encode_entry(message, message, dicts) for message in messages]
+    report = _storage_report(messages, encoded, dicts)
     assert report.saving_excluding_dictionary > Fraction(80, 100)

@@ -10,7 +10,6 @@ from conftest import FIXTURES
 from loganon import (
     DimensionMismatch,
     OccurrenceGrid,
-    RawLogEntry,
     build_grid,
     difference_grid,
     emit_grid,
@@ -21,8 +20,8 @@ from loganon.grids import day_index
 EPOCH = 1_000_000
 
 
-def _entry(day: int, minute: int, node: str = "nodeA", second: int = 0) -> RawLogEntry:
-    return RawLogEntry(EPOCH + day * 86400 + minute * 60 + second, node, "m")
+def _entry(day: int, minute: int, node: str = "nodeA", second: int = 0) -> tuple[int, str, str]:
+    return (EPOCH + day * 86400 + minute * 60 + second, node, "m")
 
 
 def test_empty_corpus_all_zero():
@@ -42,8 +41,8 @@ def test_full_first_row_with_counting_oracle():
     assert all((0, m) in g.cells for m in range(240))
     # independent per-row count of occupied cells straight from timestamp arithmetic
     expected_rows: list[set[int]] = [set(), set()]
-    for e in entries:
-        rel = e.timestamp - EPOCH
+    for timestamp, _, _ in entries:
+        rel = timestamp - EPOCH
         expected_rows[rel // 86400].add(rel % 86400 // 60)
     assert [sum(1 for d, _ in g.cells if d == row) for row in (0, 1)] == [
         len(minutes) for minutes in expected_rows
@@ -63,7 +62,7 @@ def test_build_grid_filters_node_day_and_minute():
         _entry(0, 3, node="other"),
         _entry(5, 3),        # outside day range
         _entry(0, 200),      # outside minute window
-        RawLogEntry(EPOCH - 1, "nodeA", "m"),  # before day 0
+        (EPOCH - 1, "nodeA", "m"),  # before day 0
     ]
     g = build_grid(entries, "nodeA", (0, 1), (0, 100), EPOCH)
     assert g.cells == {(0, 3)}
@@ -192,7 +191,7 @@ def test_golden_grid_files():
         _entry(1, 1, second=59),
         _entry(2, 4),
         _entry(2, 4, second=30),
-        RawLogEntry(EPOCH, "nodeB", "m"),
+        (EPOCH, "nodeB", "m"),
     ]
     g = build_grid(entries, "nodeA", (0, 2), (0, 5), EPOCH)
     pgm = _emitted(g, "pgm").encode("ascii")
@@ -204,7 +203,7 @@ def test_golden_grid_files():
 # --- independent oracle ---------------------------------------------------------
 
 def _oracle_text(
-    entries: list[RawLogEntry],
+    entries: list[tuple[int, str, str]],
     node: str,
     day_range: tuple[int, int],
     window: tuple[int, int],
@@ -213,10 +212,10 @@ def _oracle_text(
 ) -> str:
     """The expected CSV or PGM text, from divmod on each timestamp alone."""
     occupied = set()
-    for e in entries:
-        day, second_of_day = divmod(e.timestamp - epoch, 86400)
+    for timestamp, source, _ in entries:
+        day, second_of_day = divmod(timestamp - epoch, 86400)
         minute = second_of_day // 60
-        if e.source == node and day_range[0] <= day <= day_range[1] and window[0] <= minute < window[1]:
+        if source == node and day_range[0] <= day <= day_range[1] and window[0] <= minute < window[1]:
             occupied.add((day, minute))
     if fmt == "csv":
         return "day,minute\n" + "".join(f"{d},{m}\n" for d, m in sorted(occupied))
@@ -251,7 +250,7 @@ def _grid_case(draw):
     anywhere = st.integers(min_value=-3 * 86400, max_value=7 * 86400)
     offsets = draw(st.lists(st.tuples(nodes, near), max_size=20))
     offsets += draw(st.lists(st.tuples(nodes, anywhere), max_size=20))
-    entries = [RawLogEntry(epoch + off, node, "m") for node, off in offsets]
+    entries = [(epoch + off, node, "m") for node, off in offsets]
     return entries, day_range, window, epoch
 
 

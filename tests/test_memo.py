@@ -105,11 +105,11 @@ def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[
     encoded: list[str] = []
     symbol_rows: dict[tuple[str, str], None] = {}
     for line in corpus.read_text(encoding="utf-8").splitlines():
-        entry = parse_line(line)
-        deid_message, significant, pattern = process_entry(entry.message, ruleset, registry)
+        timestamp, source, message = parse_line(line)
+        deid_message, significant, pattern = process_entry(message, ruleset, registry)
         hash_key, category_key = encode_entry(deid_message, pattern, dicts, EncoderConfig())
-        encoded.append(f"{entry.timestamp} {entry.source} {hash_key} {category_key}")
-        tally.add(len(entry.message.encode("utf-8")), len(hash_key) + 1 + len(category_key))
+        encoded.append(f"{timestamp} {source} {hash_key} {category_key}")
+        tally.add(len(message.encode("utf-8")), len(hash_key) + 1 + len(category_key))
         for value, symbol, _ in significant:
             symbol_rows.setdefault((symbol, value))
     rows = {

@@ -4,27 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loganon import MalformedLine, RawLogEntry, RuleSet, model, parse_line, render_entry
+from loganon import MalformedLine, RuleSet, model, parse_line, render_entry
 from loganon._stream import LineIssue, ScannedLine, scanned_stream
-from loganon.model import split_line
 
 
 def test_parse_line_basic():
     entry = parse_line("1517266801 T-1020 (siavash) CMD (/usr/bin/check)")
-    assert entry == RawLogEntry(1517266801, "T-1020", "(siavash) CMD (/usr/bin/check)")
+    assert entry == (1517266801, "T-1020", "(siavash) CMD (/usr/bin/check)")
 
 
 def test_parse_line_empty_message():
-    assert parse_line("0 n ") == RawLogEntry(0, "n", "")
-    assert parse_line("0 n") == RawLogEntry(0, "n", "")
+    assert parse_line("0 n ") == (0, "n", "")
+    assert parse_line("0 n") == (0, "n", "")
 
 
 def test_parse_line_message_kept_verbatim():
     line = "5 src   spaced   out\ttabs  "
-    entry = parse_line(line)
-    assert entry.message == line[len("5 src "):]
+    _, _, message = parse_line(line)
+    assert message == line[len("5 src "):]
     # exactly the byte slice after the second separator
-    assert line.split(" ", 2)[2] == entry.message
+    assert line.split(" ", 2)[2] == message
 
 
 @pytest.mark.parametrize(
@@ -47,8 +46,6 @@ def test_parse_line_malformed(line):
 
 
 def test_bad_source_reason_comes_from_the_entry_check():
-    with pytest.raises(MalformedLine, match=r"^bad source field: 'a b'$"):
-        RawLogEntry(0, "a b", "x")
     with pytest.raises(MalformedLine, match=r"^bad source field: 'a\\tb'$"):
         parse_line("5 a\tb c")
 
@@ -76,19 +73,8 @@ def test_line_terminator_fails_the_check_of_its_field(line, reason):
 
 
 def test_render_raw_entry():
-    entry = RawLogEntry(1515625713, "T-6201", "disabling lock debugging due to kernel taint")
+    entry = (1515625713, "T-6201", "disabling lock debugging due to kernel taint")
     assert render_entry(entry) == "1515625713 T-6201 disabling lock debugging due to kernel taint"
-
-
-def test_entry_validation():
-    with pytest.raises(ValueError):
-        RawLogEntry(-1, "n", "x")
-    with pytest.raises(ValueError):
-        RawLogEntry(0, "", "x")
-    with pytest.raises(ValueError):
-        RawLogEntry(0, "a b", "x")
-    with pytest.raises(ValueError):
-        RawLogEntry(0, "n", "x\ny")
 
 
 source_strategy = st.text(
@@ -106,46 +92,75 @@ message_strategy = st.text(max_size=80).filter(lambda s: "\n" not in s and "\r" 
     message=message_strategy,
 )
 def test_parse_render_round_trip(ts, source, message):
-    entry = RawLogEntry(ts, source, message)
+    entry = (ts, source, message)
     assert parse_line(render_entry(entry)) == entry
 
 
 def test_source_whitespace_check_is_str_isspace_on_every_code_point():
-    # RawLogEntry rejects a source holding any character for which
+    # parse_line rejects a source holding any character for which
     # str.isspace() is true; its compiled \s must agree on all of Unicode.
+    # A space is the field separator, so it can never sit inside a source.
     everything = "".join(map(chr, range(0x110000)))
     assert model._SPACE_RE.findall(everything) == [c for c in everything if c.isspace()]
-    for c in (c for c in everything if c.isspace()):
-        with pytest.raises(MalformedLine):
-            RawLogEntry(0, f"a{c}b", "x")
+    for c in (c for c in everything if c.isspace() and c != " "):
+        with pytest.raises(MalformedLine, match=r"^bad source field: "):
+            parse_line(f"0 a{c}b x")
 
 
 # Pieces of adversarial lines: line terminators, other whitespace, empty
 # fields (two spaces in a row), leading zeros and a non-ASCII digit.
-LINE_PIECES = st.sampled_from(
-    ["0", "007", "15", "٣", " ", "  ", "\t", "\x0b", "\u2028", "\r", "\n", "n", "T-1", "é", "#"]
+PIECES = ["0", "007", "15", "٣", " ", "  ", "\t", "\x0b", "\u2028", "\r", "\n", "n", "T-1", "é", "#"]
+LINE_PIECES = st.sampled_from(PIECES)
+
+
+def _field(pieces: list[str], max_size: int):
+    return st.lists(st.sampled_from(pieces), max_size=max_size).map("".join)
+
+
+# Free-form lines, and lines shaped `<timestamp> <source> <message>` whose
+# timestamp is made of digit pieces, so that many reach the message check.
+LINES = st.one_of(
+    st.lists(LINE_PIECES, max_size=10).map("".join),
+    st.tuples(_field([p for p in PIECES if p.isdigit()], 2), _field(PIECES, 2), _field(PIECES, 4)).map(
+        " ".join
+    ),
 )
 
 
+def reference_parse(line: str) -> tuple:
+    """``(fields, None)`` for a good line, ``(None, reason)`` for a bad one.
+
+    Built only on str.split(" ", 2) and str.isspace, with the reason texts
+    that MalformedLine carries.
+    """
+    fields = line.split(" ", 2)
+    if len(fields) < 2:
+        return None, f"fewer than 2 fields: {line!r}"
+    ts_text, source = fields[0], fields[1]
+    message = fields[2] if len(fields) == 3 else ""
+    if not ts_text or not set(ts_text) <= set("0123456789"):
+        return None, f"non-integer timestamp: {ts_text!r}"
+    if not source or any(c.isspace() for c in source):
+        return None, f"bad source field: {source!r}"
+    if "\n" in message or "\r" in message:
+        return None, "line contains embedded line terminator"
+    return (int(ts_text), source, message), None
+
+
 @settings(max_examples=1000)
-@given(st.lists(LINE_PIECES, max_size=10).map("".join))
-def test_split_line_checks_what_the_entry_checks(line):
-    # parse_line adds RawLogEntry's own checks on top of split_line: the
-    # two agree only if split_line checks every fact the entry checks.
-    try:
-        entry = parse_line(line)
-    except MalformedLine as exc:
-        reason = str(exc)
+@given(LINES)
+def test_parse_line_agrees_with_a_split_reference(line):
+    fields, reason = reference_parse(line)
+    if fields is None:
         with pytest.raises(MalformedLine) as info:
-            split_line(line)
+            parse_line(line)
         assert str(info.value) == reason
     else:
-        reason = None
-        assert split_line(line) == (entry.timestamp, entry.source, entry.message)
+        assert parse_line(line) == fields
     [item] = scanned_stream([(7, line.encode("utf-8"))], RuleSet(()))
-    if reason is None:
-        assert type(item) is ScannedLine
-        assert item[:2] == (entry.timestamp, entry.source)
-    else:
+    if fields is None:
+        assert item == LineIssue(7, reason)
         assert type(item) is LineIssue
-        assert item == (7, reason)
+    else:
+        assert type(item) is ScannedLine
+        assert item[:2] == fields[:2]

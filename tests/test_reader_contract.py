@@ -73,10 +73,10 @@ def expected_outputs(lines: list[str], rules_path: Path) -> dict[str, list]:
     acc = UsefulnessAccumulator()
     encoded, symbols, patterns = [], {}, Counter()
     for line in lines:
-        entry = parse_line(line)
-        deid_message, significant, pattern = process_entry(entry.message, ruleset, registry)
+        timestamp, source, message = parse_line(line)
+        deid_message, significant, pattern = process_entry(message, ruleset, registry)
         hash_key, category_key = encode_entry(deid_message, pattern, dicts, EncoderConfig())
-        encoded.append(f"{entry.timestamp} {entry.source} {hash_key} {category_key}")
+        encoded.append(f"{timestamp} {source} {hash_key} {category_key}")
         for value, symbol, _ in significant:
             symbols.setdefault((symbol, value))
         acc.add(significant, pattern)

@@ -41,7 +41,7 @@ from loganon.rules import DAEMON_NAMES, Match, scan_message
 
 def test_tokenize_command_line():
     terms = tokenize("(siavash) CMD (/usr/bin/check)", default_ruleset())
-    assert [(t.text, t.klass) for t in terms] == [
+    assert terms == [
         ("(", TermClass.CONSTANT),
         ("siavash", TermClass.VARIABLE_SIGNIFICANT),
         (") CMD (", TermClass.CONSTANT),
@@ -57,14 +57,14 @@ def test_tokenize_empty_message():
 def test_tokenize_no_matches_single_constant():
     terms = tokenize("disabling lock debugging due to kernel taint", default_ruleset())
     assert len(terms) == 1
-    assert terms[0].klass is TermClass.CONSTANT
+    assert terms[0][1] is TermClass.CONSTANT
 
 
 def test_tokenize_full_coverage_and_ordered_spans():
     msg = "(root) CMD (/bin/x) at 2018-01-30 from 10.0.0.1"
     terms = tokenize(msg, default_ruleset())
-    assert "".join(t.text for t in terms) == msg
-    variables = [t.text for t in terms if t.klass is not TermClass.CONSTANT]
+    assert "".join(text for text, _ in terms) == msg
+    variables = [text for text, klass in terms if klass is not TermClass.CONSTANT]
     assert variables == ["root", "/bin/x", "2018-01-30", "10.0.0.1"]
 
 
@@ -72,8 +72,8 @@ def test_tokenize_byte_spans_non_ascii():
     rules = RuleSet((TermRule("NUM", r"\b\d+\b", significant=True),))
     msg = "héllo 42 wörld"
     terms = tokenize(msg, rules)
-    assert "".join(t.text for t in terms) == msg
-    assert [t.klass for t in terms] == [
+    assert "".join(text for text, _ in terms) == msg
+    assert [klass for _, klass in terms] == [
         TermClass.CONSTANT,
         TermClass.VARIABLE_SIGNIFICANT,
         TermClass.CONSTANT,
@@ -89,7 +89,7 @@ def test_leftmost_longest_beats_later_shorter():
         )
     )
     terms = tokenize("on 2018-01-30 ok", rules)
-    assert [t.text for t in terms if t.klass is not TermClass.CONSTANT] == ["2018-01-30"]
+    assert [text for text, klass in terms if klass is not TermClass.CONSTANT] == ["2018-01-30"]
 
 
 def test_tie_at_same_span_goes_to_earlier_rule():

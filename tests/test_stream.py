@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import signal
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -119,9 +120,10 @@ class FakePool:
     def __exit__(self, *exc) -> None:
         pass
 
-    def imap(self, fn, batches):
-        for batch in batches:
-            yield [_stream._scan_one(lineno, raw, self.ruleset, None) for lineno, raw in batch]
+    def apply_async(self, fn, args):
+        (batch,) = args
+        result = [_stream._scan_one(lineno, raw, self.ruleset, None) for lineno, raw in batch]
+        return SimpleNamespace(get=lambda: result)
 
     def close(self) -> None:
         pass

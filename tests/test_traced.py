@@ -3,7 +3,10 @@
 The tracer rebinds loganon functions and methods by name before it calls
 `cli.main`; a renamed or removed name breaks it. Each workload runs here
 on a 300-line `gen` corpus, traced in a subprocess and untraced in
-process, and the two runs must write the same bytes.
+process, and the two runs must write the same bytes. The layers that
+read 0 are pinned per workload: a layer the command loop stops calling
+(or calls under another name) reads 0 and fails here, instead of
+leaving its benchmark metric silently empty.
 """
 
 from __future__ import annotations
@@ -34,6 +37,29 @@ def _perfbench_workloads():
 
 
 WORKLOADS = _perfbench_workloads()
+
+# No command renders a raw entry, so model.render_s reads 0 everywhere.
+_ANONYMIZE_IDLE = {
+    "model.render_s", "grids.build_s", "grids.emit_s",
+    "usefulness.add_s", "usefulness.coverage_s", "usefulness.report_s",
+}
+IDLE_LAYERS = {
+    "anon-plain-global": _ANONYMIZE_IDLE,
+    "anon-cmd-individual": _ANONYMIZE_IDLE,
+    "anon-cmd-individual-w2": _ANONYMIZE_IDLE,
+    "usefulness-cmd": {
+        "model.render_s", "encoder.encode_s", "encoder.tally_s",
+        "grids.build_s", "grids.emit_s", "usefulness.coverage_s",
+    },
+    "patterns-cmd": {
+        "model.render_s", "encoder.tally_s", "grids.build_s", "grids.emit_s",
+        "usefulness.add_s", "usefulness.report_s",
+    },
+    "compare-cmd": {
+        "model.render_s", "encoder.encode_s", "encoder.tally_s", "rules.rewrite_s",
+        "usefulness.add_s", "usefulness.coverage_s", "usefulness.report_s",
+    },
+}
 
 
 def _layers() -> tuple[str, ...]:
@@ -77,6 +103,8 @@ def test_traced_run_equals_untraced(name, corpora, tmp_path, capsys):
     )
     assert traced.returncode == 0, traced.stderr
     *command_stdout, last = traced.stdout.splitlines()
-    assert set(_layers()) <= set(json.loads(last)["layers"])
+    layers = json.loads(last)["layers"]
+    assert set(_layers()) <= set(layers)
+    assert {layer for layer in _layers() if layers[layer] == 0} == IDLE_LAYERS[name]
     assert [line.replace(str(traced_dir), str(plain_dir)) for line in command_stdout] == plain_stdout
     assert _files(traced_dir) == _files(plain_dir)

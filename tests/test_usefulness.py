@@ -13,7 +13,6 @@ from loganon import (
     DomainError,
     Mode,
     PatternStats,
-    RawLogEntry,
     RuleSet,
     SymbolRegistry,
     TermRule,
@@ -40,8 +39,8 @@ def test_row_ratio_values():
 def _accumulate(entries, ruleset):
     registry = SymbolRegistry()
     acc = UsefulnessAccumulator()
-    for e in entries:
-        _, significant, pattern = process_entry(e.message, ruleset, registry)
+    for _, _, message in entries:
+        _, significant, pattern = process_entry(message, ruleset, registry)
         acc.add(significant, pattern)
     return acc
 
@@ -210,7 +209,7 @@ def test_symbols_in_input_leave_ratios_equal_to_reference(drawn, mode):
     for i, (message, inserts) in enumerate(drawn):
         for position, symbol in inserts:
             message = message[:position] + symbol + message[position:]
-        entries.append(RawLogEntry(i + 1, "n", message))
+        entries.append((i + 1, "n", message))
     ruleset = RuleSet(SLOT_RULES, mode)
     report = _accumulate(entries, ruleset).report(mode.value)
     assert sorted((row.pattern_text, row.f_p, row.ratio) for row in report.rows) == brute_force_rows(
