@@ -14,7 +14,6 @@ from collections import Counter
 from loganon import (
     CorpusSpec,
     EncodingDictionaries,
-    PatternStats,
     RuleSet,
     StorageTally,
     encode_entry,
@@ -40,7 +39,7 @@ for line in generate_lines(spec):
     tally.add(len(message.encode("utf-8")), encoded_bytes)
     counts[pattern] += 1
 
-stats = [PatternStats(hash_text(p), p, f_p) for p, f_p in counts.items()]
+stats = [(hash_text(p), p, f_p) for p, f_p in counts.items()]
 table = top_k_coverage(stats, [5, 25, 50, 500])
 
 print(f"{spec.entries} entries, {table.n_patterns} distinct event patterns\n")
@@ -49,5 +48,5 @@ for k, coverage in table.rows:
     print(f"  top {k:4d}: {float(coverage) * 100:6.2f}%")
 
 print("\nstorage accounting:")
-for line in tally.report(dicts).lines():
+for line in tally.report(dicts):
     print(f"  {line}")

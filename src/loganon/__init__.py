@@ -33,10 +33,7 @@ from .rules import (
 )
 from .encoder import (
     CollisionDetected,
-    EncoderConfig,
     EncodingDictionaries,
-    PatternDictionary,
-    StorageReport,
     StorageTally,
     encode_entry,
     hash_text,
@@ -44,7 +41,6 @@ from .encoder import (
 from .usefulness import (
     CoverageTable,
     DomainError,
-    PatternStats,
     UsefulnessAccumulator,
     UsefulnessReport,
     render_decimal,
@@ -52,8 +48,6 @@ from .usefulness import (
     usefulness_from_summary,
 )
 from .grids import (
-    DimensionMismatch,
-    OccurrenceGrid,
     build_grid,
     difference_grid,
     emit_grid,
@@ -68,18 +62,12 @@ __all__ = [
     "ConfigError",
     "CorpusSpec",
     "CoverageTable",
-    "DimensionMismatch",
     "DomainError",
-    "EncoderConfig",
     "EncodingDictionaries",
     "GroupMapIncomplete",
     "MalformedLine",
     "Mode",
-    "OccurrenceGrid",
-    "PatternDictionary",
-    "PatternStats",
     "RuleSet",
-    "StorageReport",
     "StorageTally",
     "SymbolRegistry",
     "TermClass",

@@ -29,20 +29,23 @@ so the memo never changes a result.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
 import signal
 import sys
+import traceback
 from collections import deque
 from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import MalformedLine, parse_line
 from .rules import Match, RuleSet, sanitize_message, scan_message
 
 BATCH_LINES = 4096
+# The signals that stop a run (see cli._interrupt); held back while a worker is forked.
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 # Distinct messages one run memoizes; later ones are computed, not stored.
 MEMO_ENTRIES = 4096
 
@@ -118,10 +121,14 @@ _worker_ruleset: Optional[RuleSet] = None
 _worker_memo: Optional[RunMemo] = None
 
 
+class WorkerLost(RuntimeError):
+    """A scan worker process ended before it returned the batch it was sent."""
+
+
 def _init_worker(ruleset: RuleSet) -> None:
     global _worker_ruleset, _worker_memo
     # Ctrl-C and a group-wide SIGTERM reach the workers too; only the parent acts on them.
-    # A worker killed mid-batch would lose it, and the pool's join() would wait for it forever.
+    # A worker that died of them would turn the parent's clean exit into a WorkerLost.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     _worker_ruleset = ruleset
@@ -131,6 +138,41 @@ def _init_worker(ruleset: RuleSet) -> None:
 def _scan_batch(batch: list[tuple[int, bytes]]) -> list[tuple]:
     assert _worker_ruleset is not None
     return [_scan_one(lineno, raw, _worker_ruleset, _worker_memo) for lineno, raw in batch]
+
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to a pipe as its pickle's length (8 bytes, little-endian), then the pickle."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _send_batch(worker: tuple[int, int, BinaryIO], batch: list[tuple[int, bytes]]) -> None:
+    """Send ``batch`` to a (pid, task fd, result reader) worker; a closed task pipe means it died."""
+    try:
+        _send(worker[1], batch)
+    except BrokenPipeError:
+        raise WorkerLost(f"scan worker {worker[0]} ended before it was sent its batch") from None
+
+
+def _receive(stream: BinaryIO):
+    """The next object _send wrote to ``stream``, or None if the stream ends before all of it."""
+    header = stream.read(8)
+    if len(header) == 8:
+        size = int.from_bytes(header, "little")
+        data = stream.read(size)
+        if len(data) == size:
+            return pickle.loads(data)
+    return None
+
+
+def _serve(task_fd: int, result_fd: int) -> None:
+    """A worker's loop: scan each batch read from task_fd and send its results, until task_fd ends."""
+    with open(task_fd, "rb") as tasks:
+        while (batch := _receive(tasks)) is not None:
+            # _scan_batch is looked up at each call, so a rebinding of _stream._scan_batch holds.
+            _send(result_fd, _scan_batch(batch))
 
 
 def _usable_cpus() -> int:
@@ -148,18 +190,23 @@ def scanned_stream(
 ) -> Iterator[Union[ScannedLine, LineIssue]]:
     """Scan lines against the ruleset, preserving input order.
 
-    ``workers > 1`` fans batches out to a process pool. This generator
-    reads the input itself, on the calling thread, and keeps at most
-    ``2 * workers`` batches in flight; it yields their results in the
-    order it submitted them, so the stream is identical to the sequential
-    one. The pool has at most _usable_cpus() processes, and a pool of one
-    is the sequential path. Workers return plain tuples (see _scan_one),
-    which this generator wraps back into ScannedLine and LineIssue. When
-    the stream ends or is closed early (an error, Ctrl-C, SIGTERM), nothing
-    more is read or submitted, and the workers finish the batches already
-    in flight before the pool is joined. No pool thread reads the input,
-    so a signal that arrives while the read waits on an open pipe stops
-    the run at once.
+    ``workers > 1`` forks that many worker processes, at most
+    _usable_cpus(); a pool of one is the sequential path. Each worker has
+    a task pipe and a result pipe, which carry length-prefixed pickles.
+    This generator reads the input itself, on the calling thread, and
+    sends batch k to worker k mod n; it reads the results back in the same
+    order, so the stream is identical to the sequential one. A worker holds
+    at most one batch, so the parent never blocks sending to a worker that
+    is itself blocked writing a result. Workers return plain tuples (see
+    _scan_one), which this generator wraps back into ScannedLine and
+    LineIssue.
+
+    A worker that ends without returning its batch (killed, or its scan
+    raised) raises WorkerLost here. When the stream ends or is closed early
+    (an error, Ctrl-C, SIGTERM), nothing more is read or sent; the pipes are
+    closed, so each worker exits once its current batch is done, and every
+    worker is waited for. A signal that arrives while the read waits on an
+    open pipe stops the run at once.
     """
     workers = min(workers, _usable_cpus())
     if workers <= 1:
@@ -169,18 +216,65 @@ def scanned_stream(
             # What NamedTuple._make does, without its Python-level call per line.
             yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
         return
-    ctx = multiprocessing.get_context("fork")
     lines = iter(lines)
-    in_flight: deque = deque()
-    with ctx.Pool(workers, initializer=_init_worker, initargs=(ruleset,)) as pool:
-        try:
-            while True:
-                while len(in_flight) < 2 * workers and (batch := list(islice(lines, BATCH_LINES))):
-                    in_flight.append(pool.apply_async(_scan_batch, (batch,)))
-                if not in_flight:
-                    break
-                for fields in in_flight.popleft().get():
-                    yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
-        finally:
-            pool.close()
-            pool.join()
+    pool: list[tuple[int, int, BinaryIO]] = []  # (pid, task pipe's write end, result pipe's reader)
+    try:
+        for _ in range(workers):
+            # A Ctrl-C or SIGTERM handler that raised between the fork and the append would
+            # leave a worker that the finally below neither closes nor waits for; blocked,
+            # the signal arrives once the worker is in the pool.
+            signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+            try:
+                task_fd, task_write_fd = os.pipe()
+                result_read_fd, result_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    # A worker leaves only through os._exit: the parent's stack, with its
+                    # staged outputs and their unflushed buffers, must not unwind here.
+                    try:
+                        _init_worker(ruleset)
+                        # Another worker's pipe end held open here would keep that worker
+                        # waiting, for a task or for room to write its result, until this
+                        # one exits.
+                        for fd in (task_write_fd, result_read_fd, *(fd for _, fd, _ in pool),
+                                   *(reader.fileno() for _, _, reader in pool)):
+                            os.close(fd)
+                        _serve(task_fd, result_fd)
+                    except BrokenPipeError:  # the parent closed its end: the run is over
+                        pass
+                    except Exception:
+                        traceback.print_exc()
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(0)
+                pool.append((pid, task_write_fd, open(result_read_fd, "rb")))
+                os.close(task_fd)
+                os.close(result_fd)
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+        sending: deque = deque()  # the workers that hold a batch, in the order it was sent
+        for worker in pool:
+            if not (batch := list(islice(lines, BATCH_LINES))):
+                break
+            _send_batch(worker, batch)
+            sending.append(worker)
+        while sending:
+            worker = sending.popleft()
+            batch = list(islice(lines, BATCH_LINES))
+            results = _receive(worker[2])
+            if results is None:
+                raise WorkerLost(f"scan worker {worker[0]} ended before returning its batch")
+            if batch:
+                _send_batch(worker, batch)
+                sending.append(worker)
+            for fields in results:
+                yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
+    finally:
+        for _, task_write_fd, reader in pool:
+            os.close(task_write_fd)
+            reader.close()
+        for pid, _, _ in pool:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # already reaped
+                pass

@@ -3,9 +3,10 @@
 Wires the streaming pipeline end to end: parse -> de-identify -> encode,
 plus the analysis commands over the same scan stage. Exit codes: 0 success,
 2 configuration error or input outside the metric's domain, 3 hash
-collision detected, 4 parse failure in strict mode, 141 stdout closed by
+collision detected, 4 parse failure in strict mode, 5 a scan worker process
+died before returning its batch (--workers 2 or more), 141 stdout closed by
 its reader (128 + SIGPIPE, as a shell reports a filter killed by SIGPIPE),
-143 SIGTERM (128 + SIGTERM; staged outputs are removed first).
+143 SIGTERM (128 + SIGTERM). A run that fails removes its staged outputs.
 """
 
 from __future__ import annotations
@@ -22,15 +23,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from ._stream import LineIssue, RunMemo, ScannedLine, iter_raw_lines, scanned_stream
-from .encoder import (
-    CollisionDetected,
-    EncoderConfig,
-    EncodingDictionaries,
-    StorageTally,
-    encode_entry,
-    hash_text,
-)
+from ._stream import LineIssue, RunMemo, ScannedLine, WorkerLost, iter_raw_lines, scanned_stream
+from .encoder import CollisionDetected, EncodingDictionaries, StorageTally, encode_entry, hash_text
 from .grids import (
     DEFAULT_MINUTE_WINDOW,
     build_grid,
@@ -56,7 +50,6 @@ from .usefulness import (
     CoverageTable,
     DomainError,
     PatternKeys,
-    PatternStats,
     UsefulnessAccumulator,
     top_k_coverage,
 )
@@ -65,6 +58,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COLLISION = 3
 EXIT_PARSE = 4
+EXIT_WORKER = 5
 
 
 class StrictParseFailure(Exception):
@@ -78,6 +72,7 @@ EXIT_CODES = {
     DomainError: EXIT_CONFIG,
     CollisionDetected: EXIT_COLLISION,
     StrictParseFailure: EXIT_PARSE,
+    WorkerLost: EXIT_WORKER,
     OSError: EXIT_CONFIG,
 }
 
@@ -88,7 +83,7 @@ class RunConfig:
 
     inputs: list[str]
     ruleset: RuleSet
-    encoder: EncoderConfig
+    digest_bytes: int
     out_dir: Path
     strict: bool
     workers: int
@@ -109,20 +104,20 @@ class RunConfig:
             yield item
 
 
-Options = Callable[[argparse.Namespace], tuple[RuleSet, EncoderConfig]]
+Options = Callable[[argparse.Namespace], tuple[RuleSet, int]]
 
 
-def _rule_options(args: argparse.Namespace) -> tuple[RuleSet, EncoderConfig]:
+def _rule_options(args: argparse.Namespace) -> tuple[RuleSet, int]:
     """--rules, --mode and --digest-bytes, which the rewriting commands share."""
     ruleset = load_rules(args.rules) if args.rules else default_ruleset()
     if args.mode:
         ruleset = ruleset.with_mode(Mode(args.mode))
     if not 4 <= args.digest_bytes <= 32:
         raise ConfigError(f"--digest-bytes must be in [4, 32], got {args.digest_bytes}")
-    return ruleset, EncoderConfig(digest_length_bytes=args.digest_bytes)
+    return ruleset, args.digest_bytes
 
 
-def _anonymize_options(args: argparse.Namespace) -> tuple[RuleSet, EncoderConfig]:
+def _anonymize_options(args: argparse.Namespace) -> tuple[RuleSet, int]:
     options = _rule_options(args)
     if args.emit_meanings and not args.emit_dictionary:
         raise ConfigError("--emit-meanings requires --emit-dictionary")
@@ -141,7 +136,7 @@ def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None
             raise ConfigError(f"input not found: {path}")
         if path != "-" and Path(path).is_dir():
             raise ConfigError(f"input is a directory: {path}")
-    ruleset, encoder = read_options(args) if read_options else (RuleSet(()), EncoderConfig())
+    ruleset, digest_bytes = read_options(args) if read_options else (RuleSet(()), 4)
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     out_dir = Path(args.out)
@@ -149,7 +144,7 @@ def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return RunConfig(list(args.inputs), ruleset, encoder, out_dir, args.strict, args.workers)
+    return RunConfig(list(args.inputs), ruleset, digest_bytes, out_dir, args.strict, args.workers)
 
 
 @contextmanager
@@ -202,7 +197,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                     deid_message, significant, pattern = rewrite_matches(
                         sanitized, matches, cfg.ruleset, registry
                     )
-                    hash_key, category_key = encode_entry(deid_message, pattern, dicts, cfg.encoder)
+                    hash_key, category_key = encode_entry(deid_message, pattern, dicts, cfg.digest_bytes)
                     # sanitize_message only swaps '#' for '?', so the sanitized
                     # text has the raw message's UTF-8 length.
                     known = (f" {hash_key} {category_key}\n", len(sanitized.encode("utf-8")))
@@ -222,7 +217,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
             with create("meanings.tsv") as f:
                 for key, text in dicts.messages.items():
                     f.write(f"{key}\t{text}\n")
-    for line in tally.report(dicts).lines():
+    for line in tally.report(dicts):
         print(line)
     print(f"skipped lines: {cfg.skipped}")
     print(f"event patterns: {len(dicts.patterns)}")
@@ -244,7 +239,7 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
     pattern_keys: PatternKeys = {}
     with _staged_outputs(cfg.out_dir) as create:
         for key in sorted(accumulators):
-            report = accumulators[key].report(mode_label, cfg.encoder, pattern_keys)
+            report = accumulators[key].report(mode_label, cfg.digest_bytes, pattern_keys)
             suffix = "" if key is None else f"_d{key}"
             with create(f"usefulness{suffix}.csv") as f:
                 f.write("\n".join(report.csv_lines()) + "\n")
@@ -275,7 +270,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     for _, _, sanitized, matches in cfg.entries():
         _, _, pattern = rewrite_matches(sanitized, matches, ruleset, None)
         counts[pattern] += 1
-    stats = [PatternStats(hash_text(text, cfg.encoder), text, f_p) for text, f_p in counts.items()]
+    stats = [(hash_text(text, cfg.digest_bytes), text, f_p) for text, f_p in counts.items()]
     table = top_k_coverage(stats, ks) if stats else CoverageTable(0, 0, ())
     lines = table.csv_lines()
     with _staged_outputs(cfg.out_dir) as create, create("coverage.csv") as f:
@@ -454,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _interrupt(signum, frame) -> None:
     """SIGTERM exits 143 (128 + SIGTERM, as a shell reports it); Ctrl-C raises KeyboardInterrupt.
 
-    Both unwind, so staged outputs are removed. Later ones are ignored: one that cut short
-    the wait for a worker pool could leave the run waiting for it forever.
+    Both unwind, so staged outputs are removed. Later ones are ignored, so they cannot cut
+    that cleanup short, nor the wait for the scan workers to exit.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)

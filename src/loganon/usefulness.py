@@ -23,9 +23,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Iterable, Optional, Union
 
-from .encoder import EncoderConfig, hash_text
+from .encoder import hash_text
 
 Rational = Union[int, float, str, Fraction]
 
@@ -41,19 +42,6 @@ def _as_fraction(x: Rational) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
-
-
-@dataclass(frozen=True)
-class PatternStats:
-    """Frequency of one event pattern, as top_k_coverage ranks it."""
-
-    category_key: str
-    pattern_text: str
-    f_p: int
-
-    def __post_init__(self) -> None:
-        if self.f_p < 1:
-            raise DomainError(f"pattern {self.category_key}: frequency must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -167,28 +155,29 @@ class CoverageTable:
         return lines
 
 
-def top_k_coverage(stats: Sequence[PatternStats], ks: Iterable[int]) -> CoverageTable:
+def top_k_coverage(stats: Iterable[tuple[str, str, int]], ks: Iterable[int]) -> CoverageTable:
     """Coverage of the top-K patterns for each requested K.
 
-    Patterns are ranked by frequency, ties broken by category key; a K beyond
+    ``stats`` holds one (category_key, pattern_text, f_p) triple per
+    pattern, with f_p >= 1. Patterns are ranked by frequency; a K beyond
     the pattern count yields the full-coverage row.
     """
     k_list = list(ks)
     if not k_list or any(k < 1 for k in k_list):
         raise DomainError(f"K values must be >= 1, got {k_list}")
-    ordered = sorted(stats, key=lambda s: (-s.f_p, s.category_key))
-    n_entries = sum(s.f_p for s in ordered)
-    cumulative = []
-    running = 0
-    for s in ordered:
-        running += s.f_p
-        cumulative.append(running)
+    frequencies = []
+    for category_key, _, f_p in stats:
+        if f_p < 1:
+            raise DomainError(f"pattern {category_key}: frequency must be >= 1")
+        frequencies.append(f_p)
+    cumulative = list(accumulate(sorted(frequencies, reverse=True)))
+    n_entries = cumulative[-1] if cumulative else 0
     rows = []
     for k in k_list:
         covered = cumulative[min(k, len(cumulative)) - 1] if cumulative else 0
         share = Fraction(covered, n_entries) if n_entries else Fraction(0)
         rows.append((k, share))
-    return CoverageTable(n_entries=n_entries, n_patterns=len(ordered), rows=tuple(rows))
+    return CoverageTable(n_entries=n_entries, n_patterns=len(cumulative), rows=tuple(rows))
 
 
 # Pattern text -> category key; shared by the per-day accumulators of one
@@ -223,7 +212,7 @@ class UsefulnessAccumulator:
     def report(
         self,
         mode_label: str = "",
-        cfg: EncoderConfig = EncoderConfig(),
+        digest_bytes: int = 4,
         keys: Optional[PatternKeys] = None,
     ) -> UsefulnessReport:
         """The report over the entries so far; ``keys`` may be shared by one run's accumulators."""
@@ -242,7 +231,7 @@ class UsefulnessAccumulator:
         for pattern, (f_p, slots) in self._patterns.items():
             category_key = keys.get(pattern)
             if category_key is None:
-                category_key = keys[pattern] = hash_text(pattern, cfg)
+                category_key = keys[pattern] = hash_text(pattern, digest_bytes)
             num = den = 1
             for i, (values, symbols) in slots.items():
                 # A caller's own triples can put two rules' symbols in one slot.

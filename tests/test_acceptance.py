@@ -30,12 +30,8 @@ from conftest import (
 from loganon import (
     CollisionDetected,
     CorpusSpec,
-    EncoderConfig,
     EncodingDictionaries,
     Mode,
-    OccurrenceGrid,
-    PatternDictionary,
-    PatternStats,
     StorageTally,
     SymbolRegistry,
     UsefulnessAccumulator,
@@ -53,6 +49,8 @@ from loganon import (
     usefulness_from_summary,
 )
 from loganon.cli import main
+from loganon.encoder import register
+from loganon.grids import OccurrenceGrid
 from loganon.synth import cmd_pattern_text, plain_message
 
 BIG = settings(max_examples=1000, deadline=None)
@@ -338,29 +336,28 @@ def test_criterion_5f_collision_behavior():
     def check():
         # zero truncation collisions within each test corpus's own pattern
         # space (a run keeps one dictionary per corpus, never a union)
-        plain_dict = PatternDictionary()
+        plain_dict: dict[str, str] = {}
         for k in range(50_000):
             text = plain_message(k)
-            plain_dict.register(hash_text(text), text)
-        cmd_dict = PatternDictionary()
+            register(plain_dict, hash_text(text), text)
+        cmd_dict: dict[str, str] = {}
         for k in range(20_000):
             text = cmd_pattern_text(k)
-            cmd_dict.register(hash_text(text), text)
-        fixture_dict = PatternDictionary()
+            register(cmd_dict, hash_text(text), text)
+        fixture_dict: dict[str, str] = {}
         ruleset = load_rules(FIXTURES / "cron_sample.rules")
         for _, _, message in load_fixture_entries("cron_sample.log"):
             pattern = process_entry(message, ruleset)[2]
-            fixture_dict.register(hash_text(pattern), pattern)
+            register(fixture_dict, hash_text(pattern), pattern)
         mixed_rules = load_rules(FIXTURES / "mixed_sample.rules")
         for _, _, message in load_fixture_entries("mixed_sample.log"):
             pattern = process_entry(message, mixed_rules)[2]
-            fixture_dict.register(hash_text(pattern), pattern)
+            register(fixture_dict, hash_text(pattern), pattern)
         # forcing it: a 1-byte key space cannot hold 257 distinct texts
-        cfg = EncoderConfig(digest_length_bytes=1)
         with pytest.raises(CollisionDetected):
-            tiny = PatternDictionary()
+            tiny: dict[str, str] = {}
             for k in range(257):
-                tiny.register(hash_text(plain_message(k), cfg), plain_message(k))
+                register(tiny, hash_text(plain_message(k), 1), plain_message(k))
 
     _report("C5f zero 4-byte collisions on test corpora; 1-byte truncation collides", check)
 
@@ -379,7 +376,7 @@ def test_criterion_6_coverage_at_scale():
             _, _, message = parse_line(line)
             pattern = process_entry(message, empty_rules)[2]
             counts[pattern] += 1
-        stats = [PatternStats(hash_text(p), p, f_p) for p, f_p in counts.items()]
+        stats = [(hash_text(p), p, f_p) for p, f_p in counts.items()]
         ks = [5, 25, 50, 500, 5_000, 50_000]
         table = top_k_coverage(stats, ks)
         elapsed = time.monotonic() - t0
@@ -404,23 +401,21 @@ def test_criterion_7_storage_saving():
         spec = CorpusSpec(entries=50_000, patterns=5_000, seed=7)
         dicts = EncodingDictionaries()
         tally = StorageTally()
-        cfg = EncoderConfig()
         total_raw = 0
         n = 0
         for line in generate_lines(spec):
             _, _, message = parse_line(line)
             deid_message, _, pattern = process_entry(message, RuleSet(()))
-            hash_key, category_key = encode_entry(deid_message, pattern, dicts, cfg)
+            hash_key, category_key = encode_entry(deid_message, pattern, dicts)
             encoded_bytes = len(hash_key) + 1 + len(category_key)
             tally.add(len(message.encode("utf-8")), encoded_bytes)
             total_raw += len(message.encode("utf-8"))
             n += 1
-        report = tally.report(dicts)
         mean_len = total_raw / n
         assert mean_len >= 90, f"mean message length {mean_len:.1f}"
         # byte-count oracle: 17 encoded bytes per entry against the raw total
-        assert report.saving_excluding_dictionary == 1 - Fraction(17 * n, total_raw)
-        assert report.saving_excluding_dictionary >= Fraction(80, 100)
+        assert tally.saving() == 1 - Fraction(17 * n, total_raw)
+        assert tally.saving() >= Fraction(80, 100)
 
     _report("C7 storage saving >= 80% on long-message corpus, exact byte oracle", check)
 

@@ -891,10 +891,10 @@ SIGNAL_EXITS = {
 }
 
 
-def signal_worker_pool_run(tmp_path, signum, times):
-    """Send ``signum`` ``times`` times, 20 ms apart, to the process group of
-    `anonymize --workers 2` while it writes; check its exit and that nothing is left."""
-    exit_code, err_tail = SIGNAL_EXITS[signum]
+def worker_pool_run(tmp_path, interrupt, timeout):
+    """Run `anonymize --workers 2` in a process group of its own and call ``interrupt(proc)``
+    once it writes; give it ``timeout`` seconds to end, check that it leaves --out empty and
+    no process of its group behind, and return its exit code and stderr."""
     corpus = tmp_path / "cmd.log"
     assert main(["gen", "--entries", "50000", "--patterns", "20000", "--users", "300",
                  "--style", "cmd", "--seed", "3", "--out", str(corpus)]) == 0
@@ -912,21 +912,14 @@ def signal_worker_pool_run(tmp_path, signum, times):
             assert proc.poll() is None, "the run ended before it was interrupted"
             assert time.monotonic() < deadline, "encoded.log.tmp stayed empty"
             time.sleep(0.002)
-        for i in range(times):
-            if i:
-                time.sleep(0.02)
-            try:
-                os.killpg(proc.pid, signum)
-            except ProcessLookupError:  # the run already ended
-                break
-        _, err = proc.communicate(timeout=30)
+        interrupt(proc)
+        _, err = proc.communicate(timeout=timeout)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-    assert proc.returncode == exit_code
-    assert err.rstrip().endswith(err_tail)
     assert list(out.iterdir()) == []
+    deadline = time.monotonic() + 30
     while True:
         try:
             os.killpg(proc.pid, 0)
@@ -934,6 +927,26 @@ def signal_worker_pool_run(tmp_path, signum, times):
             break
         assert time.monotonic() < deadline, "a process of the group outlived the run"
         time.sleep(0.01)
+    return proc.returncode, err
+
+
+def signal_worker_pool_run(tmp_path, signum, times):
+    """Send ``signum`` ``times`` times, 20 ms apart, to the process group of
+    `anonymize --workers 2` while it writes; check its exit and that nothing is left."""
+    exit_code, err_tail = SIGNAL_EXITS[signum]
+
+    def interrupt(proc):
+        for i in range(times):
+            if i:
+                time.sleep(0.02)
+            try:
+                os.killpg(proc.pid, signum)
+            except ProcessLookupError:  # the run already ended
+                break
+
+    code, err = worker_pool_run(tmp_path, interrupt, 30)
+    assert code == exit_code
+    assert err.rstrip().endswith(err_tail)
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
@@ -953,6 +966,23 @@ def test_group_signal_with_worker_pool_leaves_no_output(tmp_path, name, times):
     pool's terminate(), which cannot end workers that ignore SIGTERM.
     """
     signal_worker_pool_run(tmp_path, getattr(signal, name), times)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.skipif(loganon._stream._usable_cpus() < 2, reason="a worker pool needs 2 CPUs")
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/PID/task/TID/children to find the workers")
+def test_killed_worker_ends_the_run_with_its_exit_code(tmp_path):
+    """SIGKILL to one scan worker: the run exits 5 within 10 s and leaves nothing behind."""
+
+    def kill_a_worker(proc):
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+        assert len(children) == 2, children
+        os.kill(int(children[0]), signal.SIGKILL)
+
+    code, err = worker_pool_run(tmp_path, kill_a_worker, 10)
+    assert code == cli.EXIT_WORKER == 5
+    assert err.startswith(b"error: scan worker "), err
 
 
 def handlers_during_gen(monkeypatch, tmp_path):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from conftest import SHELL_CMD_A, SHELL_CMD_B, shell_cmd_rulesets
 from loganon import (
     CollisionDetected,
-    EncoderConfig,
     EncodingDictionaries,
     Mode,
-    PatternDictionary,
     StorageTally,
     SymbolRegistry,
     cli,
@@ -21,6 +19,7 @@ from loganon import (
     hash_text,
     process_entry,
 )
+from loganon.encoder import dictionary_bytes, register
 from sponge_oracle import shake128_hex
 
 # Golden digests frozen from the standalone sponge implementation in
@@ -51,58 +50,47 @@ def test_hash_text_golden(text, expected):
 
 
 def test_hash_text_deterministic_and_width():
-    cfg = EncoderConfig(digest_length_bytes=7)
-    assert hash_text("anything", cfg) == hash_text("anything", cfg)
-    assert len(hash_text("anything", cfg)) == 14
-    assert hash_text("anything", cfg) != hash_text("anything!", cfg)
+    assert hash_text("anything", 7) == hash_text("anything", 7)
+    assert len(hash_text("anything", 7)) == 14
+    assert hash_text("anything", 7) != hash_text("anything!", 7)
 
 
 def test_longer_digest_extends_shorter():
     # extendable output: a longer truncation starts with the shorter one
-    short = hash_text("xyz", EncoderConfig(digest_length_bytes=4))
-    long = hash_text("xyz", EncoderConfig(digest_length_bytes=16))
+    short = hash_text("xyz", 4)
+    long = hash_text("xyz", 16)
     assert long.startswith(short)
 
 
 @given(st.text(max_size=200))
 def test_hash_text_matches_sponge_oracle(text):
     assert hash_text(text) == shake128_hex(text, 4)
-    assert hash_text(text, EncoderConfig(digest_length_bytes=16)) == shake128_hex(text, 16)
-
-
-def test_encoder_config_bounds():
-    with pytest.raises(ValueError):
-        EncoderConfig(digest_length_bytes=0)
-    with pytest.raises(ValueError):
-        EncoderConfig(digest_length_bytes=33)
-    EncoderConfig(digest_length_bytes=1)  # permitted for collision drills
+    assert hash_text(text, 16) == shake128_hex(text, 16)
 
 
 # --- dictionaries and encode_entry ------------------------------------------
 
 def test_pattern_dictionary_counts_and_lookup():
-    d = PatternDictionary()
-    d.register("bb", "y")
-    d.register("aa", "x")
-    d.register("bb", "y")  # a known pair: no-op
-    assert len(d) == 2
+    d: dict[str, str] = {}
+    register(d, "bb", "y")
+    register(d, "aa", "x")
+    register(d, "bb", "y")  # a known pair: no-op
     assert list(d.items()) == [("bb", "y"), ("aa", "x")]  # first-registration order
 
 
 def test_pattern_dictionary_collision():
-    d = PatternDictionary()
-    d.register("aa", "x")
+    d = {"aa": "x"}
     with pytest.raises(CollisionDetected):
-        d.register("aa", "z")
+        register(d, "aa", "z")
+    assert d == {"aa": "x"}
 
 
 def test_forced_collision_at_one_byte():
     # 257 distinct inputs cannot fit in a 1-byte key space
-    cfg = EncoderConfig(digest_length_bytes=1)
-    d = PatternDictionary()
+    d: dict[str, str] = {}
     with pytest.raises(CollisionDetected):
         for i in range(257):
-            d.register(hash_text(f"t{i}", cfg), f"t{i}")
+            register(d, hash_text(f"t{i}", 1), f"t{i}")
 
 
 def smallest_safe_width(n: int) -> int:
@@ -113,11 +101,9 @@ def smallest_safe_width(n: int) -> int:
 @pytest.mark.parametrize("n, width", [(1, 4), (92, 4), (93, 5), (100_000, 7)])
 def test_collision_error_names_a_safe_width(n, width):
     assert smallest_safe_width(n) == width
-    d = PatternDictionary()
-    for i in range(n):
-        d.register(f"{i:08x}", f"text {i}")
+    d = {f"{i:08x}": f"text {i}" for i in range(n)}
     with pytest.raises(CollisionDetected) as caught:
-        d.register("00000000", "another text")
+        register(d, "00000000", "another text")
     assert str(caught.value) == (
         "key 00000000 maps to both 'text 0' and 'another text'; increase the digest width "
         f"and re-run (distinct keys so far: {n}, width: 4 bytes; smallest --digest-bytes "
@@ -125,9 +111,9 @@ def test_collision_error_names_a_safe_width(n, width):
     )
 
 
-def _encode(message: str, rules, dicts, registry, cfg=EncoderConfig()):
+def _encode(message: str, rules, dicts, registry, digest_bytes=4):
     deid_message, _, pattern = process_entry(message, rules, registry)
-    return encode_entry(deid_message, pattern, dicts, cfg)
+    return encode_entry(deid_message, pattern, dicts, digest_bytes)
 
 
 def test_encode_same_partial_rewrite_same_keys():
@@ -178,9 +164,8 @@ def test_same_user_different_commands_share_keys(cron_entries, cron_ruleset):
 
 
 def test_encoded_key_width_follows_config():
-    cfg = EncoderConfig(digest_length_bytes=8)
     rules = shell_cmd_rulesets()["global"]
-    hash_key, category_key = _encode(SHELL_CMD_A, rules, EncodingDictionaries(), SymbolRegistry(), cfg)
+    hash_key, category_key = _encode(SHELL_CMD_A, rules, EncodingDictionaries(), SymbolRegistry(), 8)
     assert len(hash_key) == len(category_key) == 16
 
 
@@ -195,20 +180,28 @@ def test_timestamp_and_source_pass_through(tmp_path):
 
 # --- storage accounting ------------------------------------------------------
 
-def _storage_report(raw_messages, encoded, dicts):
+def _storage_tally(raw_messages, encoded):
     tally = StorageTally()
     for message, (hash_key, category_key) in zip(raw_messages, encoded, strict=True):
         encoded_bytes = len(hash_key) + 1 + len(category_key)
         tally.add(len(message.encode("utf-8")), encoded_bytes)
-    return tally.report(dicts)
+    return tally
 
 
 def test_storage_empty_corpus():
-    report = StorageTally().report(EncodingDictionaries())
-    assert report.raw_message_bytes == 0
-    assert report.encoded_message_bytes == 0
-    assert report.saving_excluding_dictionary == 0
-    assert report.saving_including_dictionary == 0
+    tally = StorageTally()
+    assert tally.raw_message_bytes == 0
+    assert tally.encoded_message_bytes == 0
+    assert tally.saving() == 0
+    assert tally.saving(10) == 0
+    assert tally.report(EncodingDictionaries()) == [
+        "entries: 0",
+        "raw message bytes: 0",
+        "encoded message bytes: 0",
+        "dictionary bytes: 0",
+        "saving excluding dictionary: 0.00%",
+        "saving including dictionary: 0.00%",
+    ]
 
 
 def test_storage_fixture_exact(cron_entries, cron_ruleset):
@@ -219,24 +212,27 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
     for message in messages:
         deid_message, _, pattern = process_entry(message, cron_ruleset, registry)
         encoded.append(encode_entry(deid_message, pattern, dicts))
-    report = _storage_report(messages, encoded, dicts)
+    tally = _storage_tally(messages, encoded)
     # independent byte count straight off the fixture contents
     raw_bytes = sum(len(message.encode("utf-8")) for message in messages)
-    assert report.entries == 20
-    assert report.raw_message_bytes == raw_bytes
-    assert report.encoded_message_bytes == 20 * (8 + 1 + 8)
-    assert report.saving_excluding_dictionary == 1 - Fraction(20 * 17, raw_bytes)
+    assert tally.entries == 20
+    assert tally.raw_message_bytes == raw_bytes
+    assert tally.encoded_message_bytes == 20 * (8 + 1 + 8)
+    assert tally.saving() == 1 - Fraction(20 * 17, raw_bytes)
     dict_bytes = sum(
         len(k) + 1 + len(t.encode("utf-8")) + 1
         for d in (dicts.messages, dicts.patterns)
         for k, t in d.items()
     )
-    assert report.dictionary_bytes == dict_bytes
+    assert dictionary_bytes(dicts) == dict_bytes
+    assert tally.saving(dict_bytes) == 1 - Fraction(20 * 17 + dict_bytes, raw_bytes)
+    lines = tally.report(dicts)
+    assert lines[3] == f"dictionary bytes: {dict_bytes}"
+    assert lines[5] == f"saving including dictionary: {float(tally.saving(dict_bytes)) * 100:.2f}%"
 
 
 def test_storage_long_messages_high_saving():
     messages = ["x" * 100 + f" tail {i}" for i in range(50)]
     dicts = EncodingDictionaries()
     encoded = [encode_entry(message, message, dicts) for message in messages]
-    report = _storage_report(messages, encoded, dicts)
-    assert report.saving_excluding_dictionary > Fraction(80, 100)
+    assert _storage_tally(messages, encoded).saving() > Fraction(80, 100)

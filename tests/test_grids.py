@@ -7,15 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from loganon import (
-    DimensionMismatch,
-    OccurrenceGrid,
-    build_grid,
-    difference_grid,
-    emit_grid,
-    similarity_grid,
-)
-from loganon.grids import day_index
+from loganon import build_grid, difference_grid, emit_grid, similarity_grid
+from loganon.grids import DimensionMismatch, OccurrenceGrid, day_index
 
 EPOCH = 1_000_000
 
@@ -78,6 +71,11 @@ def test_build_grid_bad_window():
         build_grid([], "n", (0, 0), (10, 5), EPOCH)
     with pytest.raises(ValueError):
         build_grid([], "n", (0, 0), (0, 2000), EPOCH)
+
+
+def test_build_grid_rejects_reversed_day_range():
+    with pytest.raises(ValueError):
+        build_grid([], "n", (1, 0), (0, 5), EPOCH)
 
 
 def test_day_index_floors_around_epoch():

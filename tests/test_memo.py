@@ -14,10 +14,8 @@ from pathlib import Path
 import pytest
 
 from loganon import (
-    EncoderConfig,
     EncodingDictionaries,
     Mode,
-    PatternDictionary,
     StorageTally,
     SymbolRegistry,
     encode_entry,
@@ -26,7 +24,7 @@ from loganon import (
     parse_line,
     process_entry,
 )
-from loganon import _stream, cli
+from loganon import _stream, cli, encoder
 from loganon.cli import main
 from loganon.rules import default_ruleset
 
@@ -107,7 +105,7 @@ def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[
     for line in corpus.read_text(encoding="utf-8").splitlines():
         timestamp, source, message = parse_line(line)
         deid_message, significant, pattern = process_entry(message, ruleset, registry)
-        hash_key, category_key = encode_entry(deid_message, pattern, dicts, EncoderConfig())
+        hash_key, category_key = encode_entry(deid_message, pattern, dicts)
         encoded.append(f"{timestamp} {source} {hash_key} {category_key}")
         tally.add(len(message.encode("utf-8")), len(hash_key) + 1 + len(category_key))
         for value, symbol, _ in significant:
@@ -116,7 +114,7 @@ def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[
         "encoded.log": encoded,
         "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],
         "meanings.tsv": [f"{key}\t{text}" for key, text in dicts.messages.items()],
-        "storage report": tally.report(dicts).lines(),
+        "storage report": tally.report(dicts),
     }
     return {name: "".join(row + "\n" for row in lines).encode() for name, lines in rows.items()}
 
@@ -140,7 +138,7 @@ def test_anonymize_equals_memo_free_reference(
     monkeypatch.setattr(_stream, "MEMO_ENTRIES", cap)
     rules_path = group_rules if mode == "group" else None
     assert main(anonymize_argv(corpus, rules_path, mode, workers, tmp_path)) == 0
-    # stdout opens with the six StorageReport lines.
+    # stdout opens with the six lines of the storage report.
     report = capsys.readouterr().out.splitlines(keepends=True)[:6]
     outputs = {**read_outputs(tmp_path), "storage report": "".join(report).encode()}
     assert outputs == reference_outputs(corpus, rules_path, mode)
@@ -160,7 +158,7 @@ def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys,
 
     monkeypatch.setattr(_stream, "scan_message", counting("scan", _stream.scan_message))
     monkeypatch.setattr(cli, "rewrite_matches", counting("rewrite", cli.rewrite_matches))
-    monkeypatch.setattr(PatternDictionary, "register", counting("register", PatternDictionary.register))
+    monkeypatch.setattr(encoder, "register", counting("register", encoder.register))
     monkeypatch.setattr(_stream, "MEMO_ENTRIES", SMALL_CAP)
     assert main(["anonymize", str(corpus), "--mode", "individual", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

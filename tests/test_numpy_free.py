@@ -1,4 +1,7 @@
-"""numpy is loaded only by `gen`: every other command runs without it."""
+"""numpy is loaded only by `gen`: every other command runs without it.
+
+The scan workers are forked with os.fork, so no command loads multiprocessing.
+"""
 
 from __future__ import annotations
 
@@ -40,6 +43,18 @@ def test_analysis_commands_do_not_import_numpy(tmp_path):
         tmp_path,
     )
     assert out.splitlines()[-1] == "False"
+
+
+def test_cli_does_not_import_multiprocessing(tmp_path):
+    log = FIXTURES / "cron_sample.log"
+    out = _fresh_python(
+        "import sys\n"
+        "from loganon import cli\n"
+        f"assert cli.main(['anonymize', {str(log)!r}, '--workers', '2', '--out', 'a']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))\n",
+        tmp_path,
+    )
+    assert out.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("style", ["plain", "cmd"])

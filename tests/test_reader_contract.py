@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loganon import (
-    EncoderConfig,
     EncodingDictionaries,
     SymbolRegistry,
     UsefulnessAccumulator,
@@ -75,7 +74,7 @@ def expected_outputs(lines: list[str], rules_path: Path) -> dict[str, list]:
     for line in lines:
         timestamp, source, message = parse_line(line)
         deid_message, significant, pattern = process_entry(message, ruleset, registry)
-        hash_key, category_key = encode_entry(deid_message, pattern, dicts, EncoderConfig())
+        hash_key, category_key = encode_entry(deid_message, pattern, dicts)
         encoded.append(f"{timestamp} {source} {hash_key} {category_key}")
         for value, symbol, _ in significant:
             symbols.setdefault((symbol, value))

@@ -1,16 +1,18 @@
 """The scan stage's channel between worker processes and the reduce.
 
 Workers return only built-in types, the parent wraps them back into the
-same items the sequential path yields, and the pool never has more
-processes than the CPUs this process may run on.
+same items the sequential path yields, the pool never has more
+processes than the CPUs this process may run on, and every worker it
+forks is gone when the stream ends, however it ends.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
@@ -84,81 +86,157 @@ def test_worker_results_are_builtin_types(corpus, monkeypatch):
     assert any(fields[3] for fields in results if len(fields) == 4)
 
 
-def test_pool_stream_equals_sequential(corpus, monkeypatch):
-    monkeypatch.setattr(_stream, "BATCH_LINES", 7)
-    monkeypatch.setattr(_stream, "_usable_cpus", lambda: 2)
-    ruleset = default_ruleset()
-    sequential = list(_stream.scanned_stream(raw_lines(corpus), ruleset, 1))
-    pooled = list(_stream.scanned_stream(raw_lines(corpus), ruleset, 2))
-    assert len(sequential) > _stream.BATCH_LINES
-    assert pooled == sequential
-    assert [shape(item) for item in pooled] == [shape(item) for item in sequential]
-    kinds = {type(item) for item in sequential}
-    assert kinds == {_stream.ScannedLine, _stream.LineIssue}
+@contextmanager
+def deadline(seconds: float) -> Iterator[None]:
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
 
-
-# --- pool size -----------------------------------------------------------------
-
-class FakeContext:
-    """A multiprocessing context whose Pool scans in this process and records its size."""
-
-    def __init__(self) -> None:
-        self.sizes: list[int] = []
-
-    def Pool(self, processes, initializer, initargs):
-        self.sizes.append(processes)
-        return FakePool(*initargs)
-
-
-class FakePool:
-    def __init__(self, ruleset) -> None:
-        self.ruleset = ruleset
-
-    def __enter__(self) -> "FakePool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-    def apply_async(self, fn, args):
-        (batch,) = args
-        result = [_stream._scan_one(lineno, raw, self.ruleset, None) for lineno, raw in batch]
-        return SimpleNamespace(get=lambda: result)
-
-    def close(self) -> None:
-        pass
-
-    def join(self) -> None:
-        pass
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
-def fake_pool(monkeypatch) -> FakeContext:
-    context = FakeContext()
-    monkeypatch.setattr(_stream.multiprocessing, "get_context", lambda method: context)
-    return context
+def forks(monkeypatch) -> list[int]:
+    """The pid of each worker the scan stage forks, in order."""
+    pids: list[int] = []
+    fork = os.fork
 
+    def recording_fork() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(_stream.os, "fork", recording_fork)
+    return pids
+
+
+def assert_all_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_pool_stream_equals_sequential(corpus, forks, monkeypatch):
+    """Two and three workers give the sequential stream, and every worker exits when it ends."""
+    monkeypatch.setattr(_stream, "BATCH_LINES", 7)
+    ruleset = default_ruleset()
+    sequential = list(_stream.scanned_stream(raw_lines(corpus), ruleset, 1))
+    kinds = {type(item) for item in sequential}
+    assert kinds == {_stream.ScannedLine, _stream.LineIssue}
+    for workers in (2, 3):
+        monkeypatch.setattr(_stream, "_usable_cpus", lambda: workers)
+        forks.clear()
+        with deadline(30):
+            pooled = list(_stream.scanned_stream(raw_lines(corpus), ruleset, workers))
+        assert len(sequential) > workers * _stream.BATCH_LINES
+        assert pooled == sequential
+        assert [shape(item) for item in pooled] == [shape(item) for item in sequential]
+        assert len(forks) == workers
+        assert_all_reaped(forks)
+
+
+def test_closing_the_pool_stream_early_leaves_no_worker(corpus, forks, monkeypatch):
+    monkeypatch.setattr(_stream, "BATCH_LINES", 7)
+    monkeypatch.setattr(_stream, "_usable_cpus", lambda: 2)
+    stream = _stream.scanned_stream(raw_lines(corpus), default_ruleset(), 2)
+    with deadline(30):
+        next(stream)
+        stream.close()
+    assert len(forks) == 2
+    assert_all_reaped(forks)
+
+
+def test_worker_whose_scan_raises_ends_the_stream(corpus, forks, monkeypatch, capfd):
+    """Each worker's second batch raises: the parent raises WorkerLost, not a hang."""
+    monkeypatch.setattr(_stream, "BATCH_LINES", 7)
+    monkeypatch.setattr(_stream, "_usable_cpus", lambda: 2)
+    scan_batch = _stream._scan_batch
+    batches = []
+
+    def failing_scan_batch(batch):
+        batches.append(batch)  # this worker's own list, a copy made by fork
+        if len(batches) == 2:
+            raise RuntimeError("scan failed on purpose")
+        return scan_batch(batch)
+
+    monkeypatch.setattr(_stream, "_scan_batch", failing_scan_batch)
+    with deadline(30), pytest.raises(_stream.WorkerLost):
+        list(_stream.scanned_stream(raw_lines(corpus), default_ruleset(), 2))
+    assert len(forks) == 2
+    assert_all_reaped(forks)
+    assert "RuntimeError: scan failed on purpose" in capfd.readouterr().err
+
+
+def test_interrupt_just_after_a_fork_still_reaps_that_worker(corpus, forks, monkeypatch):
+    """Ctrl-C that lands as fork returns, before the worker is in the pool, leaves no worker."""
+    monkeypatch.setattr(_stream, "_usable_cpus", lambda: 2)
+    recording_fork = _stream.os.fork
+
+    def interrupted_fork() -> int:
+        pid = recording_fork()
+        if pid:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(_stream.os, "fork", interrupted_fork)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with deadline(30), pytest.raises(KeyboardInterrupt):
+            list(_stream.scanned_stream(raw_lines(corpus), default_ruleset(), 2))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        unreaped = []
+        for pid in forks:
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):  # lost: it waits for a task for ever
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                unreaped.append(pid)
+            except ChildProcessError:  # the stream waited for it
+                pass
+    assert len(forks) == 1
+    assert unreaped == []
+
+
+def test_send_to_a_dead_worker_raises_worker_lost():
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)  # what a dead worker leaves of its task pipe
+    try:
+        with pytest.raises(_stream.WorkerLost, match="scan worker 4242 "):
+            _stream._send_batch((4242, write_fd, None), [(1, b"1 n m")])
+    finally:
+        os.close(write_fd)
+
+
+# --- pool size -----------------------------------------------------------------
 
 @pytest.mark.parametrize(
     ("affinity", "workers", "size"),
     [({0, 1}, 1000, 2), ({0, 1, 2, 3}, 3, 3), ({0, 1, 2}, 2, 2), ({3}, 1000, None), ({0, 1}, 1, None)],
 )
-def test_pool_never_exceeds_usable_cpus(corpus, fake_pool, monkeypatch, affinity, workers, size):
+def test_pool_never_exceeds_usable_cpus(corpus, forks, monkeypatch, affinity, workers, size):
     monkeypatch.setattr(_stream.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     ruleset = default_ruleset()
     items = list(_stream.scanned_stream(raw_lines(corpus), ruleset, workers))
-    assert fake_pool.sizes == ([] if size is None else [size])
+    assert len(forks) == (size or 0)
     assert items == list(_stream.scanned_stream(raw_lines(corpus), ruleset, 1))
 
 
-def test_pool_size_without_affinity_call_uses_cpu_count(corpus, fake_pool, monkeypatch):
+def test_pool_size_without_affinity_call_uses_cpu_count(corpus, forks, monkeypatch):
     monkeypatch.delattr(_stream.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(_stream.os, "cpu_count", lambda: 3)
     list(_stream.scanned_stream(raw_lines(corpus), default_ruleset(), 8))
-    assert fake_pool.sizes == [3]
+    assert len(forks) == 3
 
 
-def test_workers_typo_forks_no_more_than_usable_cpus(corpus, fake_pool, monkeypatch, tmp_path, capsys):
+def test_workers_typo_forks_no_more_than_usable_cpus(corpus, forks, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(_stream.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outputs = {}
     for workers in ("1", "1000"):
@@ -167,5 +245,5 @@ def test_workers_typo_forks_no_more_than_usable_cpus(corpus, fake_pool, monkeypa
                      "--workers", workers, "--out", str(out)]) == 0
         outputs[workers] = {name: (out / name).read_bytes() for name in ("encoded.log", "dictionary.tsv")}
     capsys.readouterr()
-    assert fake_pool.sizes == [2]
+    assert len(forks) == 2
     assert outputs["1000"] == outputs["1"]

@@ -12,7 +12,6 @@ from conftest import accumulate_counts, brute_force_rows, brute_force_usefulness
 from loganon import (
     DomainError,
     Mode,
-    PatternStats,
     RuleSet,
     SymbolRegistry,
     TermRule,
@@ -126,7 +125,7 @@ def test_summary_domain_errors():
 
 def _cron_stats(cron_entries, cron_ruleset):
     report = _accumulate(cron_entries, cron_ruleset).report()
-    return [PatternStats(row.category_key, row.pattern_text, row.f_p) for row in report.rows]
+    return [(row.category_key, row.pattern_text, row.f_p) for row in report.rows]
 
 
 def test_top_k_cron(cron_entries, cron_ruleset):
@@ -147,15 +146,22 @@ def test_top_k_monotone(cron_entries, cron_ruleset):
 
 
 def test_top_k_tie_break_deterministic():
-    stats = [PatternStats("bb", "q", 2), PatternStats("aa", "p", 2), PatternStats("cc", "r", 6)]
+    stats = [("bb", "q", 2), ("aa", "p", 2), ("cc", "r", 6)]
     table = top_k_coverage(stats, [2])
-    # rank 1 is the f_p=6 pattern; the tie at f_p=2 resolves by key
+    # rank 1 is the f_p=6 pattern; either pattern of the tie at f_p=2 adds 2
     assert table.rows[0][1] == Fraction(8, 10)
 
 
 def test_top_k_rejects_bad_k():
     with pytest.raises(DomainError):
-        top_k_coverage([PatternStats("aa", "p", 1)], [0])
+        top_k_coverage([("aa", "p", 1)], [0])
+
+
+@pytest.mark.parametrize("f_p", [0, -3])
+def test_top_k_rejects_a_frequency_below_one(f_p):
+    with pytest.raises(DomainError) as caught:
+        top_k_coverage([("aa", "p", 2), ("bb", "q", f_p)], [1])
+    assert str(caught.value) == "pattern bb: frequency must be >= 1"
 
 
 def test_csv_lines_shape(cron_entries, cron_ruleset):
