@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from ._stream import LineIssue, RunMemo, ScannedLine, WorkerLost, iter_raw_lines, scanned_stream
-from .encoder import CollisionDetected, EncodingDictionaries, StorageTally, encode_entry, hash_text
+from .encoder import CollisionDetected, EncodingDictionaries, StorageTally, encode_entry
 from .grids import (
     DEFAULT_MINUTE_WINDOW,
     build_grid,
@@ -33,11 +33,12 @@ from .grids import (
     emit_grid,
     similarity_grid,
 )
-# render_entry is not called here; perfbench/traced.py times entry rendering under this name.
+from .model import MalformedLine
+# Called by no command; perfbench/traced.py times the next two names in this module.
+from .encoder import hash_text  # noqa: F401
 from .model import render_entry  # noqa: F401
 from .rules import (
     ConfigError,
-    GroupMapIncomplete,
     Mode,
     RuleSet,
     SymbolRegistry,
@@ -61,17 +62,12 @@ EXIT_PARSE = 4
 EXIT_WORKER = 5
 
 
-class StrictParseFailure(Exception):
-    """A malformed input line under --strict."""
-
-
 # Exceptions a command may end with, and the exit code each one maps to.
 EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
-    GroupMapIncomplete: EXIT_CONFIG,
     DomainError: EXIT_CONFIG,
     CollisionDetected: EXIT_COLLISION,
-    StrictParseFailure: EXIT_PARSE,
+    MalformedLine: EXIT_PARSE,
     WorkerLost: EXIT_WORKER,
     OSError: EXIT_CONFIG,
 }
@@ -83,7 +79,6 @@ class RunConfig:
 
     inputs: list[str]
     ruleset: RuleSet
-    digest_bytes: int
     out_dir: Path
     strict: bool
     workers: int
@@ -92,36 +87,46 @@ class RunConfig:
     def entries(self) -> Iterator[ScannedLine]:
         """The parsed entries of the inputs in order.
 
-        A malformed line raises StrictParseFailure under --strict and is
-        counted in ``skipped`` otherwise.
+        A malformed line raises MalformedLine, naming its line number,
+        under --strict and is counted in ``skipped`` otherwise.
         """
         for item in scanned_stream(iter_raw_lines(self.inputs), self.ruleset, self.workers):
             if isinstance(item, LineIssue):
                 if self.strict:
-                    raise StrictParseFailure(f"line {item.lineno}: {item.reason}")
+                    raise MalformedLine(f"line {item.lineno}: {item.reason}")
                 self.skipped += 1
                 continue
             yield item
 
 
-Options = Callable[[argparse.Namespace], tuple[RuleSet, int]]
+Options = Callable[[argparse.Namespace], RuleSet]
 
 
-def _rule_options(args: argparse.Namespace) -> tuple[RuleSet, int]:
-    """--rules, --mode and --digest-bytes, which the rewriting commands share."""
+def _rule_options(args: argparse.Namespace) -> RuleSet:
+    """The ruleset of --rules and --mode; also checks --digest-bytes."""
     ruleset = load_rules(args.rules) if args.rules else default_ruleset()
     if args.mode:
         ruleset = ruleset.with_mode(Mode(args.mode))
     if not 4 <= args.digest_bytes <= 32:
         raise ConfigError(f"--digest-bytes must be in [4, 32], got {args.digest_bytes}")
-    return ruleset, args.digest_bytes
+    return ruleset
 
 
-def _anonymize_options(args: argparse.Namespace) -> tuple[RuleSet, int]:
-    options = _rule_options(args)
+def _anonymize_options(args: argparse.Namespace) -> RuleSet:
+    ruleset = _rule_options(args)
     if args.emit_meanings and not args.emit_dictionary:
         raise ConfigError("--emit-meanings requires --emit-dictionary")
-    return options
+    return ruleset
+
+
+def _pattern_options(args: argparse.Namespace) -> RuleSet:
+    """The rules of --rules in global mode, none with a mode of its own.
+
+    An event pattern does not depend on the mode, so a rule file's modes and
+    group tables are loaded and checked, but global mode reads none of them.
+    """
+    ruleset = load_rules(args.rules) if args.rules else default_ruleset()
+    return RuleSet(tuple(replace(rule, mode=None) for rule in ruleset.rules))
 
 
 def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None) -> RunConfig:
@@ -136,7 +141,7 @@ def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None
             raise ConfigError(f"input not found: {path}")
         if path != "-" and Path(path).is_dir():
             raise ConfigError(f"input is a directory: {path}")
-    ruleset, digest_bytes = read_options(args) if read_options else (RuleSet(()), 4)
+    ruleset = read_options(args) if read_options else RuleSet(())
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     out_dir = Path(args.out)
@@ -144,7 +149,7 @@ def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return RunConfig(list(args.inputs), ruleset, digest_bytes, out_dir, args.strict, args.workers)
+    return RunConfig(list(args.inputs), ruleset, out_dir, args.strict, args.workers)
 
 
 @contextmanager
@@ -197,7 +202,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                     deid_message, significant, pattern = rewrite_matches(
                         sanitized, matches, cfg.ruleset, registry
                     )
-                    hash_key, category_key = encode_entry(deid_message, pattern, dicts, cfg.digest_bytes)
+                    hash_key, category_key = encode_entry(deid_message, pattern, dicts, args.digest_bytes)
                     # sanitize_message only swaps '#' for '?', so the sanitized
                     # text has the raw message's UTF-8 length.
                     known = (f" {hash_key} {category_key}\n", len(sanitized.encode("utf-8")))
@@ -239,7 +244,7 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
     pattern_keys: PatternKeys = {}
     with _staged_outputs(cfg.out_dir) as create:
         for key in sorted(accumulators):
-            report = accumulators[key].report(mode_label, cfg.digest_bytes, pattern_keys)
+            report = accumulators[key].report(mode_label, args.digest_bytes, pattern_keys)
             suffix = "" if key is None else f"_d{key}"
             with create(f"usefulness{suffix}.csv") as f:
                 f.write("\n".join(report.csv_lines()) + "\n")
@@ -261,21 +266,16 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         raise ConfigError("--top must name at least one K")
     if min(ks) < 1:
         raise ConfigError(f"--top values must be >= 1: {args.top!r}")
-    cfg = _run_config(args, _rule_options)
-    # An event pattern does not depend on the mode, so rewrite in global
-    # mode, where no group table is looked up. The rules keep their order,
-    # so each match's rule index still points at the rule that made it.
-    ruleset = RuleSet(tuple(replace(r, mode=None) if r.mode is not None else r for r in cfg.ruleset.rules))
+    cfg = _run_config(args, _pattern_options)
     counts: Counter[str] = Counter()
     for _, _, sanitized, matches in cfg.entries():
-        _, _, pattern = rewrite_matches(sanitized, matches, ruleset, None)
+        _, _, pattern = rewrite_matches(sanitized, matches, cfg.ruleset, None)
         counts[pattern] += 1
-    stats = [(hash_text(text, cfg.digest_bytes), text, f_p) for text, f_p in counts.items()]
-    table = top_k_coverage(stats, ks) if stats else CoverageTable(0, 0, ())
+    table = top_k_coverage(counts.values(), ks) if counts else CoverageTable(0, 0, ())
     lines = table.csv_lines()
     with _staged_outputs(cfg.out_dir) as create, create("coverage.csv") as f:
         f.write("\n".join(lines) + "\n")
-    print("\n".join(lines) if stats else "no entries")
+    print("\n".join(lines) if counts else "no entries")
     if cfg.skipped:
         print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK
@@ -374,15 +374,15 @@ WORKERS_HELP = (
 )
 
 
-def _add_pipeline_flags(
-    sub: argparse.ArgumentParser,
-    mode_help: str = "granularity for significant terms (default: rule-file setting or global)",
-    digest_help: str = "hash key width in bytes (4-32)",
-) -> None:
-    sub.add_argument("inputs", nargs="+", help="input log files, or - for stdin")
+def _add_rewrite_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rules", help="rule file (INI); omit for the built-in ruleset")
-    sub.add_argument("--mode", choices=[m.value for m in Mode], help=mode_help)
-    sub.add_argument("--digest-bytes", type=int, default=4, help=digest_help)
+    sub.add_argument("--mode", choices=[m.value for m in Mode],
+                     help="granularity for significant terms (default: rule-file setting or global)")
+    sub.add_argument("--digest-bytes", type=int, default=4, help="hash key width in bytes (4-32)")
+
+
+def _add_input_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("inputs", nargs="+", help="input log files, or - for stdin")
     sub.add_argument("--strict", action="store_true", help="abort on the first malformed line")
     sub.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sub.add_argument("--out", default=".", help="output directory")
@@ -397,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("anonymize", help="de-identify and encode a log corpus")
-    _add_pipeline_flags(p)
+    _add_rewrite_flags(p)
+    _add_input_flags(p)
     p.add_argument("--emit-dictionary", action="store_true", help="write symbol->value rows")
     p.add_argument(
         "--emit-meanings", action="store_true", help="write hash->message rows (needs --emit-dictionary)"
@@ -405,14 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_anonymize)
 
     p = sub.add_parser("usefulness", help="per-pattern dominance and aggregate usefulness")
-    _add_pipeline_flags(p)
+    _add_rewrite_flags(p)
+    _add_input_flags(p)
     p.add_argument("--per-day", action="store_true", help="one report per day instead of one overall")
     p.add_argument("--epoch-day0", type=int, default=0, help="timestamp of day index 0")
     p.set_defaults(func=cmd_usefulness)
 
     p = sub.add_parser("patterns", help="top-K event-pattern coverage table")
-    _add_pipeline_flags(p, "ignored: an event pattern does not depend on the mode",
-                        "hash key width in bytes (4-32); changes no output: coverage.csv holds no keys")
+    p.add_argument("--rules", help="rule file (INI); omit for the built-in ruleset; "
+                   "its modes and group tables are ignored")
+    _add_input_flags(p)
     p.add_argument("--top", default="5,25,50", help="comma-separated K values")
     p.set_defaults(func=cmd_patterns)
 

@@ -35,7 +35,9 @@ class OccurrenceGrid:
 
     ``day_range`` is inclusive on both ends; ``minute_window`` is
     [start, end). ``cells`` holds the absolute ``(day, minute)`` pairs that
-    saw at least one entry; every other cell of the frame is empty.
+    saw at least one entry; every other cell of the frame is empty. Every
+    cell must lie in the frame: build_grid, similarity_grid and
+    difference_grid make only such cells.
     """
 
     node: str
@@ -48,11 +50,6 @@ class OccurrenceGrid:
         start, end = self.minute_window
         if first_day > last_day or start >= end:
             raise ValueError("day range and minute window must be non-empty")
-        for day, minute in self.cells:
-            if not (first_day <= day <= last_day and start <= minute < end):
-                raise ValueError(
-                    f"cell ({day}, {minute}) lies outside {self.day_range}/{self.minute_window}"
-                )
 
     def check_same_frame(self, other: "OccurrenceGrid") -> None:
         if self.day_range != other.day_range or self.minute_window != other.minute_window:

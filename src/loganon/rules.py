@@ -69,11 +69,8 @@ class ConfigError(ValueError):
     """Invalid rule definition or rule file."""
 
 
-class GroupMapIncomplete(KeyError):
+class GroupMapIncomplete(ConfigError):
     """Group mode met a value that has no group label and no default."""
-
-    # KeyError's str() is the repr of its argument; print the plain message.
-    __str__ = Exception.__str__
 
 
 class Mode(str, Enum):

@@ -105,12 +105,9 @@ def generate_lines(spec: CorpusSpec) -> Iterator[str]:
     span = spec.days * 86400
     timestamps = np.sort(rng.integers(0, span, size=spec.entries)) + spec.epoch_day0
     node_ids = rng.integers(0, spec.nodes, size=spec.entries)
-    if spec.style == "cmd":
-        user_ids = rng.integers(0, spec.users, size=spec.entries)
-        for i in range(spec.entries):
-            msg = cmd_message(int(ranks[i]), int(user_ids[i]))
-            yield f"{int(timestamps[i])} n{int(node_ids[i]):03d} {msg}"
-    else:
-        for i in range(spec.entries):
-            msg = plain_message(int(ranks[i]))
-            yield f"{int(timestamps[i])} n{int(node_ids[i]):03d} {msg}"
+    # Drawn last, and only for cmd, so plain corpora keep their bytes.
+    user_ids = rng.integers(0, spec.users, size=spec.entries) if spec.style == "cmd" else None
+    for i in range(spec.entries):
+        k = int(ranks[i])
+        msg = plain_message(k) if user_ids is None else cmd_message(k, int(user_ids[i]))
+        yield f"{int(timestamps[i])} n{int(node_ids[i]):03d} {msg}"

@@ -155,22 +155,19 @@ class CoverageTable:
         return lines
 
 
-def top_k_coverage(stats: Iterable[tuple[str, str, int]], ks: Iterable[int]) -> CoverageTable:
+def top_k_coverage(frequencies: Iterable[int], ks: Iterable[int]) -> CoverageTable:
     """Coverage of the top-K patterns for each requested K.
 
-    ``stats`` holds one (category_key, pattern_text, f_p) triple per
-    pattern, with f_p >= 1. Patterns are ranked by frequency; a K beyond
-    the pattern count yields the full-coverage row.
+    ``frequencies`` holds one f_p >= 1 per pattern. Patterns are ranked by
+    frequency; a K beyond the pattern count yields the full-coverage row.
     """
     k_list = list(ks)
     if not k_list or any(k < 1 for k in k_list):
         raise DomainError(f"K values must be >= 1, got {k_list}")
-    frequencies = []
-    for category_key, _, f_p in stats:
-        if f_p < 1:
-            raise DomainError(f"pattern {category_key}: frequency must be >= 1")
-        frequencies.append(f_p)
-    cumulative = list(accumulate(sorted(frequencies, reverse=True)))
+    ranked = sorted(frequencies, reverse=True)
+    if ranked and ranked[-1] < 1:
+        raise DomainError(f"pattern frequencies must be >= 1, got {ranked[-1]}")
+    cumulative = list(accumulate(ranked))
     n_entries = cumulative[-1] if cumulative else 0
     rows = []
     for k in k_list:

@@ -509,45 +509,26 @@ def test_patterns_ignores_mode_and_group_tables(tmp_path, capsys, monkeypatch, c
     monkeypatch.setattr(loganon._stream, "BATCH_LINES", 16)
     monkeypatch.setattr(loganon._stream, "_usable_cpus", lambda: 2)
 
-    def patterns(rule_file, *mode):
-        out = tmp_path / "-".join(["out", rule_file.stem, *mode])
-        code, stdout, err = run(["patterns", str(corpus), "--rules", str(rule_file), *mode,
+    def patterns(rule_file):
+        out = tmp_path / f"out-{rule_file.stem}"
+        code, stdout, err = run(["patterns", str(corpus), "--rules", str(rule_file),
                                  "--top", "1,8", "--workers", str(workers), "--out", str(out)], capsys)
         assert (code, err) == (0, "")
         return stdout, (out / "coverage.csv").read_text()
 
     expected = patterns(plain_rules)
     assert expected[1].splitlines()[:2] == ["#Raw log entries,301", "#Event patterns,8"]
-    for mode in ([], ["--mode", "group"], ["--mode", "individual"], ["--mode", "global"]):
-        assert patterns(rules, *mode) == expected
+    assert patterns(rules) == expected
 
 
-def option_help(capsys, command, option, next_option):
-    """The entry of ``option`` in the option list of ``command -h``, up to ``next_option``."""
-    code, out, _ = run([command, "-h"], capsys)
-    assert code == 0
-    # The last occurrences: the option list comes after the usage line.
-    text = " ".join(out.split())
-    return text[text.rindex(option):text.rindex(next_option)]
-
-
-def test_patterns_help_says_mode_is_ignored(capsys):
-    def mode_help(command):
-        return option_help(capsys, command, "--mode {individual,group,global}", "--digest-bytes")
-
-    assert "ignored: an event pattern does not depend on the mode" in mode_help("patterns")
-    assert "granularity" not in mode_help("patterns")
-    for command in ("anonymize", "usefulness"):
-        assert "granularity for significant terms" in mode_help(command)
-
-
-def test_patterns_help_says_digest_bytes_changes_no_output(capsys):
-    def digest_help(command):
-        return option_help(capsys, command, "--digest-bytes DIGEST_BYTES", "--strict")
-
-    assert "changes no output: coverage.csv holds no keys" in digest_help("patterns")
-    for command in ("anonymize", "usefulness"):
-        assert "changes no output" not in digest_help(command)
+@pytest.mark.parametrize("flag", [["--mode", "global"], ["--digest-bytes", "8"]])
+def test_patterns_rejects_the_flags_that_change_no_output(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    code, stdout, err = run(["patterns", CRON_LOG, *flag, "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: loganon ")
+    assert err.endswith(f"\nloganon: error: unrecognized arguments: {' '.join(flag)}\n")
+    assert not out.exists()
 
 
 def test_compare_command(tmp_path, capsys):

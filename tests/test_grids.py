@@ -115,10 +115,6 @@ def test_dimension_mismatch():
     [
         ((1, 0), (0, 5), set()),         # empty day range
         ((0, 1), (5, 5), set()),         # empty minute window
-        ((0, 1), (0, 5), {(2, 0)}),      # day past the range
-        ((0, 1), (0, 5), {(-1, 0)}),     # day before the range
-        ((0, 1), (2, 5), {(0, 5)}),      # window end is exclusive
-        ((0, 1), (2, 5), {(0, 1)}),      # minute before the window
     ],
 )
 def test_grid_rejects_cells_outside_its_frame(day_range, window, cells):

@@ -52,7 +52,7 @@ IDLE_LAYERS = {
         "grids.build_s", "grids.emit_s", "usefulness.coverage_s",
     },
     "patterns-cmd": {
-        "model.render_s", "encoder.tally_s", "grids.build_s", "grids.emit_s",
+        "model.render_s", "encoder.encode_s", "encoder.tally_s", "grids.build_s", "grids.emit_s",
         "usefulness.add_s", "usefulness.report_s",
     },
     "compare-cmd": {

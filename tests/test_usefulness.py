@@ -123,14 +123,14 @@ def test_summary_domain_errors():
 
 # --- coverage ----------------------------------------------------------------
 
-def _cron_stats(cron_entries, cron_ruleset):
+def _cron_frequencies(cron_entries, cron_ruleset):
     report = _accumulate(cron_entries, cron_ruleset).report()
-    return [(row.category_key, row.pattern_text, row.f_p) for row in report.rows]
+    return [row.f_p for row in report.rows]
 
 
 def test_top_k_cron(cron_entries, cron_ruleset):
-    stats = _cron_stats(cron_entries, cron_ruleset)
-    table = top_k_coverage(stats, [1, 6, 99])
+    frequencies = _cron_frequencies(cron_entries, cron_ruleset)
+    table = top_k_coverage(frequencies, [1, 6, 99])
     assert table.n_entries == 20
     assert table.n_patterns == 6
     assert table.rows[0] == (1, Fraction(1, 2))
@@ -139,34 +139,33 @@ def test_top_k_cron(cron_entries, cron_ruleset):
 
 
 def test_top_k_monotone(cron_entries, cron_ruleset):
-    stats = _cron_stats(cron_entries, cron_ruleset)
-    coverages = [cov for _, cov in top_k_coverage(stats, list(range(1, 8))).rows]
+    frequencies = _cron_frequencies(cron_entries, cron_ruleset)
+    coverages = [cov for _, cov in top_k_coverage(frequencies, list(range(1, 8))).rows]
     assert coverages == sorted(coverages)
     assert coverages[-1] == 1
 
 
 def test_top_k_tie_break_deterministic():
-    stats = [("bb", "q", 2), ("aa", "p", 2), ("cc", "r", 6)]
-    table = top_k_coverage(stats, [2])
+    table = top_k_coverage([2, 2, 6], [2])
     # rank 1 is the f_p=6 pattern; either pattern of the tie at f_p=2 adds 2
     assert table.rows[0][1] == Fraction(8, 10)
 
 
 def test_top_k_rejects_bad_k():
     with pytest.raises(DomainError):
-        top_k_coverage([("aa", "p", 1)], [0])
+        top_k_coverage([1], [0])
 
 
 @pytest.mark.parametrize("f_p", [0, -3])
 def test_top_k_rejects_a_frequency_below_one(f_p):
     with pytest.raises(DomainError) as caught:
-        top_k_coverage([("aa", "p", 2), ("bb", "q", f_p)], [1])
-    assert str(caught.value) == "pattern bb: frequency must be >= 1"
+        top_k_coverage([2, f_p], [1])
+    assert str(caught.value) == f"pattern frequencies must be >= 1, got {f_p}"
 
 
 def test_csv_lines_shape(cron_entries, cron_ruleset):
-    stats = _cron_stats(cron_entries, cron_ruleset)
-    table = top_k_coverage(stats, [1, 6])
+    frequencies = _cron_frequencies(cron_entries, cron_ruleset)
+    table = top_k_coverage(frequencies, [1, 6])
     lines = table.csv_lines()
     assert lines[0] == "#Raw log entries,20"
     assert lines[1] == "#Event patterns,6"
