@@ -9,6 +9,16 @@ input order. Results are therefore byte-identical for any worker count,
 and that one reduce process bounds what more workers can gain. The pool
 never has more processes than the CPUs this process may run on.
 
+Both paths, the sequential one and each worker's, take the input
+BATCH_LINES lines at a time through _scan_lines: it decodes, parses and
+sanitizes each line and looks its message up in the memo, then scans the
+batch's distinct misses together. With a batch-safe ruleset (see
+rules.RuleSet.batch_safe) each rule runs one finditer over the misses
+joined by "\\n", and scan_message picks each message's matches from those
+candidates; otherwise each miss is scanned alone. Either way every miss
+goes through scan_message, and the matches are the ones a per-message
+scan finds.
+
 No per-line object is built on the way: model.parse_line checks a line and
 returns its three fields as a plain tuple. Only built-in types cross the
 pipe: a worker returns each line's fields as a plain tuple, with the tuple
@@ -34,6 +44,7 @@ import pickle
 import signal
 import sys
 import traceback
+from bisect import bisect_left
 from collections import deque
 from contextlib import nullcontext
 from itertools import islice
@@ -41,7 +52,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import MalformedLine, parse_line
-from .rules import Match, RuleSet, sanitize_message, scan_message
+from .rules import Match, RuleSet, batch_candidates, sanitize_message, scan_message
 
 BATCH_LINES = 4096
 # The signals that stop a run (see cli._interrupt); held back while a worker is forked.
@@ -88,28 +99,69 @@ def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[tuple[int, byt
                 yield lineno, raw
 
 
-def _scan_one(
-    lineno: int, raw: bytes, ruleset: RuleSet, memo: Optional[RunMemo]
-) -> tuple:
-    """The fields of one line's ScannedLine (four) or LineIssue (two), as a plain tuple.
+def _scan_lines(
+    batch: list[tuple[int, bytes]], ruleset: RuleSet, memo: Optional[RunMemo]
+) -> list[tuple]:
+    """The fields of each line's ScannedLine (four) or LineIssue (two), as plain tuples.
 
     Only built-in types, so a batch pickles without any class lookup.
+    parse_line, sanitize_message and scan_message are looked up as this
+    module's globals at each call, so a rebinding of them holds.
     """
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return lineno, "not valid UTF-8"
-    try:
-        timestamp, source, message = parse_line(text)
-    except MalformedLine as exc:
-        return lineno, str(exc)
-    sanitized = sanitize_message(message)
-    matches = memo.get(sanitized) if memo is not None else None
-    if matches is None:
-        matches = scan_message(sanitized, ruleset)
-        if memo is not None:
-            memo.admit(sanitized, matches)
-    return timestamp, source, sanitized, matches
+    results: list[tuple] = []
+    misses: dict[str, None] = {}  # the batch's distinct memo misses, in first-seen order
+    pending: list[int] = []  # the indices in results of the lines whose message missed
+    for lineno, raw in batch:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            results.append((lineno, "not valid UTF-8"))
+            continue
+        try:
+            timestamp, source, message = parse_line(text)
+        except MalformedLine as exc:
+            results.append((lineno, str(exc)))
+            continue
+        sanitized = sanitize_message(message)
+        if memo is None:  # no rules: each line is its own miss, with nothing to share
+            results.append((timestamp, source, sanitized, scan_message(sanitized, ruleset)))
+            continue
+        matches = memo.get(sanitized)
+        if matches is None:
+            misses[sanitized] = None
+            pending.append(len(results))
+        results.append((timestamp, source, sanitized, matches))
+    if pending:
+        found = _scan_misses(list(misses), ruleset)
+        room = MEMO_ENTRIES - len(memo)
+        if room > 0:
+            memo.update(islice(found.items(), room))
+        for i in pending:
+            timestamp, source, sanitized, _ = results[i]
+            results[i] = (timestamp, source, sanitized, found[sanitized])
+    return results
+
+
+def _scan_misses(messages: list[str], ruleset: RuleSet) -> dict[str, tuple[Match, ...]]:
+    """Each of ``messages`` (distinct, none holding "\\n") with its scan_message matches.
+
+    With a batch-safe ruleset, batch_candidates scans the messages joined
+    by "\\n", and each message is handed the candidates that start inside
+    it, a slice of the one sorted list, so the Python work is in
+    proportion to the messages and their matches.
+    """
+    if not ruleset.batch_safe:
+        return {message: scan_message(message, ruleset) for message in messages}
+    candidates = batch_candidates("\n".join(messages), ruleset)
+    found: dict[str, tuple[Match, ...]] = {}
+    lo = start = 0
+    for message in messages:
+        end = start + len(message)
+        # No candidate starts on a separator: those before this message's end are its own.
+        hi = bisect_left(candidates, (end,), lo)
+        found[message] = scan_message(message, ruleset, candidates[lo:hi], start)
+        lo, start = hi, end + 1
+    return found
 
 
 def _new_memo(ruleset: RuleSet) -> Optional[RunMemo]:
@@ -136,8 +188,9 @@ def _init_worker(ruleset: RuleSet) -> None:
 
 
 def _scan_batch(batch: list[tuple[int, bytes]]) -> list[tuple]:
+    """A worker's entry: _scan_lines with the ruleset and memo of this worker."""
     assert _worker_ruleset is not None
-    return [_scan_one(lineno, raw, _worker_ruleset, _worker_memo) for lineno, raw in batch]
+    return _scan_lines(batch, _worker_ruleset, _worker_memo)
 
 
 def _send(fd: int, obj) -> None:
@@ -190,6 +243,10 @@ def scanned_stream(
 ) -> Iterator[Union[ScannedLine, LineIssue]]:
     """Scan lines against the ruleset, preserving input order.
 
+    Lines reach the scan BATCH_LINES at a time (see _scan_lines), on both
+    paths, so an item is yielded only once its whole batch is read: with
+    standard input, once BATCH_LINES more lines or the end have arrived.
+
     ``workers > 1`` forks that many worker processes, at most
     _usable_cpus(); a pool of one is the sequential path. Each worker has
     a task pipe and a result pipe, which carry length-prefixed pickles.
@@ -198,7 +255,7 @@ def scanned_stream(
     order, so the stream is identical to the sequential one. A worker holds
     at most one batch, so the parent never blocks sending to a worker that
     is itself blocked writing a result. Workers return plain tuples (see
-    _scan_one), which this generator wraps back into ScannedLine and
+    _scan_lines), which this generator wraps back into ScannedLine and
     LineIssue.
 
     A worker that ends without returning its batch (killed, or its scan
@@ -209,14 +266,14 @@ def scanned_stream(
     open pipe stops the run at once.
     """
     workers = min(workers, _usable_cpus())
+    lines = iter(lines)
     if workers <= 1:
         memo = _new_memo(ruleset)
-        for lineno, raw in lines:
-            fields = _scan_one(lineno, raw, ruleset, memo)
-            # What NamedTuple._make does, without its Python-level call per line.
-            yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
+        while batch := list(islice(lines, BATCH_LINES)):
+            for fields in _scan_lines(batch, ruleset, memo):
+                # What NamedTuple._make does, without its Python-level call per line.
+                yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
         return
-    lines = iter(lines)
     pool: list[tuple[int, int, BinaryIO]] = []  # (pid, task pipe's write end, result pipe's reader)
     try:
         for _ in range(workers):

@@ -241,7 +241,12 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
     if not accumulators:
         print("no entries", file=sys.stderr)
     mode_label = cfg.ruleset.mode.value
-    pattern_keys: PatternKeys = {}
+    pattern_keys = PatternKeys()
+    # Every category key is registered before a report is printed, so a
+    # collision (exit 3) prints no day's table.
+    for key in sorted(accumulators):
+        for pattern in accumulators[key].patterns():
+            pattern_keys.key(pattern, args.digest_bytes)
     with _staged_outputs(cfg.out_dir) as create:
         for key in sorted(accumulators):
             report = accumulators[key].report(mode_label, args.digest_bytes, pattern_keys)

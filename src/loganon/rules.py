@@ -23,6 +23,12 @@ necessary condition for the rule's pattern to match anywhere in a message,
 derived once from the pattern's parse tree and written over literal
 substrings (see TermRule.prefilter); it is never sufficient, so skipping
 cannot change a match.
+
+Many messages can be scanned at once: batch_candidates runs each rule once
+over the messages joined by "\\n", and scan_message picks each message's
+matches from those candidates. Only rules that can neither match nor
+assert "\\n" take part (see TermRule.batch_pattern); for them a match in
+the joined text is exactly a match in one message.
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ _ALWAYS: Prefilter = ()
 # Bounds the condition: an alternation multiplies the clauses of its branches,
 # and each string is one `in` test per scanned message.
 _PREFILTER_MAX_STRINGS = 32
+
+# Character categories of the parse tree, split by whether "\n" is in them.
+_NEWLINE_CATEGORIES = {"CATEGORY_SPACE", "CATEGORY_NOT_DIGIT", "CATEGORY_NOT_WORD", "CATEGORY_LINEBREAK"}
+_NO_NEWLINE_CATEGORIES = {"CATEGORY_DIGIT", "CATEGORY_NOT_SPACE", "CATEGORY_WORD", "CATEGORY_NOT_LINEBREAK"}
+# The anchors that tell a message's ends from a "\n" even under MULTILINE: \A and \Z.
+_STRING_ANCHORS = {"AT_BEGINNING_STRING", "AT_END_STRING"}
 
 # One variable-term match: (start, end, rule index), in character offsets.
 Match = tuple[int, int, int]
@@ -98,6 +110,9 @@ class TermRule:
     matched values to group labels; a missing value falls back to
     ``group_default`` when set. ``prefilter`` is derived from the pattern's
     parse: a message that fails it cannot match (see _prefilter_of).
+    ``batch_pattern`` is the pattern with re.MULTILINE added, for one search
+    over many messages joined by "\\n", or None when a node of the pattern
+    could match or assert "\\n" (see _batch_safe).
     """
 
     name: str
@@ -107,6 +122,7 @@ class TermRule:
     group_map: Optional[Mapping[str, str]] = None
     group_default: Optional[str] = None
     prefilter: Prefilter = field(init=False, repr=False, compare=False)
+    batch_pattern: Optional[re.Pattern] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _NAME_RE.fullmatch(self.name):
@@ -124,6 +140,10 @@ class TermRule:
         if parsed.getwidth()[0] == 0:
             raise ConfigError(f"rule {self.name}: pattern must not match the empty string")
         object.__setattr__(self, "prefilter", _prefilter_of(parsed))
+        batch_safe = _batch_safe(parsed, parsed.state.flags)
+        object.__setattr__(
+            self, "batch_pattern", re.compile(pat.pattern, pat.flags | re.MULTILINE) if batch_safe else None
+        )
         if self.mode is not None:
             object.__setattr__(self, "mode", _as_mode(self.mode, f"rule {self.name}: "))
         labels = list(self.group_map.values()) if self.group_map is not None else []
@@ -179,11 +199,14 @@ class RuleSet:
     """An ordered collection of rules plus the default granularity mode (a Mode or its value).
 
     ``symbols`` holds each rule's RuleSymbols under this mode, in rule order.
+    ``batch_safe`` is true when there are rules and each has a
+    batch_pattern, so batch_candidates can scan many messages at once.
     """
 
     rules: tuple[TermRule, ...]
     mode: Mode = Mode.GLOBAL
     symbols: tuple[RuleSymbols, ...] = field(init=False, repr=False, compare=False)
+    batch_safe: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -193,6 +216,9 @@ class RuleSet:
             raise ConfigError(f"duplicate rule names: {names}")
         object.__setattr__(
             self, "symbols", tuple(_rule_symbols(rule, self.mode) for rule in self.rules)
+        )
+        object.__setattr__(
+            self, "batch_safe", bool(self.rules) and all(r.batch_pattern is not None for r in self.rules)
         )
 
     def with_mode(self, mode: Mode) -> "RuleSet":
@@ -267,6 +293,74 @@ def _node_cnf(name: str, av) -> Prefilter:
     return _ALWAYS
 
 
+def _batch_safe(items, flags: int) -> bool:
+    """True if no node of the parse tree ``items`` can match or assert "\\n" under ``flags``.
+
+    Such a pattern finds the same matches in a message alone as in
+    messages joined by "\\n" with re.MULTILINE added: it cannot consume the
+    separator, a lookaround that reaches it fails as it fails at a
+    message's end, ``\\b`` and ``\\B`` see a non-word character there as
+    they see an end, and MULTILINE's ``^`` and ``$`` hold exactly at each
+    message's ends (re treats only "\\n" as a line break). A backreference
+    repeats what its group, also checked, matched. So ``\\A``, ``\\Z``, ``.``
+    under DOTALL, a negated literal other than ``[^\\n]``, a literal "\\n",
+    and a class or category that holds "\\n" (``\\s``, ``\\D``, ``\\W``,
+    ``[^a-z]``), inside lookarounds too, are unsafe, as is any node not
+    named here.
+    """
+    for op, av in items:
+        name = op.name
+        if name == "LITERAL":
+            safe = av != 10
+        elif name == "NOT_LITERAL":
+            safe = av == 10
+        elif name == "ANY":
+            safe = not flags & re.DOTALL
+        elif name == "IN":
+            safe = not _class_holds_newline(av)
+        elif name == "AT":
+            safe = av.name not in _STRING_ANCHORS
+        elif name == "GROUPREF":
+            safe = True
+        elif name == "SUBPATTERN":
+            _, add_flags, del_flags, body = av
+            safe = _batch_safe(body, (flags | add_flags) & ~del_flags)
+        elif name == "ATOMIC_GROUP":
+            safe = _batch_safe(av, flags)
+        elif name in ("ASSERT", "ASSERT_NOT"):
+            safe = _batch_safe(av[1], flags)
+        elif name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"):
+            safe = _batch_safe(av[2], flags)
+        elif name == "BRANCH":
+            safe = all(_batch_safe(branch, flags) for branch in av[1])
+        elif name == "GROUPREF_EXISTS":
+            _, yes, no = av
+            safe = _batch_safe(yes, flags) and (no is None or _batch_safe(no, flags))
+        else:
+            safe = False
+        if not safe:
+            return False
+    return True
+
+
+def _class_holds_newline(items) -> bool:
+    """Whether the ``[...]`` class of parse-tree ``items`` matches "\\n"; True for what is not known."""
+    negate = holds = False
+    for op, av in items:
+        name = op.name
+        if name == "NEGATE":
+            negate = True
+        elif name == "LITERAL":
+            holds = holds or av == 10
+        elif name == "RANGE":
+            holds = holds or av[0] <= 10 <= av[1]
+        elif name == "CATEGORY" and av.name in _NEWLINE_CATEGORIES:
+            holds = True
+        elif not (name == "CATEGORY" and av.name in _NO_NEWLINE_CATEGORIES):
+            return True
+    return holds != negate
+
+
 def _may_match(prefilter: Prefilter, message: str) -> bool:
     """False only if some clause has none of its strings in ``message``."""
     for clause in prefilter:
@@ -325,7 +419,12 @@ def sanitize_message(message: str) -> str:
     return "".join(parts)
 
 
-def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
+def scan_message(
+    message: str,
+    ruleset: RuleSet,
+    candidates: Optional[Sequence[tuple[int, int, int]]] = None,
+    offset: int = 0,
+) -> tuple[Match, ...]:
     """Find all variable-term matches, leftmost-longest, ties by rule order.
 
     Matches are never empty (see TermRule) and never overlap: after a match
@@ -333,29 +432,51 @@ def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
     is searched once more. Character offsets refer to ``message`` as given.
     A rule runs only if its prefilter holds, and leaves the scan once a
     search finds nothing: a search from a later position cannot match either.
+
+    ``candidates``, if given, are the sorted ``(start, -length,
+    rule_index)`` triples that batch_candidates found in a text holding
+    ``message`` at ``offset``, the ones that start inside it. They are
+    walked in order: at each cursor the first one that starts there or
+    later is taken. That is the match the search loop would take, because
+    a rule's next finditer match after one that ends at or before the
+    cursor is what searching from the cursor finds: whether a pattern
+    matches at a position does not depend on where the search began. Only
+    a candidate that straddles the cursor can hide a match, so when one
+    does, the walk gives way to the search loop.
     """
     rules = ruleset.rules
     if not rules or not message:
         return ()
+    if candidates is not None:
+        walked: list[Match] = []
+        pos = offset
+        for start, neg_len, rule_index in candidates:
+            if start >= pos:
+                pos = start - neg_len
+                walked.append((start - offset, pos - offset, rule_index))
+            elif start - neg_len > pos:
+                break  # it straddles the cursor
+        else:
+            return tuple(walked)
     # Rule index -> the rule's next candidate match at or after the cursor.
-    candidates: dict[int, re.Match] = {}
+    found: dict[int, re.Match] = {}
     for i, rule in enumerate(rules):
         if _may_match(rule.prefilter, message):
             m = rule.pattern.search(message)
             if m is not None:
-                candidates[i] = m
+                found[i] = m
     matches: list[Match] = []
     pos = 0
     n = len(message)
-    while candidates and pos < n:
+    while found and pos < n:
         best: Optional[tuple[int, int, int]] = None  # (start, -length, rule_index)
-        for i, m in list(candidates.items()):
+        for i, m in list(found.items()):
             if m.start() < pos:
                 m = rules[i].pattern.search(message, pos)
                 if m is None:
-                    del candidates[i]
+                    del found[i]
                     continue
-                candidates[i] = m
+                found[i] = m
             key = (m.start(), -(m.end() - m.start()), i)
             if best is None or key < best:
                 best = key
@@ -366,6 +487,25 @@ def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
         matches.append((start, end, rule_index))
         pos = end
     return tuple(matches)
+
+
+def batch_candidates(joined: str, ruleset: RuleSet) -> list[tuple[int, int, int]]:
+    """Every rule's matches in ``joined`` as sorted ``(start, -length, rule_index)`` triples.
+
+    ``joined`` holds messages joined by "\\n", none of which holds "\\n",
+    and ``ruleset.batch_safe`` must be true. Each rule whose prefilter
+    holds on ``joined`` runs one finditer over it with its batch_pattern;
+    a rule that matches in one of the messages meets its prefilter there,
+    and so in ``joined``. No match spans or touches a separator, so each
+    triple lies inside one message; pass each message its own share to
+    scan_message.
+    """
+    triples: list[tuple[int, int, int]] = []
+    for index, rule in enumerate(ruleset.rules):
+        if _may_match(rule.prefilter, joined):
+            triples += [(m.start(), m.start() - m.end(), index) for m in rule.batch_pattern.finditer(joined)]
+    triples.sort()
+    return triples
 
 
 def tokenize(message: str, ruleset: RuleSet) -> list[tuple[str, TermClass]]:
@@ -605,6 +745,8 @@ def default_ruleset(mode: Mode = Mode.GLOBAL) -> RuleSet:
     daemon_alt = "|".join(re.escape(n) for n in sorted(DAEMON_NAMES, key=len, reverse=True))
     # IPv4 and NUM begin with \d rather than \b, so re's search can skip ahead
     # to the next digit; \d(?<=\b\d) matches at exactly the positions \b\d does.
+    # USER likewise begins with the letter that both of its forms start with,
+    # (?<=\()[A-Za-z]... and (?<=\bfor )[A-Za-z]..., and looks behind it.
     return RuleSet(
         (
             TermRule("DAEM", rf"\b(?:{daemon_alt})\b", significant=True),
@@ -616,7 +758,8 @@ def default_ruleset(mode: Mode = Mode.GLOBAL) -> RuleSet:
             ),
             TermRule(
                 "USER",
-                r"(?<=\()[A-Za-z][\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor )[A-Za-z][\w.-]*$",
+                r"[A-Za-z](?<=[( ][A-Za-z])"
+                r"(?:(?<=\([A-Za-z])[\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor [A-Za-z])[\w.-]*$)",
                 significant=True,
             ),
             TermRule("PATH", r"/[^\s()]+", significant=False),

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Union
 
-from .encoder import hash_text
+from .encoder import hash_text, register
 
 Rational = Union[int, float, str, Fraction]
 
@@ -177,9 +177,26 @@ def top_k_coverage(frequencies: Iterable[int], ks: Iterable[int]) -> CoverageTab
     return CoverageTable(n_entries=n_entries, n_patterns=len(cumulative), rows=tuple(rows))
 
 
-# Pattern text -> category key; shared by the per-day accumulators of one
-# run, so each pattern is hashed once.
-PatternKeys = dict[str, str]
+class PatternKeys:
+    """One run's category keys, shared by its per-day accumulators.
+
+    ``by_pattern`` maps each pattern to its key, so a pattern is hashed once
+    per run. ``texts`` maps each key to its pattern, filled through
+    encoder.register, so two patterns that share a key raise
+    CollisionDetected with the text ``anonymize`` gives.
+    """
+
+    def __init__(self) -> None:
+        self.by_pattern: dict[str, str] = {}
+        self.texts: dict[str, str] = {}
+
+    def key(self, pattern: str, digest_bytes: int) -> str:
+        category_key = self.by_pattern.get(pattern)
+        if category_key is None:
+            category_key = hash_text(pattern, digest_bytes)
+            register(self.texts, category_key, pattern)
+            self.by_pattern[pattern] = category_key
+        return category_key
 
 
 class UsefulnessAccumulator:
@@ -206,18 +223,25 @@ class UsefulnessAccumulator:
             values.add(value)
             symbols.add(symbol)
 
+    def patterns(self) -> Iterable[str]:
+        """The event patterns counted so far, in first-seen order."""
+        return self._patterns.keys()
+
     def report(
         self,
         mode_label: str = "",
         digest_bytes: int = 4,
         keys: Optional[PatternKeys] = None,
     ) -> UsefulnessReport:
-        """The report over the entries so far; ``keys`` may be shared by one run's accumulators."""
+        """The report over the entries so far; ``keys`` may be shared by one run's accumulators.
+
+        Raises CollisionDetected when two patterns share a category key.
+        """
         n_entries = sum(f_p for f_p, _ in self._patterns.values())
         if n_entries == 0:
             raise DomainError("empty analysis window")
         if keys is None:
-            keys = {}
+            keys = PatternKeys()
         # (f_p, num, den) -> (dominance, ratio, contribution) and their 4-place
         # texts; num/den is prod N_s / prod N_val, unreduced, and rows repeat
         # few values, so each distinct one is computed and rendered once.
@@ -226,9 +250,7 @@ class UsefulnessAccumulator:
         mass: dict[tuple[int, int], int] = {}
         rows = []
         for pattern, (f_p, slots) in self._patterns.items():
-            category_key = keys.get(pattern)
-            if category_key is None:
-                category_key = keys[pattern] = hash_text(pattern, digest_bytes)
+            category_key = keys.key(pattern, digest_bytes)
             num = den = 1
             for i, (values, symbols) in slots.items():
                 # A caller's own triples can put two rules' symbols in one slot.

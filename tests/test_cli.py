@@ -353,6 +353,30 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
         assert (tmp_path / "out" / f"usefulness_d{day}.csv").read_text() == expected
 
 
+# Two event patterns of the built-in ruleset whose 4-byte category keys are both d7e2b250.
+COLLIDING_PATTERNS = ("event rihga happened", "event eqiga happened")
+
+
+@pytest.mark.parametrize("per_day", [False, True])
+def test_usefulness_collision_exits_like_anonymize(tmp_path, capsys, per_day):
+    """Two patterns that share a category key end `usefulness` as they end `anonymize`."""
+    assert hash_text(COLLIDING_PATTERNS[0]) == hash_text(COLLIDING_PATTERNS[1]) == "d7e2b250"
+    corpus = tmp_path / "in.log"
+    messages = (COLLIDING_PATTERNS[0], "disk full", COLLIDING_PATTERNS[1])
+    corpus.write_text("".join(f"{day * 86400} n {m}\n" for day, m in enumerate(messages)))
+    anonymized = run(["anonymize", str(corpus), "--out", str(tmp_path / "a")], capsys)
+    flags = ["--per-day"] if per_day else []
+    useful = run(["usefulness", str(corpus), *flags, "--out", str(tmp_path / "u")], capsys)
+    assert anonymized[0] == useful[0] == 3
+    assert useful[1] == ""  # no day's table is printed
+    assert useful[2] == anonymized[2] == (
+        f"error: key d7e2b250 maps to both {COLLIDING_PATTERNS[0]!r} and {COLLIDING_PATTERNS[1]!r}; "
+        "increase the digest width and re-run (distinct keys so far: 2, width: 4 bytes; "
+        "smallest --digest-bytes with a birthday estimate below 1e-6: 4)\n"
+    )
+    assert list((tmp_path / "u").iterdir()) == []
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_usefulness_slots_are_pattern_positions(tmp_path, capsys, workers):
     # Both lines have the pattern "#NUM_# #X_#". Each has one significant
@@ -872,6 +896,16 @@ SIGNAL_EXITS = {
 }
 
 
+def default_sigint() -> None:
+    """Give a child the default SIGINT action: one started with SIGINT ignored would keep ignoring it.
+
+    A test run started with SIGINT ignored, as a job started with & from a
+    script is, passes that on to every child, and loganon keeps an ignored
+    signal ignored.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def worker_pool_run(tmp_path, interrupt, timeout):
     """Run `anonymize --workers 2` in a process group of its own and call ``interrupt(proc)``
     once it writes; give it ``timeout`` seconds to end, check that it leaves --out empty and
@@ -885,6 +919,7 @@ def worker_pool_run(tmp_path, interrupt, timeout):
          "--mode", "individual", "--digest-bytes", "8", "--emit-dictionary", "--emit-meanings",
          "--out", str(out)],
         env=child_env(), start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        preexec_fn=default_sigint,
     )
     try:
         staged = out / "encoded.log.tmp"
@@ -1018,6 +1053,7 @@ def signal_open_stdin_run(tmp_path, workers, signum, close_stdin):
         [sys.executable, "-m", "loganon", "anonymize", "-", "--workers", str(workers),
          "--out", str(out)],
         env=child_env(), stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        preexec_fn=default_sigint,
     )
     try:
         proc.stdin.write(b"10 n hello world\n")

@@ -64,7 +64,7 @@ pattern = \b\d{4}-\d{2}-\d{2}(?:[ T]\d{2}:\d{2}(?::\d{2})?)?\b
 significant = no
 
 [rule USER]
-pattern = (?<=\()[A-Za-z][\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor )[A-Za-z][\w.-]*$
+pattern = [A-Za-z](?<=[( ][A-Za-z])(?:(?<=\([A-Za-z])[\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor [A-Za-z])[\w.-]*$)
 significant = yes
 
 [rule PATH]
@@ -160,13 +160,23 @@ def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys,
     monkeypatch.setattr(cli, "rewrite_matches", counting("rewrite", cli.rewrite_matches))
     monkeypatch.setattr(encoder, "register", counting("register", encoder.register))
     monkeypatch.setattr(_stream, "MEMO_ENTRIES", SMALL_CAP)
+    monkeypatch.setattr(_stream, "BATCH_LINES", 50)
     assert main(["anonymize", str(corpus), "--mode", "individual", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     # The first SMALL_CAP distinct messages are computed once; every other line is computed.
     # A computed line registers one pair in each dictionary; a memo hit registers nothing.
     admitted = set(list(dict.fromkeys(messages))[:SMALL_CAP])
     expected = len(admitted) + sum(1 for m in messages if m not in admitted)
-    assert calls == {"scan": expected, "rewrite": expected, "register": 2 * expected}
+    # The scan stage scans each batch's distinct memo misses once, then admits them.
+    scan_memo: list[str] = []
+    scans = 0
+    for i in range(0, len(messages), 50):
+        misses = [m for m in dict.fromkeys(messages[i:i + 50]) if m not in scan_memo]
+        scans += len(misses)
+        scan_memo.extend(misses[:SMALL_CAP - len(scan_memo)])
+    assert set(scan_memo) == admitted
+    assert scans < expected
+    assert calls == {"scan": scans, "rewrite": expected, "register": 2 * expected}
 
 
 def test_runs_in_one_process_equal_fresh_runs(corpus, tmp_path, capsys):

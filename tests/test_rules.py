@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,7 +32,7 @@ from loganon import (
     sanitize_message,
     tokenize,
 )
-from loganon import cli, hash_text
+from loganon import _stream, cli, hash_text
 from loganon import rules as rules_module
 from loganon.rules import DAEMON_NAMES, Match, scan_message
 
@@ -305,6 +305,91 @@ def test_scan_matches_brute_force_oracle(patterns, message):
     assert scan_message(message, ruleset) == oracle_scan(message, ruleset)
 
 
+# --- batch scan -------------------------------------------------------------
+
+# Patterns next to the separator: anchors, \A and \Z, the dot with and
+# without DOTALL, \s, \W, \D, negated literals and classes, \B, and
+# lookarounds over them. Of these, ^ and $ (run under MULTILINE), the plain
+# dot, [^\n], \S and \B are batch-safe; the rest are not.
+SEPARATOR_PATTERNS = (
+    r"^a", r"a$", r"b$|^b", r"\Aa", r"a\Z", r"(?s)a.", r"a.", r"(?s:.)b", r"\s", r"a\s*b",
+    r"[^a]", r"[^ab]+", r"[^\n]a", r"\Sb", r"\W", r"\D+", r"\Ba", r"a\B",
+    r"(?<=\s)a", r"a(?=\s)", r"(?<!\s)b", r"b(?!\S)", r"(?<=^)b", r"b(?=$)", r"(?<=\A)a",
+    r"a(?=\Z)", r"(?<=[^a])b", r"a(?![^b])", r"(?<=.)a", r"a(?!.)",
+)
+
+
+@settings(max_examples=1000)
+@given(
+    patterns=st.lists(st.sampled_from(SCAN_PATTERNS + SEPARATOR_PATTERNS), min_size=1, max_size=4),
+    messages=st.lists(st.text(alphabet="ab x#A1\u0663\u2028\u0085\u001c", max_size=12),
+                      min_size=1, max_size=6),
+)
+@example(patterns=["ab", "b+a?"], messages=["abbb", "xab"])
+def test_batch_scan_matches_per_message_scan(patterns, messages):
+    ruleset = RuleSet(tuple(TermRule(f"R{i}", p) for i, p in enumerate(patterns)))
+    distinct = list(dict.fromkeys(messages))
+    found = _stream._scan_misses(distinct, ruleset)
+    assert list(found) == distinct
+    for message in distinct:
+        assert found[message] == scan_message(message, ruleset) == oracle_scan(message, ruleset)
+    # Each batch-safe rule, whatever the others, finds in the joined text
+    # exactly its matches in each message.
+    joined = "\n".join(distinct)
+    for rule in ruleset.rules:
+        if rule.batch_pattern is None:
+            continue
+        expected, offset = [], 0
+        for message in distinct:
+            expected.extend((offset + m.start(), offset + m.end()) for m in rule.pattern.finditer(message))
+            offset += len(message) + 1
+        assert [m.span() for m in rule.batch_pattern.finditer(joined)] == expected
+
+
+def test_batch_walk_gives_way_when_a_candidate_straddles_the_cursor():
+    """b+a? matches bbb from 1, across the end of ab; its match from 2 shows only in a search."""
+    ruleset = RuleSet((TermRule("R0", "ab"), TermRule("R1", "b+a?")))
+    candidates = rules_module.batch_candidates("abbb\nxab", ruleset)
+    assert candidates[:2] == [(0, -2, 0), (1, -3, 1)]
+    assert scan_message("abbb", ruleset, candidates[:2], 0) == ((0, 2, 0), (2, 4, 1))
+    assert scan_message("xab", ruleset, candidates[2:], 5) == ((1, 3, 0),)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        r"\Aa", r"a\Z",  # string anchors
+        r"(?s)a.", r"(?s:.)a", r"a(?s:.)",  # the dot under DOTALL
+        r"a\n", r"[\n]a",  # a literal "\n"
+        r"[^a]", r"a[^b]",  # negated literals
+        r"\s", r"\D", r"\W", r"[\s\w]", r"[^\d]", r"[^a-z]", r"[\x00-\x20]",  # classes holding "\n"
+        r"(?<=\s)a", r"a(?=\W)", r"(?<!\D)a", r"a(?!\s)", r"(?<=\A)a", r"a(?=\Z)",  # lookarounds over them
+        r"(?:a|\s)+", r"(?>a\s)", r"a(?:b|[^c])*", r"(a)?(?(1)b|\sb)",  # nested in other nodes
+    ],
+)
+def test_batch_unsafe_construct(pattern):
+    assert TermRule("R", pattern).batch_pattern is None
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [r"^a", r"a$", r"a.", r"(?s)(?-s:.)a", r"[^\n]a", r"\S", r"\w", r"\d", r"[^\s()]+", r"\ba\B",
+     r"(a)\1", r"(a)?(?(1)b|c)", r"(?i)[^\n]a", r"(?<=[( ])x(?!\d)", r"(?m)^a"],
+)
+def test_batch_safe_construct(pattern):
+    rule = TermRule("R", pattern)
+    assert rule.batch_pattern.pattern == pattern
+    assert rule.batch_pattern.flags == rule.pattern.flags | re.MULTILINE
+
+
+def test_builtin_rules_are_batch_safe():
+    """Every built-in rule takes the batch scan, so the fast path cannot quietly fall away."""
+    ruleset = default_ruleset()
+    assert [rule.name for rule in ruleset.rules if rule.batch_pattern is None] == []
+    assert ruleset.batch_safe
+    assert not RuleSet(()).batch_safe
+
+
 # --- rule prefilter --------------------------------------------------------
 
 def holds(prefilter, message: str) -> bool:
@@ -329,6 +414,14 @@ def test_default_rule_prefilters():
     assert by_name["NUM"] == ()  # \d is Unicode: no literal is required
 
 
+def assert_same_matches(rewritten: re.Pattern, original: re.Pattern, text: str) -> None:
+    """The two patterns find the same spans, by finditer and by a search from every position."""
+    assert [m.span() for m in rewritten.finditer(text)] == [m.span() for m in original.finditer(text)]
+    for pos in range(len(text) + 1):
+        got, want = rewritten.search(text, pos), original.search(text, pos)
+        assert (got and got.span()) == (want and want.span())
+
+
 # The word-boundary-first texts that the built-in NUM and IPv4 rules were
 # rewritten from; the rewritten texts begin with \d so that re's search can
 # skip ahead to a digit.
@@ -346,11 +439,25 @@ WORD_BOUNDARY_FORMS = {"NUM": r"\b\d+\b", "IPv4": r"\b(?:\d{1,3}\.){3}\d{1,3}\b"
 def test_builtin_digit_rules_equal_their_word_boundary_forms(text):
     builtin = {rule.name: rule.pattern for rule in default_ruleset().rules}
     for name, form in WORD_BOUNDARY_FORMS.items():
-        rewritten, original = builtin[name], re.compile(form)
-        assert [m.span() for m in rewritten.finditer(text)] == [m.span() for m in original.finditer(text)]
-        for pos in range(len(text) + 1):
-            got, want = rewritten.search(text, pos), original.search(text, pos)
-            assert (got and got.span()) == (want and want.span())
+        assert_same_matches(builtin[name], re.compile(form), text)
+
+
+# The text the built-in USER rule was rewritten from; the rewritten text
+# begins with the letter both branches start with, and looks behind it.
+USER_LOOKBEHIND_FORM = r"(?<=\()[A-Za-z][\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor )[A-Za-z][\w.-]*$"
+
+
+@settings(max_examples=1000)
+@given(
+    st.lists(
+        st.sampled_from(["(", ")", "for ", "for", "xfor ", " ", "\n", ") CMD (", ") cmd (", ") Cmd (",
+                         "a", "Zq", "é", "Ωx", "ß", "u_1", ".", "-", "7"]),
+        max_size=10,
+    ).map("".join)
+)
+def test_builtin_user_rule_equals_its_lookbehind_form(text):
+    builtin = {rule.name: rule.pattern for rule in default_ruleset().rules}
+    assert_same_matches(builtin["USER"], re.compile(USER_LOOKBEHIND_FORM), text)
 
 
 PAIRS_16 = "".join(f"(?:a{i:x}|b{i:x})" for i in range(16))
