@@ -12,12 +12,9 @@ never has more processes than the CPUs this process may run on.
 Both paths, the sequential one and each worker's, take the input
 BATCH_LINES lines at a time through _scan_lines: it decodes, parses and
 sanitizes each line and looks its message up in the memo, then scans the
-batch's distinct misses together. With a batch-safe ruleset (see
-rules.RuleSet.batch_safe) each rule runs one finditer over the misses
-joined by "\\n", and scan_message picks each message's matches from those
-candidates; otherwise each miss is scanned alone. Either way every miss
-goes through scan_message, and the matches are the ones a per-message
-scan finds.
+batch's distinct misses together. rules.batch_candidates finds each
+rule's matches in all of them, and scan_message picks each miss's
+matches from those candidates: the ones a per-message scan finds.
 
 No per-line object is built on the way: model.parse_line checks a line and
 returns its three fields as a plain tuple. Only built-in types cross the
@@ -145,14 +142,12 @@ def _scan_lines(
 def _scan_misses(messages: list[str], ruleset: RuleSet) -> dict[str, tuple[Match, ...]]:
     """Each of ``messages`` (distinct, none holding "\\n") with its scan_message matches.
 
-    With a batch-safe ruleset, batch_candidates scans the messages joined
-    by "\\n", and each message is handed the candidates that start inside
-    it, a slice of the one sorted list, so the Python work is in
-    proportion to the messages and their matches.
+    batch_candidates finds every rule's matches in the messages joined by
+    "\\n", and each message is handed the candidates that start inside it,
+    a slice of the one sorted list, so the Python work is in proportion to
+    the messages and their matches.
     """
-    if not ruleset.batch_safe:
-        return {message: scan_message(message, ruleset) for message in messages}
-    candidates = batch_candidates("\n".join(messages), ruleset)
+    candidates = batch_candidates(messages, ruleset)
     found: dict[str, tuple[Match, ...]] = {}
     lo = start = 0
     for message in messages:

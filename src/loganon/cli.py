@@ -425,17 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_patterns)
 
     p = sub.add_parser("compare", help="occurrence/similarity/difference grids for two nodes")
-    p.add_argument("inputs", nargs="+", help="raw or encoded log files")
-    p.add_argument("node_a")
-    p.add_argument("node_b")
     p.add_argument("--epoch-day0", type=int, default=0, help="timestamp of day index 0")
     p.add_argument("--window", default=f"{DEFAULT_MINUTE_WINDOW[0]}:{DEFAULT_MINUTE_WINDOW[1]}",
                    help="minute window START:END within a day")
     p.add_argument("--days", help="day index range FIRST:LAST (default: span of the data)")
     p.add_argument("--format", choices=["csv", "pgm"], default="csv")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--out", default=".")
+    # After the options above and before the nodes, so the usage line keeps its order.
+    _add_input_flags(p)
+    p.add_argument("node_a")
+    p.add_argument("node_b")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic corpus")

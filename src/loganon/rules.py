@@ -24,11 +24,12 @@ derived once from the pattern's parse tree and written over literal
 substrings (see TermRule.prefilter); it is never sufficient, so skipping
 cannot change a match.
 
-Many messages can be scanned at once: batch_candidates runs each rule once
-over the messages joined by "\\n", and scan_message picks each message's
-matches from those candidates. Only rules that can neither match nor
-assert "\\n" take part (see TermRule.batch_pattern); for them a match in
-the joined text is exactly a match in one message.
+Many messages can be scanned at once: batch_candidates finds every rule's
+matches in the messages joined by "\\n", and scan_message picks each
+message's matches from those candidates. A rule that can neither match
+nor assert "\\n" (see TermRule.batch_pattern) runs once over the joined
+text, where its matches are exactly its matches in each message; any
+other rule runs once per message.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class TermRule:
     parse: a message that fails it cannot match (see _prefilter_of).
     ``batch_pattern`` is the pattern with re.MULTILINE added, for one search
     over many messages joined by "\\n", or None when a node of the pattern
-    could match or assert "\\n" (see _batch_safe).
+    could match or assert "\\n" (see _batch_safe); batch_candidates then
+    searches each message alone with ``pattern``.
     """
 
     name: str
@@ -199,14 +201,11 @@ class RuleSet:
     """An ordered collection of rules plus the default granularity mode (a Mode or its value).
 
     ``symbols`` holds each rule's RuleSymbols under this mode, in rule order.
-    ``batch_safe`` is true when there are rules and each has a
-    batch_pattern, so batch_candidates can scan many messages at once.
     """
 
     rules: tuple[TermRule, ...]
     mode: Mode = Mode.GLOBAL
     symbols: tuple[RuleSymbols, ...] = field(init=False, repr=False, compare=False)
-    batch_safe: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -216,9 +215,6 @@ class RuleSet:
             raise ConfigError(f"duplicate rule names: {names}")
         object.__setattr__(
             self, "symbols", tuple(_rule_symbols(rule, self.mode) for rule in self.rules)
-        )
-        object.__setattr__(
-            self, "batch_safe", bool(self.rules) and all(r.batch_pattern is not None for r in self.rules)
         )
 
     def with_mode(self, mode: Mode) -> "RuleSet":
@@ -489,21 +485,31 @@ def scan_message(
     return tuple(matches)
 
 
-def batch_candidates(joined: str, ruleset: RuleSet) -> list[tuple[int, int, int]]:
-    """Every rule's matches in ``joined`` as sorted ``(start, -length, rule_index)`` triples.
+def batch_candidates(messages: Sequence[str], ruleset: RuleSet) -> list[tuple[int, int, int]]:
+    """Every rule's matches in ``messages`` as sorted ``(start, -length, rule_index)`` triples.
 
-    ``joined`` holds messages joined by "\\n", none of which holds "\\n",
-    and ``ruleset.batch_safe`` must be true. Each rule whose prefilter
-    holds on ``joined`` runs one finditer over it with its batch_pattern;
-    a rule that matches in one of the messages meets its prefilter there,
-    and so in ``joined``. No match spans or touches a separator, so each
-    triple lies inside one message; pass each message its own share to
-    scan_message.
+    Offsets are into the messages joined by "\\n"; no message may hold
+    "\\n". A rule with a batch_pattern runs one finditer over the joined
+    text if its prefilter holds there: a rule that matches in one message
+    meets its prefilter there, and so in the joined text, and none of its
+    matches spans or touches a separator. Any other rule runs one finditer
+    over each message that meets its prefilter. So each triple lies inside
+    one message; pass each message its own share to scan_message.
     """
+    joined = "\n".join(messages)
     triples: list[tuple[int, int, int]] = []
     for index, rule in enumerate(ruleset.rules):
-        if _may_match(rule.prefilter, joined):
-            triples += [(m.start(), m.start() - m.end(), index) for m in rule.batch_pattern.finditer(joined)]
+        if rule.batch_pattern is not None:
+            if _may_match(rule.prefilter, joined):
+                found = rule.batch_pattern.finditer(joined)
+                triples += [(m.start(), m.start() - m.end(), index) for m in found]
+            continue
+        offset = 0
+        for message in messages:
+            if _may_match(rule.prefilter, message):
+                found = rule.pattern.finditer(message)
+                triples += [(offset + m.start(), m.start() - m.end(), index) for m in found]
+            offset += len(message) + 1
     triples.sort()
     return triples
 

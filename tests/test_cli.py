@@ -580,6 +580,19 @@ def test_compare_command(tmp_path, capsys):
     assert diff == a ^ b
 
 
+def test_compare_help_documents_the_shared_input_flags(capsys):
+    """compare takes inputs, --strict, --workers and --out with the help text of the other commands."""
+    helps = {}
+    for command in ("compare", "anonymize"):
+        code, helps[command], _ = run([command, "-h"], capsys)
+        assert code == 0
+    for line in ("  inputs                input log files, or - for stdin\n",
+                 "  --strict              abort on the first malformed line\n",
+                 "  --out OUT             output directory\n"):
+        assert line in helps["compare"]
+        assert line in helps["anonymize"]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "pgm"])
 def test_compare_reads_encoded_log_like_raw(tmp_path, capsys, fmt):
     # An encoded line keeps the raw timestamp and source, which are all a grid reads.

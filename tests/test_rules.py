@@ -326,6 +326,7 @@ SEPARATOR_PATTERNS = (
                       min_size=1, max_size=6),
 )
 @example(patterns=["ab", "b+a?"], messages=["abbb", "xab"])
+@example(patterns=["ab", r"b[^x]?"], messages=["abbb", "xab"])
 def test_batch_scan_matches_per_message_scan(patterns, messages):
     ruleset = RuleSet(tuple(TermRule(f"R{i}", p) for i, p in enumerate(patterns)))
     distinct = list(dict.fromkeys(messages))
@@ -333,23 +334,25 @@ def test_batch_scan_matches_per_message_scan(patterns, messages):
     assert list(found) == distinct
     for message in distinct:
         assert found[message] == scan_message(message, ruleset) == oracle_scan(message, ruleset)
-    # Each batch-safe rule, whatever the others, finds in the joined text
-    # exactly its matches in each message.
+    # Every rule's candidates, batch-safe or not, are its matches in each
+    # message; each batch-safe rule, whatever the others, finds exactly
+    # those in the joined text.
     joined = "\n".join(distinct)
-    for rule in ruleset.rules:
-        if rule.batch_pattern is None:
-            continue
+    candidates = rules_module.batch_candidates(distinct, ruleset)
+    for index, rule in enumerate(ruleset.rules):
         expected, offset = [], 0
         for message in distinct:
             expected.extend((offset + m.start(), offset + m.end()) for m in rule.pattern.finditer(message))
             offset += len(message) + 1
-        assert [m.span() for m in rule.batch_pattern.finditer(joined)] == expected
+        assert [(start, start - neg_len) for start, neg_len, i in candidates if i == index] == expected
+        if rule.batch_pattern is not None:
+            assert [m.span() for m in rule.batch_pattern.finditer(joined)] == expected
 
 
 def test_batch_walk_gives_way_when_a_candidate_straddles_the_cursor():
     """b+a? matches bbb from 1, across the end of ab; its match from 2 shows only in a search."""
     ruleset = RuleSet((TermRule("R0", "ab"), TermRule("R1", "b+a?")))
-    candidates = rules_module.batch_candidates("abbb\nxab", ruleset)
+    candidates = rules_module.batch_candidates(["abbb", "xab"], ruleset)
     assert candidates[:2] == [(0, -2, 0), (1, -3, 1)]
     assert scan_message("abbb", ruleset, candidates[:2], 0) == ((0, 2, 0), (2, 4, 1))
     assert scan_message("xab", ruleset, candidates[2:], 5) == ((1, 3, 0),)
@@ -386,8 +389,25 @@ def test_builtin_rules_are_batch_safe():
     """Every built-in rule takes the batch scan, so the fast path cannot quietly fall away."""
     ruleset = default_ruleset()
     assert [rule.name for rule in ruleset.rules if rule.batch_pattern is None] == []
-    assert ruleset.batch_safe
-    assert not RuleSet(()).batch_safe
+
+
+def test_mixed_ruleset_hands_every_miss_its_candidates(cron_ruleset, cron_entries, monkeypatch):
+    """cron_sample.rules' PATH rule can match "\\n"; every miss still gets its candidates."""
+    assert [rule.name for rule in cron_ruleset.rules if rule.batch_pattern is None] == ["PATH"]
+    calls = []
+
+    def spy(message, ruleset, candidates=None, offset=0):
+        calls.append((message, candidates))
+        return scan_message(message, ruleset, candidates, offset)
+
+    monkeypatch.setattr(_stream, "scan_message", spy)
+    messages = list(dict.fromkeys(sanitize_message(message) for _, _, message in cron_entries))
+    found = _stream._scan_misses(messages, cron_ruleset)
+    assert [message for message, _ in calls] == messages
+    assert all(candidates is not None for _, candidates in calls)
+    assert any(candidates for _, candidates in calls)
+    for message in messages:
+        assert found[message] == oracle_scan(message, cron_ruleset)
 
 
 # --- rule prefilter --------------------------------------------------------

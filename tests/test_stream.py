@@ -16,7 +16,8 @@ from typing import Iterator
 
 import pytest
 
-from loganon import default_ruleset
+from conftest import FIXTURES
+from loganon import default_ruleset, load_rules
 from loganon import _stream
 from loganon.cli import main
 
@@ -124,9 +125,17 @@ def assert_all_reaped(pids: list[int]) -> None:
 
 
 def test_pool_stream_equals_sequential(corpus, forks, monkeypatch):
+    assert_pool_stream_equals_sequential(default_ruleset(), corpus, forks, monkeypatch)
+
+
+def test_pool_stream_equals_sequential_with_a_rule_that_is_not_batch_safe(corpus, forks, monkeypatch):
+    """cron_sample.rules mixes batch-safe rules with one that is not (PATH)."""
+    assert_pool_stream_equals_sequential(load_rules(FIXTURES / "cron_sample.rules"), corpus, forks, monkeypatch)
+
+
+def assert_pool_stream_equals_sequential(ruleset, corpus, forks, monkeypatch):
     """Two and three workers give the sequential stream, and every worker exits when it ends."""
     monkeypatch.setattr(_stream, "BATCH_LINES", 7)
-    ruleset = default_ruleset()
     sequential = list(_stream.scanned_stream(raw_lines(corpus), ruleset, 1))
     kinds = {type(item) for item in sequential}
     assert kinds == {_stream.ScannedLine, _stream.LineIssue}
