@@ -240,23 +240,20 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
         accumulators[key].add(significant, pattern)
     if not accumulators:
         print("no entries", file=sys.stderr)
-    mode_label = cfg.ruleset.mode.value
     pattern_keys = PatternKeys()
-    # Every category key is registered before a report is printed, so a
-    # collision (exit 3) prints no day's table.
-    for key in sorted(accumulators):
-        for pattern in accumulators[key].patterns():
-            pattern_keys.key(pattern, args.digest_bytes)
+    # Every report is built, and so every category key registered, before
+    # any is written, so a collision (exit 3) leaves no table and no file.
+    reports = [
+        (key, accumulators[key].report(cfg.ruleset.mode.value, args.digest_bytes, pattern_keys))
+        for key in sorted(accumulators)
+    ]
     with _staged_outputs(cfg.out_dir) as create:
-        for key in sorted(accumulators):
-            report = accumulators[key].report(mode_label, args.digest_bytes, pattern_keys)
+        for key, report in reports:
             suffix = "" if key is None else f"_d{key}"
             with create(f"usefulness{suffix}.csv") as f:
                 f.write("\n".join(report.csv_lines()) + "\n")
-            if key is not None:
-                print(f"--- day {key} ---")
-            for line in report.table_lines():
-                print(line)
+            header = "" if key is None else f"--- day {key} ---\n"
+            sys.stdout.write(header + "\n".join(report.table_lines()) + "\n")
     if cfg.skipped:
         print(f"skipped lines: {cfg.skipped}")
     return EXIT_OK

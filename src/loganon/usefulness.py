@@ -24,7 +24,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .encoder import hash_text, register
 
@@ -44,8 +44,7 @@ def _as_fraction(x: Rational) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class PatternRow:
+class PatternRow(NamedTuple):
     """One pattern's line of a report; contribution = dominance * ratio.
 
     ``decimals`` holds (dominance, ratio, contribution) rendered to 4 places.
@@ -202,30 +201,34 @@ class PatternKeys:
 class UsefulnessAccumulator:
     """Streaming usefulness over rewritten entries; the report is U and its rows.
 
-    Tracks, per pattern, f_p (N_e is their sum) and per significant-slot sets
-    of observed values and emitted symbols. report() turns them into rows in
-    one pass over the patterns, then sorts the rows by (-f_p, category key).
+    Tracks, per pattern, f_p (N_e is their sum) and, per significant slot,
+    each value's symbol: N_val counts the values, N_s their distinct symbols.
+    Neither depends on the order of the entries. report() turns them into
+    rows in one pass over the patterns, then sorts the rows by (-f_p, category key).
     """
 
     def __init__(self) -> None:
-        # pattern text -> [f_p, {slot: (value set, symbol set)}]
+        # pattern text -> [f_p, {slot: {value: symbol}}]
         self._patterns: dict[str, list] = {}
 
     def add(self, significant: Iterable[tuple[str, str, int]], pattern: str) -> None:
-        """Count one entry: its (value, symbol, slot) triples and its event pattern."""
+        """Count one entry: its (value, symbol, slot) triples and its event pattern.
+
+        Raises DomainError, naming both symbols but not the value, when a
+        value comes back under another symbol in its slot.
+        """
         state = self._patterns.get(pattern)
         if state is None:
             state = self._patterns[pattern] = [0, {}]
         state[0] += 1
         slots = state[1]
         for value, symbol, slot in significant:
-            values, symbols = slots.get(slot) or slots.setdefault(slot, (set(), set()))
-            values.add(value)
-            symbols.add(symbol)
-
-    def patterns(self) -> Iterable[str]:
-        """The event patterns counted so far, in first-seen order."""
-        return self._patterns.keys()
+            symbols = slots.get(slot) or slots.setdefault(slot, {})
+            first = symbols.setdefault(value, symbol)
+            if first != symbol:
+                raise DomainError(
+                    f"pattern {pattern!r}: slot {slot} holds a value under both {first!r} and {symbol!r}"
+                )
 
     def report(
         self,
@@ -252,15 +255,9 @@ class UsefulnessAccumulator:
         for pattern, (f_p, slots) in self._patterns.items():
             category_key = keys.key(pattern, digest_bytes)
             num = den = 1
-            for i, (values, symbols) in slots.items():
-                # A caller's own triples can put two rules' symbols in one slot.
-                if len(symbols) > len(values):
-                    raise DomainError(
-                        f"pattern {category_key}: slot {i} has more symbols ({len(symbols)}) "
-                        f"than values ({len(values)})"
-                    )
-                num *= len(symbols)
-                den *= len(values)
+            for symbols in slots.values():
+                num *= len(set(symbols.values()))
+                den *= len(symbols)
             row_values = memo.get((f_p, num, den))
             if row_values is None:
                 share = Fraction(f_p, n_entries)

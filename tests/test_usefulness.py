@@ -73,12 +73,18 @@ def test_usefulness_cron_breakdown(cron_entries, cron_ruleset):
     assert by_pattern["Normal exit (#NUM_# jobs run)"].ratio == Fraction(1, 2)
 
 
-def test_accumulator_rejects_more_symbols_than_values():
+def test_accumulator_rejects_a_value_under_two_symbols():
     acc = UsefulnessAccumulator()
-    for symbol in ("#NUM_#", "#X_#"):
-        acc.add((("5", symbol, 0),), "#NUM_# #X_#")
-    with pytest.raises(DomainError, match=r": slot 0 has more symbols \(2\) than values \(1\)$"):
-        acc.report()
+    # The same value under the same symbol is accepted again and counted once.
+    for _ in range(2):
+        acc.add((("secret5", "#NUM_#", 0), ("7", "#X_#", 1)), "#NUM_# #X_#")
+    (row,) = acc.report().rows
+    assert (row.f_p, row.ratio) == (2, 1)
+    with pytest.raises(DomainError) as caught:
+        acc.add((("secret5", "#X_#", 0),), "#NUM_# #X_#")
+    message = str(caught.value)
+    assert message == "pattern '#NUM_# #X_#': slot 0 holds a value under both '#NUM_#' and '#X_#'"
+    assert "secret5" not in message
 
 
 def test_usefulness_equals_one_iff_all_ratios_one():
@@ -258,6 +264,38 @@ def test_usefulness_monotone_in_symbol_count(patterns, data):
     bumped = list(patterns)
     bumped[i] = (text, f_p, [*slots[:j], (n_values, n_symbols + 1), *slots[j + 1:]])
     assert accumulate_counts(bumped).report().value >= base
+
+
+@st.composite
+def consistent_triples(draw):
+    """Entries as (pattern, triples) whose every (pattern, slot, value) keeps one symbol."""
+    symbol_of = {}
+    entries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        pattern = draw(st.sampled_from(["p", "q", "r"]))
+        slots = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3, unique=True))
+        triples = []
+        for slot in slots:
+            value = draw(st.sampled_from(["a", "b", "c", "d"]))
+            drawn = draw(st.sampled_from(["#S0#", "#S1#", "#S2#"]))
+            symbol = symbol_of.setdefault((pattern, slot, value), drawn)
+            triples.append((value, symbol, slot))
+        entries.append((pattern, triples))
+    return entries
+
+
+@given(consistent_triples(), st.randoms(use_true_random=False))
+def test_report_does_not_depend_on_entry_order(entries, random):
+    shuffled = list(entries)
+    random.shuffle(shuffled)
+    reports = []
+    for order in (entries, shuffled):
+        acc = UsefulnessAccumulator()
+        for pattern, triples in order:
+            acc.add(triples, pattern)
+        reports.append(acc.report("global"))
+    assert reports[0].rows == reports[1].rows
+    assert reports[0].value == reports[1].value
 
 
 def test_mode_ordering_on_fixture(cron_entries, cron_ruleset):
