@@ -32,10 +32,8 @@ tally = StorageTally()
 for line in generate_lines(spec):
     _, _, message = parse_line(line)
     deid_message, _, pattern = process_entry(message, no_rules)
-    hash_key, category_key = encode_entry(deid_message, pattern, dicts)
-    # Two key columns and the space between them.
-    encoded_bytes = len(hash_key) + 1 + len(category_key)
-    tally.add(len(message.encode("utf-8")), encoded_bytes)
+    encode_entry(deid_message, pattern, dicts)
+    tally.add(len(message.encode("utf-8")))
     counts[pattern] += 1
 
 table = top_k_coverage(counts.values(), [5, 25, 50, 500])

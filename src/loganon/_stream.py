@@ -36,6 +36,7 @@ so the memo never changes a result.
 
 from __future__ import annotations
 
+import codecs
 import os
 import pickle
 import signal
@@ -44,7 +45,7 @@ import traceback
 from bisect import bisect_left
 from collections import deque
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -83,13 +84,15 @@ class LineIssue(NamedTuple):
 def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[tuple[int, bytes]]:
     """Yield (lineno, line bytes) across all inputs; '-' reads standard input.
 
-    Line numbers are global and 1-based; a final LF and at most one CR
-    before it are stripped, nothing else is touched.
+    Line numbers are global and 1-based; a UTF-8 byte-order mark that
+    opens an input, a final LF and at most one CR before it are stripped,
+    nothing else is touched.
     """
     lineno = 0
     for path in paths:
         with nullcontext(sys.stdin.buffer) if str(path) == "-" else open(path, "rb") as stream:
-            for raw in stream:
+            first = stream.readline().removeprefix(codecs.BOM_UTF8)
+            for raw in chain((first,) if first else (), stream):
                 lineno += 1
                 if raw.endswith(b"\n"):
                     raw = raw[:-2] if raw.endswith(b"\r\n") else raw[:-1]

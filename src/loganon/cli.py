@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from ._stream import LineIssue, RunMemo, ScannedLine, WorkerLost, iter_raw_lines, scanned_stream
-from .encoder import CollisionDetected, EncodingDictionaries, StorageTally, encode_entry
+from .encoder import CollisionDetected, EncodingDictionaries, PatternKeys, StorageTally, encode_entry
 from .grids import (
     DEFAULT_MINUTE_WINDOW,
     build_grid,
@@ -50,7 +50,6 @@ from .synth import CorpusSpec, generate_lines
 from .usefulness import (
     CoverageTable,
     DomainError,
-    PatternKeys,
     UsefulnessAccumulator,
     top_k_coverage,
 )
@@ -185,14 +184,14 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     cfg = _run_config(args, _anonymize_options)
     registry = SymbolRegistry()
     dicts = EncodingDictionaries()
-    tally = StorageTally()
+    tally = StorageTally(args.digest_bytes)
     symbol_rows: dict[tuple[str, str], None] = {}
     # Sanitized message -> (tail, message bytes): the encoded line after its
     # timestamp and source, " <hash_key> <category_key>\n", and the message's
     # UTF-8 length. Exact: a repeated message gets the same rewrite in every
     # mode, since individual-mode indices are fixed at a value's first
     # occurrence. A message enters only after encode_entry registered both its
-    # pairs, so a hit registers nothing and cannot collide.
+    # keys, so a hit registers nothing and cannot collide.
     memo = RunMemo()
     with _staged_outputs(cfg.out_dir) as create:
         with create("encoded.log") as out:
@@ -212,8 +211,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                             symbol_rows.setdefault((symbol, value))
                 tail, message_bytes = known
                 out.write(f"{timestamp} {source}{tail}")
-                # The tail without its leading space and LF: the two keys and the space between them.
-                tally.add(message_bytes, len(tail) - 2)
+                tally.add(message_bytes)
         if args.emit_dictionary:
             with create("dictionary.tsv") as f:
                 for symbol, value in symbol_rows:

@@ -4,9 +4,11 @@ Messages are hashed with the SHAKE-128 extendable-output function and
 truncated to ``digest_bytes`` bytes; the same function applied to the
 event pattern yields the category key. encode_entry returns the two keys
 as plain strings of lowercase hex; an encoded line is ``<timestamp>
-<source> <hash_key> <category_key>``. Two plain key -> text dicts detect
-truncation collisions instead of silently merging distinct messages, and
-a storage tally quantifies how much smaller the encoded corpus is.
+<source> <hash_key> <category_key>``. Two key -> text dicts detect
+truncation collisions instead of silently merging distinct messages; the
+pattern one, a PatternKeys, hashes each pattern once per run and keys the
+usefulness reports too. A storage tally quantifies how much smaller the
+encoded corpus is.
 
 The widths 1-3 work here, so collision handling can be exercised
 deliberately; the command-line front end accepts only 4-32.
@@ -59,12 +61,33 @@ def register(texts: dict[str, str], key: str, text: str) -> None:
         )
 
 
+class PatternKeys(dict):
+    """One run's category keys: a key -> pattern dict, in first-registration order.
+
+    ``by_pattern`` maps each (pattern, width) to its key, so key() hashes
+    a pattern once per run; the first registration goes through register,
+    so two patterns that share a key raise CollisionDetected.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_pattern: dict[tuple[str, int], str] = {}
+
+    def key(self, pattern: str, digest_bytes: int) -> str:
+        category_key = self.by_pattern.get((pattern, digest_bytes))
+        if category_key is None:
+            category_key = hash_text(pattern, digest_bytes)
+            register(self, category_key, pattern)
+            self.by_pattern[pattern, digest_bytes] = category_key
+        return category_key
+
+
 @dataclass
 class EncodingDictionaries:
     """The two key -> text dicts one encoding run maintains, in first-registration order."""
 
     messages: dict[str, str] = field(default_factory=dict)
-    patterns: dict[str, str] = field(default_factory=dict)
+    patterns: PatternKeys = field(default_factory=PatternKeys)
 
 
 def encode_entry(
@@ -79,10 +102,8 @@ def encode_entry(
     came from. Both keys are registered so collisions surface immediately.
     """
     hash_key = hash_text(deid_message, digest_bytes)
-    category_key = hash_text(pattern, digest_bytes)
     register(dicts.messages, hash_key, deid_message)
-    register(dicts.patterns, category_key, pattern)
-    return hash_key, category_key
+    return hash_key, dicts.patterns.key(pattern, digest_bytes)
 
 
 def dictionary_bytes(dicts: EncodingDictionaries) -> int:
@@ -95,22 +116,25 @@ def dictionary_bytes(dicts: EncodingDictionaries) -> int:
 
 
 class StorageTally:
-    """Streaming byte accounting for one run; add each entry's byte counts as it is encoded."""
+    """Streaming byte accounting for one run at one key width; add each entry as it is encoded.
 
-    def __init__(self) -> None:
+    An encoded message is the two key columns, 2 * digest_bytes hex digits
+    each, plus the single space separating them: 4 * digest_bytes + 1 bytes.
+    """
+
+    def __init__(self, digest_bytes: int = 4) -> None:
         self.entries = 0
         self.raw_message_bytes = 0
-        self.encoded_message_bytes = 0
+        self._encoded_bytes_per_entry = 4 * digest_bytes + 1
 
-    def add(self, raw_message_bytes: int, encoded_message_bytes: int) -> None:
-        """Count one entry: its message's UTF-8 bytes, and its encoded message's.
+    @property
+    def encoded_message_bytes(self) -> int:
+        return self.entries * self._encoded_bytes_per_entry
 
-        An encoded message is the two key columns plus the single space
-        separating them.
-        """
+    def add(self, raw_message_bytes: int) -> None:
+        """Count one entry, whose message has ``raw_message_bytes`` UTF-8 bytes."""
         self.entries += 1
         self.raw_message_bytes += raw_message_bytes
-        self.encoded_message_bytes += encoded_message_bytes
 
     def saving(self, extra_bytes: int = 0) -> Fraction:
         """1 - (encoded message bytes + extra_bytes) / raw message bytes, exact; 0 with no raw bytes.

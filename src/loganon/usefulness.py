@@ -12,10 +12,11 @@ so U = 1 means no generalization loss for the intended analysis and values
 near 0 mean the significant distinctions were generalized away. U is computed
 one way: feed a UsefulnessAccumulator each entry's (value, symbol, slot)
 triples and pattern, as rules.rewrite_matches returns them, and take its
-report. usefulness_from_summary evaluates the same sum from aggregate
-(dominance, ratio) shares when only those are known. All arithmetic is exact
-rational; rendering rounds to 4 decimal places. The report renders each
-distinct (f_p, ratio) once, when built; its rows carry their decimal texts.
+report, keyed by the encoder.PatternKeys that encode_entry also uses.
+usefulness_from_summary evaluates the same sum from aggregate (dominance,
+ratio) shares when only those are known. All arithmetic is exact rational;
+rendering rounds to 4 decimal places. The report renders each distinct
+(f_p, ratio) once, when built; its rows carry their decimal texts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .encoder import hash_text, register
+from .encoder import PatternKeys
 
 Rational = Union[int, float, str, Fraction]
 
@@ -176,28 +177,6 @@ def top_k_coverage(frequencies: Iterable[int], ks: Iterable[int]) -> CoverageTab
     return CoverageTable(n_entries=n_entries, n_patterns=len(cumulative), rows=tuple(rows))
 
 
-class PatternKeys:
-    """One run's category keys, shared by its per-day accumulators.
-
-    ``by_pattern`` maps each pattern to its key, so a pattern is hashed once
-    per run. ``texts`` maps each key to its pattern, filled through
-    encoder.register, so two patterns that share a key raise
-    CollisionDetected with the text ``anonymize`` gives.
-    """
-
-    def __init__(self) -> None:
-        self.by_pattern: dict[str, str] = {}
-        self.texts: dict[str, str] = {}
-
-    def key(self, pattern: str, digest_bytes: int) -> str:
-        category_key = self.by_pattern.get(pattern)
-        if category_key is None:
-            category_key = hash_text(pattern, digest_bytes)
-            register(self.texts, category_key, pattern)
-            self.by_pattern[pattern] = category_key
-        return category_key
-
-
 class UsefulnessAccumulator:
     """Streaming usefulness over rewritten entries; the report is U and its rows.
 
@@ -215,20 +194,29 @@ class UsefulnessAccumulator:
         """Count one entry: its (value, symbol, slot) triples and its event pattern.
 
         Raises DomainError, naming both symbols but not the value, when a
-        value comes back under another symbol in its slot.
+        value comes back under another symbol in its slot; the rejected
+        entry leaves the accumulator as it was.
         """
-        state = self._patterns.get(pattern)
-        if state is None:
-            state = self._patterns[pattern] = [0, {}]
-        state[0] += 1
+        state = self._patterns.get(pattern) or [0, {}]
         slots = state[1]
+        # The (slot, value) pairs this entry stores first, taken back if it is rejected.
+        stored = []
         for value, symbol, slot in significant:
             symbols = slots.get(slot) or slots.setdefault(slot, {})
-            first = symbols.setdefault(value, symbol)
-            if first != symbol:
+            first = symbols.get(value)
+            if first is None:
+                symbols[value] = symbol
+                stored.append((slot, value))
+            elif first != symbol:
+                for stored_slot, stored_value in stored:
+                    del slots[stored_slot][stored_value]
+                    if not slots[stored_slot]:
+                        del slots[stored_slot]
                 raise DomainError(
                     f"pattern {pattern!r}: slot {slot} holds a value under both {first!r} and {symbol!r}"
                 )
+        state[0] += 1
+        self._patterns[pattern] = state
 
     def report(
         self,

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import settings
 
 from loganon import (
+    EncodingDictionaries,
     Mode,
     RuleSet,
+    StorageTally,
     SymbolRegistry,
     TermClass,
     UsefulnessAccumulator,
+    encode_entry,
     load_rules,
     parse_line,
     process_entry,
@@ -79,6 +82,34 @@ def mixed_ruleset() -> RuleSet:
 @pytest.fixture(scope="session")
 def mixed_entries() -> list[tuple[int, str, str]]:
     return load_fixture_entries("mixed_sample.log")
+
+
+def anonymize_reference(lines: Iterable[str], ruleset: RuleSet) -> dict[str, list[str]]:
+    """What `anonymize --emit-dictionary --emit-meanings` writes for ``lines``, without its memo.
+
+    Each output file's name maps to its lines without their LF, and
+    "storage report" to the six lines the command prints first. Built
+    from parse_line, process_entry and encode_entry, one line at a time.
+    """
+    registry = SymbolRegistry()
+    dicts = EncodingDictionaries()
+    tally = StorageTally()
+    encoded: list[str] = []
+    symbol_rows: dict[tuple[str, str], None] = {}
+    for line in lines:
+        timestamp, source, message = parse_line(line)
+        deid_message, significant, pattern = process_entry(message, ruleset, registry)
+        hash_key, category_key = encode_entry(deid_message, pattern, dicts)
+        encoded.append(f"{timestamp} {source} {hash_key} {category_key}")
+        tally.add(len(message.encode("utf-8")))
+        for value, symbol, _ in significant:
+            symbol_rows.setdefault((symbol, value))
+    return {
+        "encoded.log": encoded,
+        "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],
+        "meanings.tsv": [f"{key}\t{text}" for key, text in dicts.messages.items()],
+        "storage report": tally.report(dicts),
+    }
 
 
 def brute_force_rows(entries: list[tuple[int, str, str]], ruleset: RuleSet) -> list[tuple[str, int, Fraction]]:

@@ -405,9 +405,8 @@ def test_criterion_7_storage_saving():
         for line in generate_lines(spec):
             _, _, message = parse_line(line)
             deid_message, _, pattern = process_entry(message, RuleSet(()))
-            hash_key, category_key = encode_entry(deid_message, pattern, dicts)
-            encoded_bytes = len(hash_key) + 1 + len(category_key)
-            tally.add(len(message.encode("utf-8")), encoded_bytes)
+            encode_entry(deid_message, pattern, dicts)
+            tally.add(len(message.encode("utf-8")))
             total_raw += len(message.encode("utf-8"))
             n += 1
         mean_len = total_raw / n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import os
 import signal
@@ -124,6 +125,32 @@ def test_anonymize_strips_one_cr_before_lf(tmp_path, capsys):
     code, _, err = run(["anonymize", str(double_cr), "--strict", "--out", str(tmp_path / "strict")], capsys)
     assert code == 4
     assert err == "error: line 1: line contains embedded line terminator\n"
+
+
+def test_a_byte_order_mark_that_opens_an_input_is_skipped(tmp_path, capsys):
+    body = b"100 n1 hello\n200 n1 bye\n"
+    plain, bom = tmp_path / "plain.log", tmp_path / "bom.log"
+    plain.write_bytes(body)
+    bom.write_bytes(codecs.BOM_UTF8 + body)
+    expected = tmp_path / "expected"
+    assert run(["anonymize", str(plain), str(plain), "--strict", "--out", str(expected)], capsys)[0] == 0
+    # A file: the mark opens the second input, so it is skipped per input, not per run.
+    code, _, _ = run(["anonymize", str(plain), str(bom), "--strict", "--out", str(tmp_path / "file")], capsys)
+    assert code == 0
+    assert (tmp_path / "file" / "encoded.log").read_bytes() == (expected / "encoded.log").read_bytes()
+    # Standard input, through a real process so '-' reads actual stdin.
+    proc = subprocess.run(
+        [sys.executable, "-m", "loganon", "anonymize", str(plain), "-", "--strict", "--out", str(tmp_path / "stdin")],
+        input=codecs.BOM_UTF8 + body, env=child_env(), capture_output=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "stdin" / "encoded.log").read_bytes() == (expected / "encoded.log").read_bytes()
+    # A mark anywhere else is left in the line.
+    later = tmp_path / "later.log"
+    later.write_bytes(body + codecs.BOM_UTF8 + body)
+    code, _, err = run(["anonymize", str(later), "--strict", "--out", str(tmp_path / "later")], capsys)
+    assert code == 4
+    assert err == "error: line 3: non-integer timestamp: '\\ufeff100'\n"
 
 
 @pytest.mark.parametrize("key,value", BAD_RULE_VALUES)
@@ -336,7 +363,7 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
         hashed.append(text)
         return hash_text(text, cfg)
 
-    monkeypatch.setattr(loganon.usefulness, "hash_text", counted)
+    monkeypatch.setattr(loganon.encoder, "hash_text", counted)
     code, _, _ = run(["usefulness", str(corpus), "--per-day", "--mode", "individual",
                       "--out", str(tmp_path / "out")], capsys)
     assert code == 0
@@ -351,6 +378,28 @@ def test_usefulness_per_day_hashes_each_pattern_once(tmp_path, capsys, monkeypat
     for day, accumulator in enumerate(days):
         expected = "\n".join(accumulator.report("individual").csv_lines()) + "\n"
         assert (tmp_path / "out" / f"usefulness_d{day}.csv").read_text() == expected
+
+
+def test_anonymize_hashes_each_pattern_once(tmp_path, capsys, monkeypatch):
+    messages = ["job 17 done", "job 42 done", "job 17 done", "disk full", "job 99 done", "disk full"]
+    corpus = tmp_path / "in.log"
+    corpus.write_text("".join(f"{i} n {m}\n" for i, m in enumerate(messages)))
+    hashed = []
+
+    def counted(text, cfg):
+        hashed.append(text)
+        return hash_text(text, cfg)
+
+    monkeypatch.setattr(loganon.encoder, "hash_text", counted)
+    code, _, _ = run(["anonymize", str(corpus), "--mode", "individual", "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    # One hash per distinct message, and one per distinct pattern.
+    rules = loganon.default_ruleset(loganon.Mode.INDIVIDUAL)
+    registry = loganon.SymbolRegistry()
+    rewritten = [loganon.process_entry(m, rules, registry) for m in dict.fromkeys(messages)]
+    patterns = dict.fromkeys(pattern for _, _, pattern in rewritten)
+    assert list(patterns) == ["job #NUM_# done", "disk full"]
+    assert sorted(hashed) == sorted([deid for deid, _, _ in rewritten] + list(patterns))
 
 
 # Two event patterns of the built-in ruleset whose 4-byte category keys are both d7e2b250.

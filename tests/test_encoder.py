@@ -167,6 +167,11 @@ def test_encoded_key_width_follows_config():
     rules = shell_cmd_rulesets()["global"]
     hash_key, category_key = _encode(SHELL_CMD_A, rules, EncodingDictionaries(), SymbolRegistry(), 8)
     assert len(hash_key) == len(category_key) == 16
+    # One dictionary pair used at two widths keys a pattern at each of them.
+    dicts = EncodingDictionaries()
+    for width in (4, 8, 4):
+        hash_key, category_key = _encode(SHELL_CMD_A, rules, dicts, SymbolRegistry(), width)
+        assert len(hash_key) == len(category_key) == 2 * width
 
 
 def test_timestamp_and_source_pass_through(tmp_path):
@@ -180,11 +185,12 @@ def test_timestamp_and_source_pass_through(tmp_path):
 
 # --- storage accounting ------------------------------------------------------
 
-def _storage_tally(raw_messages, encoded):
-    tally = StorageTally()
-    for message, (hash_key, category_key) in zip(raw_messages, encoded, strict=True):
-        encoded_bytes = len(hash_key) + 1 + len(category_key)
-        tally.add(len(message.encode("utf-8")), encoded_bytes)
+def _storage_tally(raw_messages, encoded, digest_bytes=4):
+    tally = StorageTally(digest_bytes)
+    for message in raw_messages:
+        tally.add(len(message.encode("utf-8")))
+    # The derived size is that of the key columns the entries were encoded to.
+    assert tally.encoded_message_bytes == sum(len(f"{h} {c}") for h, c in encoded)
     return tally
 
 
@@ -229,6 +235,15 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
     lines = tally.report(dicts)
     assert lines[3] == f"dictionary bytes: {dict_bytes}"
     assert lines[5] == f"saving including dictionary: {float(tally.saving(dict_bytes)) * 100:.2f}%"
+
+
+@pytest.mark.parametrize("digest_bytes", [1, 8, 32])
+def test_storage_encoded_bytes_follow_the_width(digest_bytes):
+    messages = ["a", "bb", "a"]
+    dicts = EncodingDictionaries()
+    encoded = [encode_entry(m, m, dicts, digest_bytes) for m in messages]
+    tally = _storage_tally(messages, encoded, digest_bytes)
+    assert tally.encoded_message_bytes == 3 * (2 * digest_bytes + 1 + 2 * digest_bytes)
 
 
 def test_storage_long_messages_high_saving():

@@ -13,22 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from loganon import (
-    EncodingDictionaries,
-    Mode,
-    StorageTally,
-    SymbolRegistry,
-    encode_entry,
-    hash_text,
-    load_rules,
-    parse_line,
-    process_entry,
-)
+from loganon import Mode, SymbolRegistry, hash_text, load_rules, process_entry
 from loganon import _stream, cli, encoder
 from loganon.cli import main
 from loganon.rules import default_ruleset
 
-from conftest import child_env
+from conftest import anonymize_reference, child_env
 from test_cli import COLLIDING_MESSAGES
 
 CORPUS_LINES = 600
@@ -94,28 +84,9 @@ def group_rules(tmp_path_factory) -> Path:
 
 
 def reference_outputs(corpus: Path, rules_path: Path | None, mode: str) -> dict[str, bytes]:
-    """The output files, and the storage report on stdout, from process_entry + encode_entry, no memo."""
-    ruleset = load_rules(rules_path) if rules_path else default_ruleset()
-    ruleset = ruleset.with_mode(Mode(mode))
-    registry = SymbolRegistry()
-    dicts = EncodingDictionaries()
-    tally = StorageTally()
-    encoded: list[str] = []
-    symbol_rows: dict[tuple[str, str], None] = {}
-    for line in corpus.read_text(encoding="utf-8").splitlines():
-        timestamp, source, message = parse_line(line)
-        deid_message, significant, pattern = process_entry(message, ruleset, registry)
-        hash_key, category_key = encode_entry(deid_message, pattern, dicts)
-        encoded.append(f"{timestamp} {source} {hash_key} {category_key}")
-        tally.add(len(message.encode("utf-8")), len(hash_key) + 1 + len(category_key))
-        for value, symbol, _ in significant:
-            symbol_rows.setdefault((symbol, value))
-    rows = {
-        "encoded.log": encoded,
-        "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],
-        "meanings.tsv": [f"{key}\t{text}" for key, text in dicts.messages.items()],
-        "storage report": tally.report(dicts),
-    }
+    """The output files, and the storage report on stdout, from the memo-free reference."""
+    ruleset = (load_rules(rules_path) if rules_path else default_ruleset()).with_mode(Mode(mode))
+    rows = anonymize_reference(corpus.read_text(encoding="utf-8").splitlines(), ruleset)
     return {name: "".join(row + "\n" for row in lines).encode() for name, lines in rows.items()}
 
 
@@ -164,9 +135,12 @@ def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys,
     assert main(["anonymize", str(corpus), "--mode", "individual", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     # The first SMALL_CAP distinct messages are computed once; every other line is computed.
-    # A computed line registers one pair in each dictionary; a memo hit registers nothing.
+    # A computed line registers its message's key; a memo hit registers nothing. Each
+    # distinct pattern's key is registered once.
     admitted = set(list(dict.fromkeys(messages))[:SMALL_CAP])
     expected = len(admitted) + sum(1 for m in messages if m not in admitted)
+    rules = default_ruleset(Mode.INDIVIDUAL)
+    patterns = {process_entry(m, rules, SymbolRegistry())[2] for m in messages}
     # The scan stage scans each batch's distinct memo misses once, then admits them.
     scan_memo: list[str] = []
     scans = 0
@@ -176,7 +150,7 @@ def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys,
         scan_memo.extend(misses[:SMALL_CAP - len(scan_memo)])
     assert set(scan_memo) == admitted
     assert scans < expected
-    assert calls == {"scan": scans, "rewrite": expected, "register": 2 * expected}
+    assert calls == {"scan": scans, "rewrite": expected, "register": expected + len(patterns)}
 
 
 def test_runs_in_one_process_equal_fresh_runs(corpus, tmp_path, capsys):

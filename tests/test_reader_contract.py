@@ -23,16 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loganon import (
-    EncodingDictionaries,
     SymbolRegistry,
     UsefulnessAccumulator,
-    encode_entry,
     load_rules,
     parse_line,
     process_entry,
     render_decimal,
 )
 from loganon.cli import main
+
+from conftest import anonymize_reference
 
 SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 ALPHABET = list(SEPARATORS) + ["\t", '"', ",", "#", " ", "\U0001F600", "\U00010348", "A", "b", "1", "<", ">"]
@@ -68,18 +68,14 @@ def expected_outputs(lines: list[str], rules_path: Path) -> dict[str, list]:
     """The rows each output must hold, from the library calls the commands are built on."""
     ruleset = load_rules(rules_path)
     registry = SymbolRegistry()
-    dicts = EncodingDictionaries()
     acc = UsefulnessAccumulator()
-    encoded, symbols, patterns = [], {}, Counter()
+    patterns = Counter()
     for line in lines:
-        timestamp, source, message = parse_line(line)
-        deid_message, significant, pattern = process_entry(message, ruleset, registry)
-        hash_key, category_key = encode_entry(deid_message, pattern, dicts)
-        encoded.append(f"{timestamp} {source} {hash_key} {category_key}")
-        for value, symbol, _ in significant:
-            symbols.setdefault((symbol, value))
+        _, _, message = parse_line(line)
+        _, significant, pattern = process_entry(message, ruleset, registry)
         acc.add(significant, pattern)
         patterns[pattern] += 1
+    anonymized = anonymize_reference(lines, ruleset)
     report = acc.report()
     usefulness_rows = [["category", "pattern", "f_p", "D_p", "ratio", "contribution"]]
     usefulness_rows += [
@@ -93,9 +89,9 @@ def expected_outputs(lines: list[str], rules_path: Path) -> dict[str, list]:
                      ["K", "coverage_percent"]]
     coverage_rows += [[str(k), f"{float(Fraction(sum(counts[:k]), len(lines))) * 100:.2f}"] for k in TOP]
     return {
-        "encoded.log": encoded,
-        "dictionary.tsv": [[symbol, value] for symbol, value in symbols],
-        "meanings.tsv": [[key, text] for key, text in dicts.messages.items()],
+        "encoded.log": anonymized["encoded.log"],
+        "dictionary.tsv": [line.split("\t", 1) for line in anonymized["dictionary.tsv"]],
+        "meanings.tsv": [line.split("\t", 1) for line in anonymized["meanings.tsv"]],
         "usefulness.csv": usefulness_rows,
         "coverage.csv": coverage_rows,
     }

@@ -87,6 +87,31 @@ def test_accumulator_rejects_a_value_under_two_symbols():
     assert "secret5" not in message
 
 
+def test_rejected_entry_leaves_the_accumulator_unchanged():
+    accepted = [((("a", "#S1#", 0), ("x", "#T1#", 1)), "p"), ((("b", "#S2#", 0),), "p")]
+    acc = UsefulnessAccumulator()
+    for significant, pattern in accepted:
+        acc.add(significant, pattern)
+    expected = acc.report()
+    rejected = [
+        # New values in slot 1 and in a new slot 2, then a known value under another symbol.
+        ((("y", "#T2#", 1), ("z", "#U1#", 2), ("a", "#S9#", 0)), "p"),
+        # A new pattern whose own two triples disagree.
+        ((("v", "#S1#", 0), ("v", "#S2#", 0)), "q"),
+    ]
+    for significant, pattern in rejected:
+        with pytest.raises(DomainError):
+            acc.add(significant, pattern)
+        assert acc.report() == expected
+    # Nothing of a rejected entry is kept: "y" may now come under another symbol.
+    later = ((("y", "#T3#", 1),), "p")
+    acc.add(*later)
+    fresh = UsefulnessAccumulator()
+    for significant, pattern in [*accepted, later]:
+        fresh.add(significant, pattern)
+    assert acc.report() == fresh.report()
+
+
 def test_usefulness_equals_one_iff_all_ratios_one():
     assert accumulate_counts([("p", 3, [(3, 3)]), ("q", 2, [])]).report().value == 1
     assert accumulate_counts([("p", 3, [(3, 2)]), ("q", 2, [])]).report().value < 1
