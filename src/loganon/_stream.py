@@ -11,15 +11,14 @@ never has more processes than the CPUs this process may run on.
 
 Both paths, the sequential one and each worker's, take the input
 BATCH_LINES lines at a time through _scan_lines: it decodes, parses and
-sanitizes each line and looks its message up in the memo, then scans the
-batch's distinct misses together. rules.batch_candidates finds each
-rule's matches in all of them, and scan_message picks each miss's
-matches from those candidates: the ones a per-message scan finds.
+sanitizes each line and looks its message up in the memo, then hands the
+batch's distinct misses to rules.scan_batch, which scans them together
+and returns the matches a per-message scan finds.
 
 No per-line object is built on the way: model.parse_line checks a line and
 returns its three fields as a plain tuple. Only built-in types cross the
 pipe: a worker returns each line's fields as a plain tuple, with the tuple
-of ``(start, end, rule_index)`` triples that scan_message returns, and the
+of ``(start, end, rule_index)`` triples that the scan returns, and the
 parent wraps the fields back into a ScannedLine or LineIssue. Named tuples
 would cost the parent a Python-level constructor call per object to
 unpickle, on the thread that competes with the reduce.
@@ -42,7 +41,6 @@ import pickle
 import signal
 import sys
 import traceback
-from bisect import bisect_left
 from collections import deque
 from contextlib import nullcontext
 from itertools import chain, islice
@@ -50,7 +48,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import MalformedLine, parse_line
-from .rules import Match, RuleSet, batch_candidates, sanitize_message, scan_message
+from .rules import Match, RuleSet, sanitize_message, scan_batch, scan_message
 
 BATCH_LINES = 4096
 # The signals that stop a run (see cli._interrupt); held back while a worker is forked.
@@ -105,8 +103,9 @@ def _scan_lines(
     """The fields of each line's ScannedLine (four) or LineIssue (two), as plain tuples.
 
     Only built-in types, so a batch pickles without any class lookup.
-    parse_line, sanitize_message and scan_message are looked up as this
-    module's globals at each call, so a rebinding of them holds.
+    parse_line, sanitize_message, scan_message (each line's scan when there
+    are no rules) and scan_batch are looked up as this module's globals at
+    each call, so a rebinding of them holds.
     """
     results: list[tuple] = []
     misses: dict[str, None] = {}  # the batch's distinct memo misses, in first-seen order
@@ -132,7 +131,7 @@ def _scan_lines(
             pending.append(len(results))
         results.append((timestamp, source, sanitized, matches))
     if pending:
-        found = _scan_misses(list(misses), ruleset)
+        found = dict(zip(misses, scan_batch(list(misses), ruleset)))
         room = MEMO_ENTRIES - len(memo)
         if room > 0:
             memo.update(islice(found.items(), room))
@@ -140,26 +139,6 @@ def _scan_lines(
             timestamp, source, sanitized, _ = results[i]
             results[i] = (timestamp, source, sanitized, found[sanitized])
     return results
-
-
-def _scan_misses(messages: list[str], ruleset: RuleSet) -> dict[str, tuple[Match, ...]]:
-    """Each of ``messages`` (distinct, none holding "\\n") with its scan_message matches.
-
-    batch_candidates finds every rule's matches in the messages joined by
-    "\\n", and each message is handed the candidates that start inside it,
-    a slice of the one sorted list, so the Python work is in proportion to
-    the messages and their matches.
-    """
-    candidates = batch_candidates(messages, ruleset)
-    found: dict[str, tuple[Match, ...]] = {}
-    lo = start = 0
-    for message in messages:
-        end = start + len(message)
-        # No candidate starts on a separator: those before this message's end are its own.
-        hi = bisect_left(candidates, (end,), lo)
-        found[message] = scan_message(message, ruleset, candidates[lo:hi], start)
-        lo, start = hi, end + 1
-    return found
 
 
 def _new_memo(ruleset: RuleSet) -> Optional[RunMemo]:

@@ -305,12 +305,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError(f"--days must have FIRST <= LAST: {args.days}")
     cfg = _run_config(args)
     node_a, node_b = args.node_a, args.node_b
-    entries = [item for item in cfg.entries() if item.source in (node_a, node_b)]
+    day0 = args.epoch_day0
+    # Each node's minutes since day0 that hold an entry: all build_grid reads of an
+    # entry, so memory is bounded by the corpus's days x 1,440 per node.
+    minutes: dict[str, set[int]] = {node_a: set(), node_b: set()}
+    for timestamp, source, _, _ in cfg.entries():
+        if source in minutes:
+            minutes[source].add((timestamp - day0) // 60)
     if not args.days:
-        days = [day_index(e.timestamp, args.epoch_day0) for e in entries]
-        day_range = (min(days), max(days)) if days else (0, 0)
-    grid_a = build_grid(entries, node_a, day_range, window, args.epoch_day0)
-    grid_b = build_grid(entries, node_b, day_range, window, args.epoch_day0)
+        occupied = minutes[node_a] | minutes[node_b]
+        day_range = (min(occupied) // 1440, max(occupied) // 1440) if occupied else (0, 0)
+    grid_a, grid_b = (
+        build_grid(((day0 + 60 * m, node) for m in minutes[node]), node, day_range, window, day0)
+        for node in (node_a, node_b)
+    )
     for grid, name in ((grid_a, node_a), (grid_b, node_b)):
         if not grid.cells:
             print(f"warning: node {name} has no entries in the selected frame", file=sys.stderr)

@@ -38,17 +38,19 @@ def parse_line(line: str) -> tuple[int, str, str]:
     fields, a non-integer timestamp, an empty or whitespace-holding source,
     or a CR or LF in the message, leaving the skip-vs-abort policy to the
     caller. Each fact is checked once: a CR or LF in the first two fields
-    fails the timestamp or the source check.
+    fails the timestamp or the source check. A reason names the failed
+    check and holds no text of the line, so an error printed from it shows
+    no input value.
     """
     ts_text, sep, rest = line.partition(" ")
     if not sep:
-        raise MalformedLine(f"fewer than 2 fields: {line!r}")
+        raise MalformedLine("fewer than 2 fields")
     # One or more ASCII digits: isdigit() alone also takes other scripts' digits.
     if not (ts_text.isascii() and ts_text.isdigit()):
-        raise MalformedLine(f"non-integer timestamp: {ts_text!r}")
+        raise MalformedLine("non-integer timestamp")
     source, _, message = rest.partition(" ")
     if not source or _SPACE_RE.search(source):
-        raise MalformedLine(f"bad source field: {source!r}")
+        raise MalformedLine("bad source field")
     if "\n" in message or "\r" in message:
         raise MalformedLine("line contains embedded line terminator")
     return int(ts_text), source, message

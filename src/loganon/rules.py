@@ -14,9 +14,10 @@ its global symbol) is its *event pattern*; entries sharing an event pattern
 form one event category.
 
 De-identification works on messages and returns plain tuples: Match
-triples from scan_message, and ``(deid_message, significant, pattern)``
-from rewrite_matches and process_entry, ``significant`` holding one
-``(value, symbol, slot)`` triple (Significant) per significant match.
+triples from scan_message and scan_batch, and ``(deid_message,
+significant, pattern)`` from rewrite_matches and process_entry,
+``significant`` holding one ``(value, symbol, slot)`` triple
+(Significant) per significant match.
 
 Scanning skips a rule whose prefilter rules it out. The prefilter is a
 necessary condition for the rule's pattern to match anywhere in a message,
@@ -24,12 +25,13 @@ derived once from the pattern's parse tree and written over literal
 substrings (see TermRule.prefilter); it is never sufficient, so skipping
 cannot change a match.
 
-Many messages can be scanned at once: batch_candidates finds every rule's
-matches in the messages joined by "\\n", and scan_message picks each
-message's matches from those candidates. A rule that can neither match
-nor assert "\\n" (see TermRule.batch_pattern) runs once over the joined
-text, where its matches are exactly its matches in each message; any
-other rule runs once per message.
+Many messages can be scanned at once with scan_batch: batch_candidates
+finds every rule's matches in the messages joined by "\\n", and one walk
+over them picks each message's matches; the joined-text offsets stay
+inside this module. A rule that can neither match nor assert "\\n" (see
+TermRule.batch_pattern) runs once over the joined text, where its matches
+are exactly its matches in each message; any other rule runs once per
+message.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class TermRule:
             return self.group_map[value]
         if self.group_default is not None:
             return self.group_default
-        raise GroupMapIncomplete(f"rule {self.name}: no group for value {value!r}")
+        raise GroupMapIncomplete(f"rule {self.name}: a value has no group label and no '*' default")
 
 
 class RuleSymbols(NamedTuple):
@@ -415,12 +417,7 @@ def sanitize_message(message: str) -> str:
     return "".join(parts)
 
 
-def scan_message(
-    message: str,
-    ruleset: RuleSet,
-    candidates: Optional[Sequence[tuple[int, int, int]]] = None,
-    offset: int = 0,
-) -> tuple[Match, ...]:
+def scan_message(message: str, ruleset: RuleSet) -> tuple[Match, ...]:
     """Find all variable-term matches, leftmost-longest, ties by rule order.
 
     Matches are never empty (see TermRule) and never overlap: after a match
@@ -428,32 +425,10 @@ def scan_message(
     is searched once more. Character offsets refer to ``message`` as given.
     A rule runs only if its prefilter holds, and leaves the scan once a
     search finds nothing: a search from a later position cannot match either.
-
-    ``candidates``, if given, are the sorted ``(start, -length,
-    rule_index)`` triples that batch_candidates found in a text holding
-    ``message`` at ``offset``, the ones that start inside it. They are
-    walked in order: at each cursor the first one that starts there or
-    later is taken. That is the match the search loop would take, because
-    a rule's next finditer match after one that ends at or before the
-    cursor is what searching from the cursor finds: whether a pattern
-    matches at a position does not depend on where the search began. Only
-    a candidate that straddles the cursor can hide a match, so when one
-    does, the walk gives way to the search loop.
     """
     rules = ruleset.rules
     if not rules or not message:
         return ()
-    if candidates is not None:
-        walked: list[Match] = []
-        pos = offset
-        for start, neg_len, rule_index in candidates:
-            if start >= pos:
-                pos = start - neg_len
-                walked.append((start - offset, pos - offset, rule_index))
-            elif start - neg_len > pos:
-                break  # it straddles the cursor
-        else:
-            return tuple(walked)
     # Rule index -> the rule's next candidate match at or after the cursor.
     found: dict[int, re.Match] = {}
     for i, rule in enumerate(rules):
@@ -494,7 +469,7 @@ def batch_candidates(messages: Sequence[str], ruleset: RuleSet) -> list[tuple[in
     meets its prefilter there, and so in the joined text, and none of its
     matches spans or touches a separator. Any other rule runs one finditer
     over each message that meets its prefilter. So each triple lies inside
-    one message; pass each message its own share to scan_message.
+    one message; scan_batch hands each message its own.
     """
     joined = "\n".join(messages)
     triples: list[tuple[int, int, int]] = []
@@ -512,6 +487,39 @@ def batch_candidates(messages: Sequence[str], ruleset: RuleSet) -> list[tuple[in
             offset += len(message) + 1
     triples.sort()
     return triples
+
+
+def scan_batch(messages: Sequence[str], ruleset: RuleSet) -> list[tuple[Match, ...]]:
+    """scan_message's matches for each of ``messages``, none of which may hold "\\n".
+
+    batch_candidates' sorted triples are walked once, each message taking
+    those that start before its end. At each cursor the first one that
+    starts there or later is taken. That is the match scan_message would
+    take, because a rule's next finditer match after one that ends at or
+    before the cursor is what searching from the cursor finds: whether a
+    pattern matches at a position does not depend on where the search
+    began. Only a candidate that straddles the cursor can hide a match, so
+    a message where one does is scanned alone with scan_message.
+    """
+    candidates = batch_candidates(messages, ruleset)
+    found: list[tuple[Match, ...]] = []
+    i, n = 0, len(candidates)
+    base = 0  # the offset of ``message`` in the joined text
+    for message in messages:
+        end = base + len(message)
+        walked: Optional[list[Match]] = []
+        pos = base
+        while i < n and candidates[i][0] < end:
+            start, neg_len, rule_index = candidates[i]
+            i += 1
+            if start >= pos:
+                pos = start - neg_len
+                walked.append((start - base, pos - base, rule_index))
+            elif start - neg_len > pos:  # it straddles the cursor: walk no further here
+                walked, pos = None, end
+        found.append(scan_message(message, ruleset) if walked is None else tuple(walked))
+        base = end + 1
+    return found
 
 
 def tokenize(message: str, ruleset: RuleSet) -> list[tuple[str, TermClass]]:
@@ -751,8 +759,9 @@ def default_ruleset(mode: Mode = Mode.GLOBAL) -> RuleSet:
     daemon_alt = "|".join(re.escape(n) for n in sorted(DAEMON_NAMES, key=len, reverse=True))
     # IPv4 and NUM begin with \d rather than \b, so re's search can skip ahead
     # to the next digit; \d(?<=\b\d) matches at exactly the positions \b\d does.
-    # USER likewise begins with the letter that both of its forms start with,
-    # (?<=\()[A-Za-z]... and (?<=\bfor )[A-Za-z]..., and looks behind it.
+    # USER begins with what both of its forms, (?<=\()[A-Za-z]... and
+    # (?<=\bfor )[A-Za-z]..., look behind and start with: one lookbehind at
+    # each position, then each branch looks behind its letter once more.
     return RuleSet(
         (
             TermRule("DAEM", rf"\b(?:{daemon_alt})\b", significant=True),
@@ -764,7 +773,7 @@ def default_ruleset(mode: Mode = Mode.GLOBAL) -> RuleSet:
             ),
             TermRule(
                 "USER",
-                r"[A-Za-z](?<=[( ][A-Za-z])"
+                r"(?<=[( ])[A-Za-z]"
                 r"(?:(?<=\([A-Za-z])[\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor [A-Za-z])[\w.-]*$)",
                 significant=True,
             ),

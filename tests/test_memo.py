@@ -54,7 +54,7 @@ pattern = \b\d{4}-\d{2}-\d{2}(?:[ T]\d{2}:\d{2}(?::\d{2})?)?\b
 significant = no
 
 [rule USER]
-pattern = [A-Za-z](?<=[( ][A-Za-z])(?:(?<=\([A-Za-z])[\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor [A-Za-z])[\w.-]*$)
+pattern = (?<=[( ])[A-Za-z](?:(?<=\([A-Za-z])[\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor [A-Za-z])[\w.-]*$)
 significant = yes
 
 [rule PATH]
@@ -127,7 +127,13 @@ def test_memo_skips_repeated_messages_and_respects_cap(corpus, tmp_path, capsys,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(_stream, "scan_message", counting("scan", _stream.scan_message))
+    real_scan_batch = _stream.scan_batch
+
+    def scan_batch(messages, ruleset):
+        calls["scan"] += len(messages)
+        return real_scan_batch(messages, ruleset)
+
+    monkeypatch.setattr(_stream, "scan_batch", scan_batch)
     monkeypatch.setattr(cli, "rewrite_matches", counting("rewrite", cli.rewrite_matches))
     monkeypatch.setattr(encoder, "register", counting("register", encoder.register))
     monkeypatch.setattr(_stream, "MEMO_ENTRIES", SMALL_CAP)

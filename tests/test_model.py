@@ -46,7 +46,7 @@ def test_parse_line_malformed(line):
 
 
 def test_bad_source_reason_comes_from_the_entry_check():
-    with pytest.raises(MalformedLine, match=r"^bad source field: 'a\\tb'$"):
+    with pytest.raises(MalformedLine, match=r"^bad source field$"):
         parse_line("5 a\tb c")
 
 
@@ -58,8 +58,8 @@ def test_parse_line_rejects_embedded_newline():
 @pytest.mark.parametrize(
     "line,reason",
     [
-        ("5\r n msg", "non-integer timestamp: '5\\r'"),
-        ("5 n\r msg", "bad source field: 'n\\r'"),
+        ("5\r n msg", "non-integer timestamp"),
+        ("5 n\r msg", "bad source field"),
         ("5 n two\nlines", "line contains embedded line terminator"),
         ("5 n msg\r", "line contains embedded line terminator"),
     ],
@@ -103,7 +103,7 @@ def test_source_whitespace_check_is_str_isspace_on_every_code_point():
     everything = "".join(map(chr, range(0x110000)))
     assert model._SPACE_RE.findall(everything) == [c for c in everything if c.isspace()]
     for c in (c for c in everything if c.isspace() and c != " "):
-        with pytest.raises(MalformedLine, match=r"^bad source field: "):
+        with pytest.raises(MalformedLine, match=r"^bad source field$"):
             parse_line(f"0 a{c}b x")
 
 
@@ -135,13 +135,13 @@ def reference_parse(line: str) -> tuple:
     """
     fields = line.split(" ", 2)
     if len(fields) < 2:
-        return None, f"fewer than 2 fields: {line!r}"
+        return None, "fewer than 2 fields"
     ts_text, source = fields[0], fields[1]
     message = fields[2] if len(fields) == 3 else ""
     if not ts_text or not set(ts_text) <= set("0123456789"):
-        return None, f"non-integer timestamp: {ts_text!r}"
+        return None, "non-integer timestamp"
     if not source or any(c.isspace() for c in source):
-        return None, f"bad source field: {source!r}"
+        return None, "bad source field"
     if "\n" in message or "\r" in message:
         return None, "line contains embedded line terminator"
     return (int(ts_text), source, message), None

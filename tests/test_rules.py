@@ -32,9 +32,9 @@ from loganon import (
     sanitize_message,
     tokenize,
 )
-from loganon import _stream, cli, hash_text
+from loganon import cli, hash_text
 from loganon import rules as rules_module
-from loganon.rules import DAEMON_NAMES, Match, scan_message
+from loganon.rules import DAEMON_NAMES, Match, scan_batch, scan_message
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -330,10 +330,9 @@ SEPARATOR_PATTERNS = (
 def test_batch_scan_matches_per_message_scan(patterns, messages):
     ruleset = RuleSet(tuple(TermRule(f"R{i}", p) for i, p in enumerate(patterns)))
     distinct = list(dict.fromkeys(messages))
-    found = _stream._scan_misses(distinct, ruleset)
-    assert list(found) == distinct
-    for message in distinct:
-        assert found[message] == scan_message(message, ruleset) == oracle_scan(message, ruleset)
+    found = scan_batch(distinct, ruleset)
+    assert found == [scan_message(message, ruleset) for message in distinct]
+    assert found == [oracle_scan(message, ruleset) for message in distinct]
     # Every rule's candidates, batch-safe or not, are its matches in each
     # message; each batch-safe rule, whatever the others, finds exactly
     # those in the joined text.
@@ -349,13 +348,20 @@ def test_batch_scan_matches_per_message_scan(patterns, messages):
             assert [m.span() for m in rule.batch_pattern.finditer(joined)] == expected
 
 
-def test_batch_walk_gives_way_when_a_candidate_straddles_the_cursor():
+def test_batch_walk_gives_way_when_a_candidate_straddles_the_cursor(monkeypatch):
     """b+a? matches bbb from 1, across the end of ab; its match from 2 shows only in a search."""
     ruleset = RuleSet((TermRule("R0", "ab"), TermRule("R1", "b+a?")))
     candidates = rules_module.batch_candidates(["abbb", "xab"], ruleset)
     assert candidates[:2] == [(0, -2, 0), (1, -3, 1)]
-    assert scan_message("abbb", ruleset, candidates[:2], 0) == ((0, 2, 0), (2, 4, 1))
-    assert scan_message("xab", ruleset, candidates[2:], 5) == ((1, 3, 0),)
+    alone = []
+
+    def spy(message, ruleset):
+        alone.append(message)
+        return scan_message(message, ruleset)
+
+    monkeypatch.setattr(rules_module, "scan_message", spy)
+    assert scan_batch(["abbb", "xab"], ruleset) == [((0, 2, 0), (2, 4, 1)), ((1, 3, 0),)]
+    assert alone == ["abbb"]
 
 
 @pytest.mark.parametrize(
@@ -394,20 +400,18 @@ def test_builtin_rules_are_batch_safe():
 def test_mixed_ruleset_hands_every_miss_its_candidates(cron_ruleset, cron_entries, monkeypatch):
     """cron_sample.rules' PATH rule can match "\\n"; every miss still gets its candidates."""
     assert [rule.name for rule in cron_ruleset.rules if rule.batch_pattern is None] == ["PATH"]
-    calls = []
+    alone = []
 
-    def spy(message, ruleset, candidates=None, offset=0):
-        calls.append((message, candidates))
-        return scan_message(message, ruleset, candidates, offset)
+    def spy(message, ruleset):
+        alone.append(message)
+        return scan_message(message, ruleset)
 
-    monkeypatch.setattr(_stream, "scan_message", spy)
+    monkeypatch.setattr(rules_module, "scan_message", spy)
     messages = list(dict.fromkeys(sanitize_message(message) for _, _, message in cron_entries))
-    found = _stream._scan_misses(messages, cron_ruleset)
-    assert [message for message, _ in calls] == messages
-    assert all(candidates is not None for _, candidates in calls)
-    assert any(candidates for _, candidates in calls)
-    for message in messages:
-        assert found[message] == oracle_scan(message, cron_ruleset)
+    found = scan_batch(messages, cron_ruleset)
+    assert alone == []
+    assert any(found)
+    assert found == [oracle_scan(message, cron_ruleset) for message in messages]
 
 
 # --- rule prefilter --------------------------------------------------------
@@ -463,7 +467,7 @@ def test_builtin_digit_rules_equal_their_word_boundary_forms(text):
 
 
 # The text the built-in USER rule was rewritten from; the rewritten text
-# begins with the letter both branches start with, and looks behind it.
+# begins with the lookbehind and the letter that both branches start with.
 USER_LOOKBEHIND_FORM = r"(?<=\()[A-Za-z][\w.-]*(?=\) (?:CMD|cmd) \()|(?<=\bfor )[A-Za-z][\w.-]*$"
 
 
