@@ -122,7 +122,11 @@ def _scan_lines(
             results.append((lineno, str(exc)))
             continue
         sanitized = sanitize_message(message)
-        if memo is None:  # no rules: each line is its own miss, with nothing to share
+        # No rules (compare): each line is its own miss, with nothing to share. This
+        # fork pays: 40k cmd lines take 45 ms here, 67 ms through the memo and
+        # scan_batch, 62 ms if scan_batch returns at once for no rules (2-core Xeon).
+        # compare keeps this stage: perfbench/traced.py counts lines from it.
+        if memo is None:
             results.append((timestamp, source, sanitized, scan_message(sanitized, ruleset)))
             continue
         matches = memo.get(sanitized)

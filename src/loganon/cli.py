@@ -39,6 +39,7 @@ from .encoder import hash_text  # noqa: F401
 from .model import render_entry  # noqa: F401
 from .rules import (
     ConfigError,
+    GroupMapIncomplete,
     Mode,
     RuleSet,
     SymbolRegistry,
@@ -74,7 +75,7 @@ EXIT_CODES = {
 
 @dataclass
 class RunConfig:
-    """Checked options shared by the pipeline commands, and the run's skipped-line count."""
+    """Checked options shared by the pipeline commands, and the run's line and skipped-line counts."""
 
     inputs: list[str]
     ruleset: RuleSet
@@ -82,14 +83,17 @@ class RunConfig:
     strict: bool
     workers: int
     skipped: int = 0
+    lineno: int = 0
 
     def entries(self) -> Iterator[ScannedLine]:
         """The parsed entries of the inputs in order.
 
         A malformed line raises MalformedLine, naming its line number,
-        under --strict and is counted in ``skipped`` otherwise.
+        under --strict and is counted in ``skipped`` otherwise. Each input
+        line is one item of the stream, so ``lineno`` counts the items.
         """
         for item in scanned_stream(iter_raw_lines(self.inputs), self.ruleset, self.workers):
+            self.lineno += 1
             if isinstance(item, LineIssue):
                 if self.strict:
                     raise MalformedLine(f"line {item.lineno}: {item.reason}")
@@ -152,6 +156,15 @@ def _run_config(args: argparse.Namespace, read_options: Optional[Options] = None
 
 
 @contextmanager
+def _naming_line(cfg: RunConfig) -> Iterator[None]:
+    """Prefix a GroupMapIncomplete raised in the block with the number of the line last read."""
+    try:
+        yield
+    except GroupMapIncomplete as exc:
+        raise GroupMapIncomplete(f"line {cfg.lineno}: {exc}") from None
+
+
+@contextmanager
 def _staged_outputs(out_dir: Path) -> Iterator[Callable[[str], TextIO]]:
     """Yield ``create(name)``, which opens ``<name>.tmp`` in out_dir for writing.
 
@@ -194,7 +207,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     # keys, so a hit registers nothing and cannot collide.
     memo = RunMemo()
     with _staged_outputs(cfg.out_dir) as create:
-        with create("encoded.log") as out:
+        with create("encoded.log") as out, _naming_line(cfg):
             for timestamp, source, sanitized, matches in cfg.entries():
                 known = memo.get(sanitized)
                 if known is None:
@@ -232,10 +245,11 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
     cfg = _run_config(args, _rule_options)
     registry = SymbolRegistry()
     accumulators: dict[Optional[int], UsefulnessAccumulator] = defaultdict(UsefulnessAccumulator)
-    for timestamp, _, sanitized, matches in cfg.entries():
-        _, significant, pattern = rewrite_matches(sanitized, matches, cfg.ruleset, registry)
-        key = day_index(timestamp, args.epoch_day0) if args.per_day else None
-        accumulators[key].add(significant, pattern)
+    with _naming_line(cfg):
+        for timestamp, _, sanitized, matches in cfg.entries():
+            _, significant, pattern = rewrite_matches(sanitized, matches, cfg.ruleset, registry)
+            key = day_index(timestamp, args.epoch_day0) if args.per_day else None
+            accumulators[key].add(significant, pattern)
     if not accumulators:
         print("no entries", file=sys.stderr)
     pattern_keys = PatternKeys()

@@ -21,9 +21,10 @@ significant, pattern)`` from rewrite_matches and process_entry,
 
 Scanning skips a rule whose prefilter rules it out. The prefilter is a
 necessary condition for the rule's pattern to match anywhere in a message,
-derived once from the pattern's parse tree and written over literal
-substrings (see TermRule.prefilter); it is never sufficient, so skipping
-cannot change a match.
+written over literal substrings (see TermRule.prefilter); it is never
+sufficient, so skipping cannot change a match. One walk of the pattern's
+parse tree, when the rule is built, derives both the prefilter and whether
+the rule is batch-safe (see _pattern_facts).
 
 Many messages can be scanned at once with scan_batch: batch_candidates
 finds every rule's matches in the messages joined by "\\n", and one walk
@@ -111,12 +112,12 @@ class TermRule:
     ``(?<= )x*`` are ConfigErrors (write ``x+``). ``mode``, a Mode or its
     value, overrides the RuleSet mode for this rule only. ``group_map`` maps
     matched values to group labels; a missing value falls back to
-    ``group_default`` when set. ``prefilter`` is derived from the pattern's
-    parse: a message that fails it cannot match (see _prefilter_of).
-    ``batch_pattern`` is the pattern with re.MULTILINE added, for one search
-    over many messages joined by "\\n", or None when a node of the pattern
-    could match or assert "\\n" (see _batch_safe); batch_candidates then
-    searches each message alone with ``pattern``.
+    ``group_default`` when set. ``prefilter`` and ``batch_pattern`` come
+    from one walk of the pattern's parse (see _pattern_facts): a message
+    that fails ``prefilter`` cannot match. ``batch_pattern`` is the pattern
+    with re.MULTILINE added, for one search over many messages joined by
+    "\\n", or None when a node of the pattern could match or assert "\\n";
+    batch_candidates then searches each message alone with ``pattern``.
     """
 
     name: str
@@ -143,8 +144,8 @@ class TermRule:
         parsed = _sre_parse.parse(pat.pattern, pat.flags)
         if parsed.getwidth()[0] == 0:
             raise ConfigError(f"rule {self.name}: pattern must not match the empty string")
-        object.__setattr__(self, "prefilter", _prefilter_of(parsed))
-        batch_safe = _batch_safe(parsed, parsed.state.flags)
+        prefilter, batch_safe = _pattern_facts(parsed)
+        object.__setattr__(self, "prefilter", prefilter)
         object.__setattr__(
             self, "batch_pattern", re.compile(pat.pattern, pat.flags | re.MULTILINE) if batch_safe else None
         )
@@ -223,122 +224,101 @@ class RuleSet:
         return replace(self, mode=mode)
 
 
-def _prefilter_of(parsed: _sre_parse.SubPattern) -> Prefilter:
-    """A necessary condition, over literal substrings, for a pattern to match.
+def _pattern_facts(parsed: _sre_parse.SubPattern) -> tuple[Prefilter, bool]:
+    """A pattern's prefilter and batch safety, from one walk of its parse tree ``parsed``.
 
-    Derived from the pattern's parse tree ``parsed``: a run of literal
-    characters is one required string; a sequence needs all its parts, an
-    alternation one of its branches. Groups, atomic groups, positive
-    lookarounds and repeats with a minimum of at least one are entered.
-    Everything else (classes, categories, negative lookarounds, back
-    references, conditionals, a scoped ``(?i:...)``) requires nothing. Any
-    global IGNORECASE, or a condition of more than _PREFILTER_MAX_STRINGS
-    strings, gives _ALWAYS.
+    The prefilter is a necessary condition, over literal substrings, for
+    the pattern to match: a run of literal characters is one required
+    string; a sequence needs all its parts, an alternation one of its
+    branches. Groups, atomic groups, positive lookarounds and repeats with
+    a minimum of at least one require what their body does. Everything else
+    (classes, categories, negative lookarounds, back references,
+    conditionals, a scoped ``(?i:...)``) requires nothing. Any global
+    IGNORECASE, or more than _PREFILTER_MAX_STRINGS strings, gives _ALWAYS.
+
+    The pattern is batch-safe if no node, under the flags in force there,
+    can match or assert "\\n". It then finds the same matches in a message
+    alone as in messages joined by "\\n" with re.MULTILINE added: it cannot
+    consume the separator, a lookaround that reaches it fails as it fails
+    at a message's end, ``\\b`` and ``\\B`` see a non-word character there
+    as they see an end, and MULTILINE's ``^`` and ``$`` hold exactly at each
+    message's ends (re treats only "\\n" as a line break). A backreference
+    repeats what its group, also checked, matched. So ``\\A``, ``\\Z``, ``.``
+    under DOTALL, a negated literal other than ``[^\\n]``, a literal "\\n",
+    and a class or category that holds "\\n" (``\\s``, ``\\D``, ``\\W``,
+    ``[^a-z]``), inside lookarounds and scoped groups too, are unsafe, as is
+    any node not named here.
     """
-    if parsed.state.flags & re.IGNORECASE:
-        return _ALWAYS
-    cnf = _sequence_cnf(parsed)
-    return cnf if _cnf_size(cnf) <= _PREFILTER_MAX_STRINGS else _ALWAYS
+    flags = parsed.state.flags
+    cnf, safe = _sequence_facts(parsed, flags)
+    if flags & re.IGNORECASE or _cnf_size(cnf) > _PREFILTER_MAX_STRINGS:
+        cnf = _ALWAYS
+    return cnf, safe
 
 
 def _cnf_size(cnf: Prefilter) -> int:
     return sum(len(clause) for clause in cnf)
 
 
-def _sequence_cnf(items) -> Prefilter:
-    """AND over a sequence of parse-tree nodes; adjacent literals join into one string."""
+def _sequence_facts(items, flags: int) -> tuple[Prefilter, bool]:
+    """The AND of what the nodes ``items`` require, and whether all are batch-safe under ``flags``."""
     clauses: list[tuple[str, ...]] = []
-    run: list[str] = []
+    run: list[str] = []  # adjacent literals, which join into one string
+    safe = True
     for op, av in items:
-        if op.name == "LITERAL":
+        name = op.name
+        if name == "LITERAL":
             run.append(chr(av))
+            safe &= av != 10
             continue
         if run:
             clauses.append(("".join(run),))
             run = []
-        clauses.extend(_node_cnf(op.name, av))
-    if run:
-        clauses.append(("".join(run),))
-    return tuple(dict.fromkeys(clauses))
-
-
-def _node_cnf(name: str, av) -> Prefilter:
-    if name == "SUBPATTERN":
-        _, add_flags, _, body = av
-        return _ALWAYS if add_flags & re.IGNORECASE else _sequence_cnf(body)
-    if name == "ATOMIC_GROUP":
-        return _sequence_cnf(av)
-    if name == "ASSERT":  # lookahead or lookbehind: its text is in the message too
-        return _sequence_cnf(av[1])
-    if name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"):
-        low, _, body = av
-        return _sequence_cnf(body) if low >= 1 else _ALWAYS
-    if name == "BRANCH":
-        # OR of two CNFs: one clause per pair of clauses, their union.
-        result: Optional[Prefilter] = None
-        for branch in av[1]:
-            cnf = _sequence_cnf(branch)
-            if not cnf:
-                return _ALWAYS
-            if result is not None:
-                cnf = tuple(
-                    dict.fromkeys(tuple(dict.fromkeys(a + b)) for a in result for b in cnf)
-                )
-            if _cnf_size(cnf) > _PREFILTER_MAX_STRINGS:
-                return _ALWAYS
-            result = cnf
-        return result
-    return _ALWAYS
-
-
-def _batch_safe(items, flags: int) -> bool:
-    """True if no node of the parse tree ``items`` can match or assert "\\n" under ``flags``.
-
-    Such a pattern finds the same matches in a message alone as in
-    messages joined by "\\n" with re.MULTILINE added: it cannot consume the
-    separator, a lookaround that reaches it fails as it fails at a
-    message's end, ``\\b`` and ``\\B`` see a non-word character there as
-    they see an end, and MULTILINE's ``^`` and ``$`` hold exactly at each
-    message's ends (re treats only "\\n" as a line break). A backreference
-    repeats what its group, also checked, matched. So ``\\A``, ``\\Z``, ``.``
-    under DOTALL, a negated literal other than ``[^\\n]``, a literal "\\n",
-    and a class or category that holds "\\n" (``\\s``, ``\\D``, ``\\W``,
-    ``[^a-z]``), inside lookarounds too, are unsafe, as is any node not
-    named here.
-    """
-    for op, av in items:
-        name = op.name
-        if name == "LITERAL":
-            safe = av != 10
-        elif name == "NOT_LITERAL":
-            safe = av == 10
+        cnf = _ALWAYS
+        if name == "NOT_LITERAL":
+            node_safe = av == 10
         elif name == "ANY":
-            safe = not flags & re.DOTALL
+            node_safe = not flags & re.DOTALL
         elif name == "IN":
-            safe = not _class_holds_newline(av)
+            node_safe = not _class_holds_newline(av)
         elif name == "AT":
-            safe = av.name not in _STRING_ANCHORS
+            node_safe = av.name not in _STRING_ANCHORS
         elif name == "GROUPREF":
-            safe = True
-        elif name == "SUBPATTERN":
-            _, add_flags, del_flags, body = av
-            safe = _batch_safe(body, (flags | add_flags) & ~del_flags)
-        elif name == "ATOMIC_GROUP":
-            safe = _batch_safe(av, flags)
-        elif name in ("ASSERT", "ASSERT_NOT"):
-            safe = _batch_safe(av[1], flags)
-        elif name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"):
-            safe = _batch_safe(av[2], flags)
-        elif name == "BRANCH":
-            safe = all(_batch_safe(branch, flags) for branch in av[1])
+            node_safe = True
         elif name == "GROUPREF_EXISTS":
             _, yes, no = av
-            safe = _batch_safe(yes, flags) and (no is None or _batch_safe(no, flags))
+            node_safe = _sequence_facts(yes, flags)[1] and (no is None or _sequence_facts(no, flags)[1])
+        elif name == "SUBPATTERN":
+            _, add_flags, del_flags, body = av
+            body_cnf, node_safe = _sequence_facts(body, (flags | add_flags) & ~del_flags)
+            cnf = _ALWAYS if add_flags & re.IGNORECASE else body_cnf
+        elif name == "ATOMIC_GROUP":
+            cnf, node_safe = _sequence_facts(av, flags)
+        elif name in ("ASSERT", "ASSERT_NOT"):  # a lookaround's text is in the message too
+            body_cnf, node_safe = _sequence_facts(av[1], flags)
+            cnf = body_cnf if name == "ASSERT" else _ALWAYS
+        elif name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"):
+            body_cnf, node_safe = _sequence_facts(av[2], flags)
+            cnf = body_cnf if av[0] >= 1 else _ALWAYS
+        elif name == "BRANCH":
+            # OR of CNFs: one clause per pair of clauses, their union; none once a branch has none.
+            product: Optional[Prefilter] = None
+            node_safe = True
+            for branch in av[1]:
+                branch_cnf, branch_safe = _sequence_facts(branch, flags)
+                if product is not None:
+                    pairs = (tuple(dict.fromkeys(a + b)) for a in product for b in branch_cnf)
+                    branch_cnf = tuple(dict.fromkeys(pairs))
+                product = branch_cnf if _cnf_size(branch_cnf) <= _PREFILTER_MAX_STRINGS else _ALWAYS
+                node_safe &= branch_safe
+            cnf = product
         else:
-            safe = False
-        if not safe:
-            return False
-    return True
+            node_safe = False
+        clauses.extend(cnf)
+        safe &= node_safe
+    if run:
+        clauses.append(("".join(run),))
+    return tuple(dict.fromkeys(clauses)), safe
 
 
 def _class_holds_newline(items) -> bool:

@@ -1007,7 +1007,29 @@ def test_reduce_errors_identical_at_one_and_two_workers(tmp_path, capsys, monkey
     assert results[1] == results[2]
     assert results[1][2].startswith("error: ")
     if failure == "group-map-incomplete":
-        assert results[1][2] == "error: rule USER: a value has no group label and no '*' default\n"
+        assert results[1][2] == "error: line 301: rule USER: a value has no group label and no '*' default\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["anonymize", "usefulness --per-day"])
+def test_group_map_error_names_its_line_across_inputs_and_skipped_lines(tmp_path, capsys, monkeypatch,
+                                                                        command, workers):
+    """Lines are numbered across the inputs, skipped malformed lines included; the value is not shown."""
+    first = tmp_path / "a.log"
+    first.write_text("".join(f"{i} n (root) CMD (/bin/job{i})\n" for i in range(20)) + "malformed\n")
+    second = tmp_path / "b.log"
+    second.write_text("30 n (admin) CMD (/x)\n31 n (guest) CMD (/y)\n32 n (nobody) CMD (/z)\n")
+    rules = tmp_path / "group.rules"
+    rules.write_text(GROUP_TABLE_RULES["ruleset-mode"])
+    monkeypatch.setattr(loganon._stream, "BATCH_LINES", 4)
+    monkeypatch.setattr(loganon._stream, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    name, *flags = command.split()
+    code, stdout, err = run([name, str(first), str(second), *flags, "--rules", str(rules),
+                             "--workers", str(workers), "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: line 23: rule USER: a value has no group label and no '*' default\n"
+    assert list(out.iterdir()) == []
 
 
 # Runs that stop on one input line: (command and flags, the line, rule file or None,

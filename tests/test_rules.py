@@ -528,10 +528,11 @@ def test_rule_prefilter_atomic_and_possessive():
 LOOKBEHINDS = (r"(?<=a)", r"(?<=ab)", r"(?<=a|b)", r"(?<!b)", r"(?<=\d)", r"(?<=(?i:a)b)", r"(?<=\bA)")
 
 
-def regex_strategy() -> st.SearchStrategy[str]:
+def regex_strategy(extra_atoms: tuple[str, ...] = ()) -> st.SearchStrategy[str]:
     atoms = st.sampled_from(
         ("a", "b", "ab", "ba", "A", "1", "-", r"\d", r"[ab]", r"[^a]", ".", r"\b", r"\w", r"\s", "$")
         + LOOKBEHINDS
+        + extra_atoms
     )
 
     def compound(inner: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
@@ -564,11 +565,42 @@ def test_prefilter_false_means_no_match(regex, ignorecase, message):
         pattern = re.compile(f"(?i){regex}" if ignorecase else regex)
     except re.error:
         return  # invalid regex
-    # From the parse directly, not through TermRule, so that patterns whose
-    # shortest match is empty, which TermRule rejects, are checked too.
-    prefilter = rules_module._prefilter_of(rules_module._sre_parse.parse(pattern.pattern, pattern.flags))
+    # From the walk of the parse directly, not through TermRule, so that
+    # patterns whose shortest match is empty, which TermRule rejects, are
+    # checked too.
+    prefilter, _ = rules_module._pattern_facts(rules_module._sre_parse.parse(pattern.pattern, pattern.flags))
     if not holds(prefilter, message):
         assert pattern.search(message) is None
+
+
+# Atoms that touch the "\n" between joined messages, batch-safe or not.
+SEPARATOR_ATOMS = (r"\A", r"\Z", "^", r"(?s:.)", r"\n", r"[^\n]", r"\S", r"\W", r"\B")
+# One of these next to a drawn regex gives it a shortest match of at least
+# one character, so that TermRule accepts it.
+CONSUMING_ATOMS = ("a", "b", ".", r"\s", r"\n", r"[^\n]", r"\S", r"\W", r"(?s:.)")
+
+
+@settings(max_examples=1500)
+@given(
+    regex=regex_strategy(SEPARATOR_ATOMS),
+    atom=st.sampled_from(CONSUMING_ATOMS),
+    atom_first=st.booleans(),
+    messages=st.lists(st.lists(st.sampled_from(MESSAGE_PIECES), max_size=6).map("".join), min_size=2, max_size=5),
+)
+def test_batch_safe_random_regex_matches_as_in_each_message(regex, atom, atom_first, messages):
+    """Checked against re itself: a batch-safe rule's search over the messages
+    joined by "\\n" finds exactly each message's own matches, shifted."""
+    try:
+        rule = TermRule("R", atom + regex if atom_first else regex + atom)
+    except ConfigError:
+        return  # not a valid regex
+    if rule.batch_pattern is None:
+        return
+    expected, offset = [], 0
+    for message in messages:
+        expected.extend((offset + m.start(), offset + m.end()) for m in rule.pattern.finditer(message))
+        offset += len(message) + 1
+    assert [m.span() for m in rule.batch_pattern.finditer("\n".join(messages))] == expected
 
 
 # --- event patterns ---------------------------------------------------------
