@@ -10,18 +10,20 @@ and that one reduce process bounds what more workers can gain. The pool
 never has more processes than the CPUs this process may run on.
 
 Both paths, the sequential one and each worker's, take the input
-BATCH_LINES lines at a time through _scan_lines: it decodes, parses and
-sanitizes each line and looks its message up in the memo, then hands the
-batch's distinct misses to rules.scan_batch, which scans them together
-and returns the matches a per-message scan finds.
+BATCH_LINES lines as read at a time through _scan_lines: it decodes each
+line, strips its line end, parses and sanitizes it and looks its message
+up in the memo, then hands the batch's distinct misses to
+rules.scan_batch, which scans them together and returns the matches a
+per-message scan finds.
 
 No per-line object is built on the way: model.parse_line checks a line and
 returns its three fields as a plain tuple. Only built-in types cross the
-pipe: a worker returns each line's fields as a plain tuple, with the tuple
-of ``(start, end, rule_index)`` triples that the scan returns, and the
-parent wraps the fields back into a ScannedLine or LineIssue. Named tuples
-would cost the parent a Python-level constructor call per object to
-unpickle, on the thread that competes with the reduce.
+pipe: a worker returns each good line's fields as a plain tuple, with the
+tuple of ``(start, end, rule_index)`` triples that the scan returns, and
+each bad line's reason string; the parent wraps the fields back into a
+ScannedLine. Named tuples would cost the parent a Python-level
+constructor call per object to unpickle, on the thread that competes
+with the reduce.
 
 Real logs repeat: most lines carry a message already seen. Each run keeps
 an exact memo from sanitized message to its rule matches, so a repeated
@@ -43,7 +45,7 @@ import sys
 import traceback
 from collections import deque
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -74,58 +76,50 @@ class ScannedLine(NamedTuple):
     matches: tuple[Match, ...]
 
 
-class LineIssue(NamedTuple):
-    lineno: int
-    reason: str
+def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[bytes]:
+    """Yield the lines of all inputs in order, as read; '-' reads standard input.
 
-
-def iter_raw_lines(paths: Sequence[Union[str, Path]]) -> Iterator[tuple[int, bytes]]:
-    """Yield (lineno, line bytes) across all inputs; '-' reads standard input.
-
-    Line numbers are global and 1-based; a UTF-8 byte-order mark that
-    opens an input, a final LF and at most one CR before it are stripped,
-    nothing else is touched.
+    A UTF-8 byte-order mark that opens an input is dropped; nothing else is
+    touched, so each line keeps its line end.
     """
-    lineno = 0
     for path in paths:
         with nullcontext(sys.stdin.buffer) if str(path) == "-" else open(path, "rb") as stream:
-            first = stream.readline().removeprefix(codecs.BOM_UTF8)
-            for raw in chain((first,) if first else (), stream):
-                lineno += 1
-                if raw.endswith(b"\n"):
-                    raw = raw[:-2] if raw.endswith(b"\r\n") else raw[:-1]
-                yield lineno, raw
+            if first := stream.readline().removeprefix(codecs.BOM_UTF8):
+                yield first
+            yield from stream
 
 
-def _scan_lines(
-    batch: list[tuple[int, bytes]], ruleset: RuleSet, memo: Optional[RunMemo]
-) -> list[tuple]:
-    """The fields of each line's ScannedLine (four) or LineIssue (two), as plain tuples.
+def _scan_lines(batch: list[bytes], ruleset: RuleSet, memo: Optional[RunMemo]) -> list[Union[tuple, str]]:
+    """For each line, the four fields of its ScannedLine as a plain tuple, or why it is bad.
+
+    A final LF and at most one CR before it are stripped after decoding.
 
     Only built-in types, so a batch pickles without any class lookup.
     parse_line, sanitize_message, scan_message (each line's scan when there
     are no rules) and scan_batch are looked up as this module's globals at
     each call, so a rebinding of them holds.
     """
-    results: list[tuple] = []
+    results: list[Union[tuple, str]] = []
     misses: dict[str, None] = {}  # the batch's distinct memo misses, in first-seen order
     pending: list[int] = []  # the indices in results of the lines whose message missed
-    for lineno, raw in batch:
+    for raw in batch:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
-            results.append((lineno, "not valid UTF-8"))
+            results.append("not valid UTF-8")
             continue
+        if text.endswith("\n"):
+            text = text[:-2] if text.endswith("\r\n") else text[:-1]
         try:
             timestamp, source, message = parse_line(text)
         except MalformedLine as exc:
-            results.append((lineno, str(exc)))
+            results.append(str(exc))
             continue
         sanitized = sanitize_message(message)
-        # No rules (compare): each line is its own miss, with nothing to share. This
-        # fork pays: 40k cmd lines take 45 ms here, 67 ms through the memo and
-        # scan_batch, 62 ms if scan_batch returns at once for no rules (2-core Xeon).
-        # compare keeps this stage: perfbench/traced.py counts lines from it.
+        # No rules (compare, an empty rule file): each line is its own miss, with nothing
+        # to share. This branch pays: 40k cmd lines take 45 ms here, 67 ms through the
+        # memo and scan_batch, 62 ms if scan_batch returns at once for no rules (2-core
+        # Xeon). compare keeps this stage: perfbench/traced.py counts lines from it.
         if memo is None:
             results.append((timestamp, source, sanitized, scan_message(sanitized, ruleset)))
             continue
@@ -168,7 +162,7 @@ def _init_worker(ruleset: RuleSet) -> None:
     _worker_memo = _new_memo(ruleset)
 
 
-def _scan_batch(batch: list[tuple[int, bytes]]) -> list[tuple]:
+def _scan_batch(batch: list[bytes]) -> list[Union[tuple, str]]:
     """A worker's entry: _scan_lines with the ruleset and memo of this worker."""
     assert _worker_ruleset is not None
     return _scan_lines(batch, _worker_ruleset, _worker_memo)
@@ -182,7 +176,7 @@ def _send(fd: int, obj) -> None:
         view = view[os.write(fd, view):]
 
 
-def _send_batch(worker: tuple[int, int, BinaryIO], batch: list[tuple[int, bytes]]) -> None:
+def _send_batch(worker: tuple[int, int, BinaryIO], batch: list[bytes]) -> None:
     """Send ``batch`` to a (pid, task fd, result reader) worker; a closed task pipe means it died."""
     try:
         _send(worker[1], batch)
@@ -218,26 +212,29 @@ def _usable_cpus() -> int:
 
 
 def scanned_stream(
-    lines: Iterable[tuple[int, bytes]],
+    lines: Iterable[bytes],
     ruleset: RuleSet,
     workers: int = 1,
-) -> Iterator[Union[ScannedLine, LineIssue]]:
-    """Scan lines against the ruleset, preserving input order.
+) -> Iterator[Union[ScannedLine, str]]:
+    """Scan lines as read against the ruleset, one item per line in input order.
 
-    Lines reach the scan BATCH_LINES at a time (see _scan_lines), on both
-    paths, so an item is yielded only once its whole batch is read: with
-    standard input, once BATCH_LINES more lines or the end have arrived.
+    A good line yields its ScannedLine, a bad one the reason it is bad, so
+    the caller numbers the lines by counting the items. Lines reach the
+    scan BATCH_LINES at a time (see _scan_lines), on both paths, so an item
+    is yielded only once its whole batch is read: with standard input, once
+    BATCH_LINES more lines or the end have arrived.
 
     ``workers > 1`` forks that many worker processes, at most
-    _usable_cpus(); a pool of one is the sequential path. Each worker has
+    _usable_cpus(). A pool of one, or a ruleset with no rules, which leaves
+    a worker no scan to do, takes the sequential path. Each worker has
     a task pipe and a result pipe, which carry length-prefixed pickles.
     This generator reads the input itself, on the calling thread, and
     sends batch k to worker k mod n; it reads the results back in the same
     order, so the stream is identical to the sequential one. A worker holds
     at most one batch, so the parent never blocks sending to a worker that
-    is itself blocked writing a result. Workers return plain tuples (see
-    _scan_lines), which this generator wraps back into ScannedLine and
-    LineIssue.
+    is itself blocked writing a result. Workers return plain tuples and
+    reasons (see _scan_lines); this generator wraps the tuples back into
+    ScannedLine.
 
     A worker that ends without returning its batch (killed, or its scan
     raised) raises WorkerLost here. When the stream ends or is closed early
@@ -248,12 +245,12 @@ def scanned_stream(
     """
     workers = min(workers, _usable_cpus())
     lines = iter(lines)
-    if workers <= 1:
+    if workers <= 1 or not ruleset.rules:
         memo = _new_memo(ruleset)
         while batch := list(islice(lines, BATCH_LINES)):
             for fields in _scan_lines(batch, ruleset, memo):
                 # What NamedTuple._make does, without its Python-level call per line.
-                yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
+                yield fields if type(fields) is str else tuple.__new__(ScannedLine, fields)
         return
     pool: list[tuple[int, int, BinaryIO]] = []  # (pid, task pipe's write end, result pipe's reader)
     try:
@@ -306,7 +303,7 @@ def scanned_stream(
                 _send_batch(worker, batch)
                 sending.append(worker)
             for fields in results:
-                yield tuple.__new__(ScannedLine if len(fields) == 4 else LineIssue, fields)
+                yield fields if type(fields) is str else tuple.__new__(ScannedLine, fields)
     finally:
         for _, task_write_fd, reader in pool:
             os.close(task_write_fd)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from ._stream import LineIssue, RunMemo, ScannedLine, WorkerLost, iter_raw_lines, scanned_stream
+from ._stream import RunMemo, ScannedLine, WorkerLost, iter_raw_lines, scanned_stream
 from .encoder import CollisionDetected, EncodingDictionaries, PatternKeys, StorageTally, encode_entry
 from .grids import (
     DEFAULT_MINUTE_WINDOW,
@@ -88,15 +88,16 @@ class RunConfig:
     def entries(self) -> Iterator[ScannedLine]:
         """The parsed entries of the inputs in order.
 
-        A malformed line raises MalformedLine, naming its line number,
-        under --strict and is counted in ``skipped`` otherwise. Each input
-        line is one item of the stream, so ``lineno`` counts the items.
+        Each input line is one item of the stream, a malformed one its reason,
+        so ``lineno``, the run's only line count, counts the items. A malformed
+        line raises MalformedLine, naming ``lineno``, under --strict and is
+        counted in ``skipped`` otherwise.
         """
         for item in scanned_stream(iter_raw_lines(self.inputs), self.ruleset, self.workers):
             self.lineno += 1
-            if isinstance(item, LineIssue):
+            if type(item) is str:
                 if self.strict:
-                    raise MalformedLine(f"line {item.lineno}: {item.reason}")
+                    raise MalformedLine(f"line {self.lineno}: {item}")
                 self.skipped += 1
                 continue
             yield item

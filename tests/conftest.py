@@ -84,6 +84,26 @@ def mixed_entries() -> list[tuple[int, str, str]]:
     return load_fixture_entries("mixed_sample.log")
 
 
+def reference_parse(line: str) -> tuple:
+    """``(fields, None)`` for a good line, ``(None, reason)`` for a bad one.
+
+    Built only on str.split(" ", 2) and str.isspace, with the reason texts
+    that MalformedLine carries.
+    """
+    fields = line.split(" ", 2)
+    if len(fields) < 2:
+        return None, "fewer than 2 fields"
+    ts_text, source = fields[0], fields[1]
+    message = fields[2] if len(fields) == 3 else ""
+    if not ts_text or not set(ts_text) <= set("0123456789"):
+        return None, "non-integer timestamp"
+    if not source or any(c.isspace() for c in source):
+        return None, "bad source field"
+    if "\n" in message or "\r" in message:
+        return None, "line contains embedded line terminator"
+    return (int(ts_text), source, message), None
+
+
 def anonymize_reference(lines: Iterable[str], ruleset: RuleSet) -> dict[str, list[str]]:
     """What `anonymize --emit-dictionary --emit-meanings` writes for ``lines``, without its memo.
 

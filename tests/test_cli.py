@@ -791,6 +791,8 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
     "argv,message",
     [
         (["patterns", CRON_LOG, "--top", "x"], "bad --top list: 'x'"),
+        (["patterns", CRON_LOG, "--top", ","], "--top must name at least one K"),
+        (["anonymize", CRON_LOG, "--workers", "0"], "--workers must be >= 1"),
         (["compare", CRON_LOG, "T-1020", "T-1022", "--window", "9:3"],
          "--window must lie within [0, 1440): 9:3"),
         (["compare", CRON_LOG, "T-1020", "T-1022", "--days", "3:1"],
@@ -808,11 +810,15 @@ def test_compare_checks_days_before_reading_input(tmp_path, capsys):
          f"rule file {NOT_UTF8_RULES} is not valid UTF-8: "
          "'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"),
         (["anonymize", CRON_LOG, "--rules", MISSING_RULES], f"rule file not found: {MISSING_RULES}"),
+        # A rule file path through a regular file.
+        (["patterns", CRON_LOG, "--rules", f"{CRON_LOG}/x.rules"],
+         f"cannot read rule file {CRON_LOG}/x.rules: Not a directory"),
         (["anonymize", CRON_LOG, "--rules", EMPTY_MATCH_RULES],
          "rule X: pattern must not match the empty string"),
     ],
-    ids=["top", "window", "days", "same-node", "node-leaves-out", "node-in-subdirectory",
-         "input-directory", "rules-directory", "rules-not-utf8", "rules-missing", "rules-empty-match"],
+    ids=["top", "top-empty", "workers", "window", "days", "same-node", "node-leaves-out",
+         "node-in-subdirectory", "input-directory", "rules-directory", "rules-not-utf8", "rules-missing",
+         "rules-not-a-directory", "rules-empty-match"],
 )
 def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "made" / "deep"
@@ -821,6 +827,24 @@ def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text,first_line",
+    [
+        ("pattern = x\n", "error: bad rule file: File contains no section headers."),
+        ("[rule X]\nsignificant = yes\n", "error: rule X: missing pattern"),
+    ],
+    ids=["no-section", "no-pattern"],
+)
+def test_unloadable_rule_file_creates_no_out_directory(tmp_path, capsys, text, first_line):
+    rules = tmp_path / "bad.rules"
+    rules.write_text(text)
+    out = tmp_path / "made" / "deep"
+    code, stdout, err = run(["anonymize", CRON_LOG, "--rules", str(rules), "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.splitlines()[0] == first_line
+    assert not (tmp_path / "made").exists()
 
 
 @pytest.mark.parametrize("command", ["anonymize", *sorted(ANALYSIS_ARGV)])

@@ -1,9 +1,10 @@
 """The scan stage's channel between worker processes and the reduce.
 
-Workers return only built-in types, the parent wraps them back into the
-same items the sequential path yields, the pool never has more
-processes than the CPUs this process may run on, and every worker it
-forks is gone when the stream ends, however it ends.
+Workers are sent lines as read and return only built-in types, the
+parent wraps them back into the same items the sequential path yields,
+the pool never has more processes than the CPUs this process may run
+on, a ruleset with no rules forks none, and every worker it forks is
+gone when the stream ends, however it ends.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator
 import pytest
 
 from conftest import FIXTURES
-from loganon import default_ruleset, load_rules
+from loganon import RuleSet, default_ruleset, load_rules
 from loganon import _stream
 from loganon.cli import main
 
@@ -38,7 +39,7 @@ LINE_KINDS = (
     b"1515625722 n1 truncated \xe2\x82",
     b"1515625723 n1 ends with CRLF\r",
 )
-# Line kinds the parent yields as LineIssue.
+# Line kinds the stream yields as their reason string.
 ISSUE_KINDS = 6
 
 
@@ -51,7 +52,7 @@ def corpus(tmp_path) -> Path:
     return path
 
 
-def raw_lines(path: Path) -> list[tuple[int, bytes]]:
+def raw_lines(path: Path) -> list[bytes]:
     return list(_stream.iter_raw_lines([path]))
 
 
@@ -75,16 +76,18 @@ def test_worker_results_are_builtin_types(corpus, monkeypatch):
     previous = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         _stream._init_worker(default_ruleset())
-        results = _stream._scan_batch(raw_lines(corpus))
+        batch = raw_lines(corpus)
+        results = _stream._scan_batch(batch)
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
+    assert {type(line) for line in batch} == {bytes}
     assert type(results) is list
     assert len(results) == 5 * len(LINE_KINDS)
     for fields in results:
         assert_builtin(fields)
-    assert sum(len(fields) == 2 for fields in results) == 5 * ISSUE_KINDS
-    assert any(fields[3] for fields in results if len(fields) == 4)
+    assert sum(type(fields) is str for fields in results) == 5 * ISSUE_KINDS
+    assert any(fields[3] for fields in results if type(fields) is tuple)
 
 
 @contextmanager
@@ -138,7 +141,7 @@ def assert_pool_stream_equals_sequential(ruleset, corpus, forks, monkeypatch):
     monkeypatch.setattr(_stream, "BATCH_LINES", 7)
     sequential = list(_stream.scanned_stream(raw_lines(corpus), ruleset, 1))
     kinds = {type(item) for item in sequential}
-    assert kinds == {_stream.ScannedLine, _stream.LineIssue}
+    assert kinds == {_stream.ScannedLine, str}
     for workers in (2, 3):
         monkeypatch.setattr(_stream, "_usable_cpus", lambda: workers)
         forks.clear()
@@ -149,6 +152,15 @@ def assert_pool_stream_equals_sequential(ruleset, corpus, forks, monkeypatch):
         assert [shape(item) for item in pooled] == [shape(item) for item in sequential]
         assert len(forks) == workers
         assert_all_reaped(forks)
+
+
+def test_no_rules_forks_no_worker(corpus, forks, monkeypatch):
+    """With no rules a worker has no scan to do: two workers yield the one-worker items in process."""
+    monkeypatch.setattr(_stream, "BATCH_LINES", 7)
+    monkeypatch.setattr(_stream, "_usable_cpus", lambda: 2)
+    sequential = list(_stream.scanned_stream(raw_lines(corpus), RuleSet(()), 1))
+    assert list(_stream.scanned_stream(raw_lines(corpus), RuleSet(()), 2)) == sequential
+    assert forks == []
 
 
 def test_closing_the_pool_stream_early_leaves_no_worker(corpus, forks, monkeypatch):
@@ -219,7 +231,7 @@ def test_send_to_a_dead_worker_raises_worker_lost():
     os.close(read_fd)  # what a dead worker leaves of its task pipe
     try:
         with pytest.raises(_stream.WorkerLost, match="scan worker 4242 "):
-            _stream._send_batch((4242, write_fd, None), [(1, b"1 n m")])
+            _stream._send_batch((4242, write_fd, None), [b"1 n m\n"])
     finally:
         os.close(write_fd)
 

@@ -139,6 +139,11 @@ def test_summary_residual_is_linear():
         assert usefulness_from_summary(head, residual=(Fraction("0.28"), a)) == base + Fraction("0.28") * a
 
 
+def test_report_of_no_entries_is_outside_the_domain():
+    with pytest.raises(DomainError, match=r"^empty analysis window$"):
+        UsefulnessAccumulator().report()
+
+
 def test_summary_single_perfect_row():
     assert usefulness_from_summary([(1, 1)]) == 1
 
