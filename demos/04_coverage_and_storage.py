@@ -28,7 +28,7 @@ no_rules = RuleSet(())  # messages are constant per pattern, nothing to rewrite
 
 counts: Counter[str] = Counter()
 dicts = EncodingDictionaries()
-tally = StorageTally()
+tally = StorageTally(dicts)
 for line in generate_lines(spec):
     _, _, message = parse_line(line)
     deid_message, _, pattern = process_entry(message, no_rules)
@@ -44,5 +44,5 @@ for k, coverage in table.rows:
     print(f"  top {k:4d}: {float(coverage) * 100:6.2f}%")
 
 print("\nstorage accounting:")
-for line in tally.report(dicts):
+for line in tally.report():
     print(f"  {line}")

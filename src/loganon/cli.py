@@ -197,8 +197,8 @@ def _staged_outputs(out_dir: Path) -> Iterator[Callable[[str], TextIO]]:
 def cmd_anonymize(args: argparse.Namespace) -> int:
     cfg = _run_config(args, _anonymize_options)
     registry = SymbolRegistry()
-    dicts = EncodingDictionaries()
-    tally = StorageTally(args.digest_bytes)
+    dicts = EncodingDictionaries(args.digest_bytes)
+    tally = StorageTally(dicts)
     symbol_rows: dict[tuple[str, str], None] = {}
     # Sanitized message -> (tail, message bytes): the encoded line after its
     # timestamp and source, " <hash_key> <category_key>\n", and the message's
@@ -215,7 +215,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
                     deid_message, significant, pattern = rewrite_matches(
                         sanitized, matches, cfg.ruleset, registry
                     )
-                    hash_key, category_key = encode_entry(deid_message, pattern, dicts, args.digest_bytes)
+                    hash_key, category_key = encode_entry(deid_message, pattern, dicts)
                     # sanitize_message only swaps '#' for '?', so the sanitized
                     # text has the raw message's UTF-8 length.
                     known = (f" {hash_key} {category_key}\n", len(sanitized.encode("utf-8")))
@@ -234,7 +234,7 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
             with create("meanings.tsv") as f:
                 for key, text in dicts.messages.items():
                     f.write(f"{key}\t{text}\n")
-    for line in tally.report(dicts):
+    for line in tally.report():
         print(line)
     print(f"skipped lines: {cfg.skipped}")
     print(f"event patterns: {len(dicts.patterns)}")
@@ -253,11 +253,11 @@ def cmd_usefulness(args: argparse.Namespace) -> int:
             accumulators[key].add(significant, pattern)
     if not accumulators:
         print("no entries", file=sys.stderr)
-    pattern_keys = PatternKeys()
+    pattern_keys = PatternKeys(args.digest_bytes)
     # Every report is built, and so every category key registered, before
     # any is written, so a collision (exit 3) leaves no table and no file.
     reports = [
-        (key, accumulators[key].report(cfg.ruleset.mode.value, args.digest_bytes, pattern_keys))
+        (key, accumulators[key].report(cfg.ruleset.mode.value, pattern_keys))
         for key in sorted(accumulators)
     ]
     with _staged_outputs(cfg.out_dir) as create:

@@ -1,24 +1,25 @@
 """Irreversible fixed-width encoding of de-identified messages.
 
 Messages are hashed with the SHAKE-128 extendable-output function and
-truncated to ``digest_bytes`` bytes; the same function applied to the
-event pattern yields the category key. encode_entry returns the two keys
-as plain strings of lowercase hex; an encoded line is ``<timestamp>
-<source> <hash_key> <category_key>``. Two key -> text dicts detect
-truncation collisions instead of silently merging distinct messages; the
-pattern one, a PatternKeys, hashes each pattern once per run and keys the
-usefulness reports too. A storage tally quantifies how much smaller the
-encoded corpus is.
+truncated to ``digest_bytes`` bytes, set once per run on the dictionaries
+that hold the keys; the same function applied to the event pattern yields
+the category key. encode_entry returns the two keys as plain strings of
+lowercase hex; an encoded line is ``<timestamp> <source> <hash_key>
+<category_key>``. Two key -> text dicts detect truncation collisions
+instead of silently merging distinct messages; the pattern one, a
+PatternKeys, hashes each pattern once per run and keys the usefulness
+reports too. A storage tally quantifies how much smaller the encoded
+corpus is.
 
 The widths 1-3 work here, so collision handling can be exercised
-deliberately; the command-line front end accepts only 4-32.
+deliberately (``EncodingDictionaries(1)``); the command-line front end
+accepts only 4-32.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -62,48 +63,48 @@ def register(texts: dict[str, str], key: str, text: str) -> None:
 
 
 class PatternKeys(dict):
-    """One run's category keys: a key -> pattern dict, in first-registration order.
+    """One run's category keys at one width: a key -> pattern dict, in first-registration order.
 
-    ``by_pattern`` maps each (pattern, width) to its key, so key() hashes
-    a pattern once per run; the first registration goes through register,
-    so two patterns that share a key raise CollisionDetected.
+    ``by_pattern`` maps each pattern to its key, so key() hashes a pattern
+    once per run; the first registration goes through register, so two
+    patterns that share a key raise CollisionDetected.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, digest_bytes: int = 4) -> None:
         super().__init__()
-        self.by_pattern: dict[tuple[str, int], str] = {}
+        self.digest_bytes = digest_bytes
+        self.by_pattern: dict[str, str] = {}
 
-    def key(self, pattern: str, digest_bytes: int) -> str:
-        category_key = self.by_pattern.get((pattern, digest_bytes))
+    def key(self, pattern: str) -> str:
+        category_key = self.by_pattern.get(pattern)
         if category_key is None:
-            category_key = hash_text(pattern, digest_bytes)
+            category_key = hash_text(pattern, self.digest_bytes)
             register(self, category_key, pattern)
-            self.by_pattern[pattern, digest_bytes] = category_key
+            self.by_pattern[pattern] = category_key
         return category_key
 
 
-@dataclass
 class EncodingDictionaries:
-    """The two key -> text dicts one encoding run maintains, in first-registration order."""
+    """The two key -> text dicts one encoding run maintains, in first-registration order.
 
-    messages: dict[str, str] = field(default_factory=dict)
-    patterns: PatternKeys = field(default_factory=PatternKeys)
+    ``patterns`` owns the run's key width; encode_entry hashes both keys at it.
+    """
+
+    def __init__(self, digest_bytes: int = 4) -> None:
+        self.messages: dict[str, str] = {}
+        self.patterns = PatternKeys(digest_bytes)
 
 
-def encode_entry(
-    deid_message: str,
-    pattern: str,
-    dicts: EncodingDictionaries,
-    digest_bytes: int = 4,
-) -> tuple[str, str]:
+def encode_entry(deid_message: str, pattern: str, dicts: EncodingDictionaries) -> tuple[str, str]:
     """Hash a de-identified message and its event pattern; return (hash_key, category_key).
 
     ``pattern`` must be the event pattern of the message the de-identification
-    came from. Both keys are registered so collisions surface immediately.
+    came from. Both keys are registered, at the width of ``dicts``, so
+    collisions surface immediately.
     """
-    hash_key = hash_text(deid_message, digest_bytes)
+    hash_key = hash_text(deid_message, dicts.patterns.digest_bytes)
     register(dicts.messages, hash_key, deid_message)
-    return hash_key, dicts.patterns.key(pattern, digest_bytes)
+    return hash_key, dicts.patterns.key(pattern)
 
 
 def dictionary_bytes(dicts: EncodingDictionaries) -> int:
@@ -116,16 +117,18 @@ def dictionary_bytes(dicts: EncodingDictionaries) -> int:
 
 
 class StorageTally:
-    """Streaming byte accounting for one run at one key width; add each entry as it is encoded.
+    """Streaming byte accounting for one run's dictionaries; add each entry as it is encoded.
 
     An encoded message is the two key columns, 2 * digest_bytes hex digits
-    each, plus the single space separating them: 4 * digest_bytes + 1 bytes.
+    each at the dictionaries' width, plus the single space separating them:
+    4 * digest_bytes + 1 bytes.
     """
 
-    def __init__(self, digest_bytes: int = 4) -> None:
+    def __init__(self, dicts: EncodingDictionaries) -> None:
+        self.dicts = dicts
         self.entries = 0
         self.raw_message_bytes = 0
-        self._encoded_bytes_per_entry = 4 * digest_bytes + 1
+        self._encoded_bytes_per_entry = 4 * dicts.patterns.digest_bytes + 1
 
     @property
     def encoded_message_bytes(self) -> int:
@@ -146,9 +149,9 @@ class StorageTally:
             return Fraction(0)
         return 1 - Fraction(self.encoded_message_bytes + extra_bytes, self.raw_message_bytes)
 
-    def report(self, dicts: EncodingDictionaries) -> list[str]:
+    def report(self) -> list[str]:
         """The storage report's lines: the byte counts and both savings as percentages."""
-        dict_bytes = dictionary_bytes(dicts)
+        dict_bytes = dictionary_bytes(self.dicts)
         return [
             f"entries: {self.entries}",
             f"raw message bytes: {self.raw_message_bytes}",

@@ -611,14 +611,26 @@ def _check_keys(parser: configparser.RawConfigParser, section: str, known: tuple
             raise ConfigError(f"unknown key {key!r} in [{section}]")
 
 
-def loads_rules(text: str) -> RuleSet:
-    """Parse a rule file (INI syntax). See load_rules for the layout."""
+def loads_rules(text: str, path: Union[str, Path, None] = None) -> RuleSet:
+    """Parse a rule file (INI syntax). See load_rules for the layout.
+
+    A syntax error is one line that gives ``path``, if any, and the line
+    number, and quotes nothing of ``text``.
+    """
     parser = configparser.RawConfigParser(delimiters=("=",), interpolation=None)
     parser.optionxform = str  # group-map keys are case-sensitive values
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"bad rule file: {exc}") from exc
+        # A fixed text per error: configparser's own quote the file, group-table values included.
+        what = {
+            configparser.MissingSectionHeaderError: "text before the first section header",
+            configparser.DuplicateSectionError: "a section that repeats",
+            configparser.DuplicateOptionError: "a key that repeats in its section",
+        }.get(type(exc), "not a section header, a key = value line or a comment")
+        lineno = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+        where = "bad rule file" if path is None else f"bad rule file {path}"
+        raise ConfigError(f"{where}, line {lineno}: {what}") from None
     if parser.defaults():
         # configparser would copy [DEFAULT] keys into every other section.
         raise ConfigError("unknown section [DEFAULT]")
@@ -707,7 +719,7 @@ def load_rules(path: Union[str, Path]) -> RuleSet:
         raise ConfigError(f"rule file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read rule file {path}: {exc.strerror}") from None
-    return loads_rules(text)
+    return loads_rules(text, path)
 
 
 # 14 daemon names; site-specific configuration, override per corpus as needed.

@@ -218,15 +218,11 @@ class UsefulnessAccumulator:
         state[0] += 1
         self._patterns[pattern] = state
 
-    def report(
-        self,
-        mode_label: str = "",
-        digest_bytes: int = 4,
-        keys: Optional[PatternKeys] = None,
-    ) -> UsefulnessReport:
+    def report(self, mode_label: str = "", keys: Optional[PatternKeys] = None) -> UsefulnessReport:
         """The report over the entries so far; ``keys`` may be shared by one run's accumulators.
 
-        Raises CollisionDetected when two patterns share a category key.
+        Category keys take the width of ``keys``, 4 bytes with none. Raises
+        CollisionDetected when two patterns share a category key.
         """
         n_entries = sum(f_p for f_p, _ in self._patterns.values())
         if n_entries == 0:
@@ -241,7 +237,7 @@ class UsefulnessAccumulator:
         mass: dict[tuple[int, int], int] = {}
         rows = []
         for pattern, (f_p, slots) in self._patterns.items():
-            category_key = keys.key(pattern, digest_bytes)
+            category_key = keys.key(pattern)
             num = den = 1
             for symbols in slots.values():
                 num *= len(set(symbols.values()))

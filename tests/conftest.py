@@ -113,7 +113,7 @@ def anonymize_reference(lines: Iterable[str], ruleset: RuleSet) -> dict[str, lis
     """
     registry = SymbolRegistry()
     dicts = EncodingDictionaries()
-    tally = StorageTally()
+    tally = StorageTally(dicts)
     encoded: list[str] = []
     symbol_rows: dict[tuple[str, str], None] = {}
     for line in lines:
@@ -128,7 +128,7 @@ def anonymize_reference(lines: Iterable[str], ruleset: RuleSet) -> dict[str, lis
         "encoded.log": encoded,
         "dictionary.tsv": [f"{symbol}\t{value}" for symbol, value in symbol_rows],
         "meanings.tsv": [f"{key}\t{text}" for key, text in dicts.messages.items()],
-        "storage report": tally.report(dicts),
+        "storage report": tally.report(),
     }
 
 

@@ -399,7 +399,7 @@ def test_criterion_7_storage_saving():
 
         spec = CorpusSpec(entries=50_000, patterns=5_000, seed=7)
         dicts = EncodingDictionaries()
-        tally = StorageTally()
+        tally = StorageTally(dicts)
         total_raw = 0
         n = 0
         for line in generate_lines(spec):

@@ -830,20 +830,30 @@ def test_option_error_creates_no_out_directory(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "text,first_line",
+    "text,message",
     [
-        ("pattern = x\n", "error: bad rule file: File contains no section headers."),
-        ("[rule X]\nsignificant = yes\n", "error: rule X: missing pattern"),
+        ("pattern = x\n", "bad rule file {path}, line 1: text before the first section header"),
+        ("siavash = n\n[rule USER]\npattern = x\n",
+         "bad rule file {path}, line 1: text before the first section header"),
+        ("[rule USER]\npattern = x\n\n[groups USER]\nsiavash n\n",
+         "bad rule file {path}, line 5: not a section header, a key = value line or a comment"),
+        ("[rule USER]\npattern = x\n\n[groups USER]\nsiavash = n\nsiavash = p\n",
+         "bad rule file {path}, line 6: a key that repeats in its section"),
+        ("[rule USER]\npattern = x\n[groups USER]\nsiavash = n\n[groups USER]\nroot = p\n",
+         "bad rule file {path}, line 5: a section that repeats"),
+        ("[rule X]\nsignificant = yes\n", "rule X: missing pattern"),
     ],
-    ids=["no-section", "no-pattern"],
+    ids=["no-section", "no-section-group-key", "no-delimiter", "repeated-key", "repeated-section", "no-pattern"],
 )
-def test_unloadable_rule_file_creates_no_out_directory(tmp_path, capsys, text, first_line):
+def test_unloadable_rule_file_creates_no_out_directory(tmp_path, capsys, text, message):
+    # One line that names the file and the line, and quotes none of the file.
     rules = tmp_path / "bad.rules"
     rules.write_text(text)
     out = tmp_path / "made" / "deep"
     code, stdout, err = run(["anonymize", CRON_LOG, "--rules", str(rules), "--out", str(out)], capsys)
     assert (code, stdout) == (2, "")
-    assert err.splitlines()[0] == first_line
+    assert err == f"error: {message.format(path=rules)}\n"
+    assert "siavash" not in err
     assert not (tmp_path / "made").exists()
 
 

@@ -111,9 +111,9 @@ def test_collision_error_names_a_safe_width(n, width):
     )
 
 
-def _encode(message: str, rules, dicts, registry, digest_bytes=4):
+def _encode(message: str, rules, dicts, registry):
     deid_message, _, pattern = process_entry(message, rules, registry)
-    return encode_entry(deid_message, pattern, dicts, digest_bytes)
+    return encode_entry(deid_message, pattern, dicts)
 
 
 def test_encode_same_partial_rewrite_same_keys():
@@ -164,14 +164,17 @@ def test_same_user_different_commands_share_keys(cron_entries, cron_ruleset):
 
 
 def test_encoded_key_width_follows_config():
-    rules = shell_cmd_rulesets()["global"]
-    hash_key, category_key = _encode(SHELL_CMD_A, rules, EncodingDictionaries(), SymbolRegistry(), 8)
-    assert len(hash_key) == len(category_key) == 16
-    # One dictionary pair used at two widths keys a pattern at each of them.
-    dicts = EncodingDictionaries()
-    for width in (4, 8, 4):
-        hash_key, category_key = _encode(SHELL_CMD_A, rules, dicts, SymbolRegistry(), width)
-        assert len(hash_key) == len(category_key) == 2 * width
+    # The width is the dictionaries': both keys, and each pattern held once.
+    deid_message, _, pattern = process_entry(SHELL_CMD_A, shell_cmd_rulesets()["global"])
+    for width in (1, 4, 8, 32):
+        dicts = EncodingDictionaries(width)
+        for _ in range(2):
+            assert encode_entry(deid_message, pattern, dicts) == (
+                shake128_hex(deid_message, width),
+                shake128_hex(pattern, width),
+            )
+        assert dicts.patterns.by_pattern == {pattern: shake128_hex(pattern, width)}
+        assert dicts.patterns == {shake128_hex(pattern, width): pattern}
 
 
 def test_timestamp_and_source_pass_through(tmp_path):
@@ -185,8 +188,8 @@ def test_timestamp_and_source_pass_through(tmp_path):
 
 # --- storage accounting ------------------------------------------------------
 
-def _storage_tally(raw_messages, encoded, digest_bytes=4):
-    tally = StorageTally(digest_bytes)
+def _storage_tally(raw_messages, encoded, dicts):
+    tally = StorageTally(dicts)
     for message in raw_messages:
         tally.add(len(message.encode("utf-8")))
     # The derived size is that of the key columns the entries were encoded to.
@@ -195,12 +198,12 @@ def _storage_tally(raw_messages, encoded, digest_bytes=4):
 
 
 def test_storage_empty_corpus():
-    tally = StorageTally()
+    tally = StorageTally(EncodingDictionaries())
     assert tally.raw_message_bytes == 0
     assert tally.encoded_message_bytes == 0
     assert tally.saving() == 0
     assert tally.saving(10) == 0
-    assert tally.report(EncodingDictionaries()) == [
+    assert tally.report() == [
         "entries: 0",
         "raw message bytes: 0",
         "encoded message bytes: 0",
@@ -218,7 +221,7 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
     for message in messages:
         deid_message, _, pattern = process_entry(message, cron_ruleset, registry)
         encoded.append(encode_entry(deid_message, pattern, dicts))
-    tally = _storage_tally(messages, encoded)
+    tally = _storage_tally(messages, encoded, dicts)
     # independent byte count straight off the fixture contents
     raw_bytes = sum(len(message.encode("utf-8")) for message in messages)
     assert tally.entries == 20
@@ -232,7 +235,7 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
     )
     assert dictionary_bytes(dicts) == dict_bytes
     assert tally.saving(dict_bytes) == 1 - Fraction(20 * 17 + dict_bytes, raw_bytes)
-    lines = tally.report(dicts)
+    lines = tally.report()
     assert lines[3] == f"dictionary bytes: {dict_bytes}"
     assert lines[5] == f"saving including dictionary: {float(tally.saving(dict_bytes)) * 100:.2f}%"
 
@@ -240,9 +243,9 @@ def test_storage_fixture_exact(cron_entries, cron_ruleset):
 @pytest.mark.parametrize("digest_bytes", [1, 8, 32])
 def test_storage_encoded_bytes_follow_the_width(digest_bytes):
     messages = ["a", "bb", "a"]
-    dicts = EncodingDictionaries()
-    encoded = [encode_entry(m, m, dicts, digest_bytes) for m in messages]
-    tally = _storage_tally(messages, encoded, digest_bytes)
+    dicts = EncodingDictionaries(digest_bytes)
+    encoded = [encode_entry(m, m, dicts) for m in messages]
+    tally = _storage_tally(messages, encoded, dicts)
     assert tally.encoded_message_bytes == 3 * (2 * digest_bytes + 1 + 2 * digest_bytes)
 
 
@@ -250,4 +253,4 @@ def test_storage_long_messages_high_saving():
     messages = ["x" * 100 + f" tail {i}" for i in range(50)]
     dicts = EncodingDictionaries()
     encoded = [encode_entry(message, message, dicts) for message in messages]
-    assert _storage_tally(messages, encoded).saving() > Fraction(80, 100)
+    assert _storage_tally(messages, encoded, dicts).saving() > Fraction(80, 100)

@@ -878,6 +878,12 @@ def test_rule_file_unknown_section_rejected():
         loads_rules("[DEFAULT]\nsignificant = yes\n\n[rule A]\npattern = a\n")
 
 
+def test_rule_file_syntax_error_names_the_line_without_quoting_it():
+    with pytest.raises(ConfigError) as info:
+        loads_rules("[rule USER]\npattern = x\n[groups USER]\nsiavash n\nroot p\n")
+    assert str(info.value) == "bad rule file, line 4: not a section header, a key = value line or a comment"
+
+
 def test_rule_file_orphan_groups_rejected():
     with pytest.raises(ConfigError):
         loads_rules("[groups USER]\nroot = p\n")
